@@ -26,12 +26,13 @@ _AGENT_CHOICES = {
     "http": agents.HTTP_ENDPOINT,
 }
 
-_PARADIGM_CHOICES = {
+_RUN_PARADIGMS = {
     "zero-shot": promptkit.ZERO_SHOT,
     "few-shot": promptkit.FEW_SHOT,
     "icl": promptkit.ICL,
-    "hybrid": promptkit.HYBRID_SELECT,
 }
+# `render` can also print the hybrid selection prompt; `hybrid` runs it.
+_PARADIGM_CHOICES = {**_RUN_PARADIGMS, "hybrid": promptkit.HYBRID_SELECT}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,11 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate an agent on the test split")
     p.add_argument("--data", required=True)
-    p.add_argument("--paradigm", choices=sorted(_PARADIGM_CHOICES), default="zero-shot")
+    p.add_argument("--paradigm", choices=sorted(_RUN_PARADIGMS), default="zero-shot")
     p.add_argument("--variant", choices=list(promptkit.VARIANTS), default="z_only")
     p.add_argument("--agent", choices=sorted(_AGENT_CHOICES), default="reference")
     p.add_argument("--k", type=int, default=-1)
-    p.add_argument("--m", type=int, default=8)
     p.add_argument("--seed", type=int, default=7,
                    help="example selection / coin-flip seed")
     p.add_argument("--invalid-policy", choices=list(evalkit.INVALID_POLICIES),
@@ -183,11 +183,7 @@ def _cmd_render(args) -> int:
         m_select=args.m,
     )
     sample = ds.by_id(args.sample)
-    examples = (
-        promptkit.select_examples(ds.split_samples("train"), cfg, ds.stats)
-        if cfg.k_examples
-        else []
-    )
+    examples = promptkit.select_examples(ds.split_samples("train"), cfg, ds.stats)
     bundle = promptkit.render_prompt(sample, ds.stats, cfg, examples, ds.layout)
     print(bundle.text, end="")
     return 0
@@ -196,7 +192,7 @@ def _cmd_render(args) -> int:
 def _cmd_run(args) -> int:
     data = Path(args.data)
     run = evalkit.RunConfig(
-        paradigm=_PARADIGM_CHOICES[args.paradigm],
+        paradigm=_RUN_PARADIGMS[args.paradigm],
         variant=args.variant,
         agent=_AGENT_CHOICES[args.agent],
         data_dir=str(data),
@@ -204,21 +200,12 @@ def _cmd_run(args) -> int:
         coin_seed=args.seed,
         invalid_policy=args.invalid_policy,
         k_examples=args.k,
-        m_select=args.m,
         endpoint=_endpoint_for(args.agent),
     )
-    cache = agents.ResponseCache(data / "cache")
-    out_dir = data / "manifests"
-    if run.paradigm == promptkit.HYBRID_SELECT:
-        model = _load_model(data)
-        report, manifest = evalkit.run_hybrid_experiment(
-            run, model, cache=cache, out_dir=out_dir
-        )
-        label = "LLM + DL"
-    else:
-        report, manifest = evalkit.run_experiment(run, cache=cache, out_dir=out_dir)
-        label = evalkit.PARADIGM_LABELS[run.paradigm]
-    _print_report(report, label, args.format)
+    report, manifest = evalkit.run_experiment(
+        run, cache=agents.ResponseCache(data / "cache"), out_dir=data / "manifests"
+    )
+    _print_report(report, evalkit.PARADIGM_LABELS[run.paradigm], args.format)
     print(f"wrote {manifest['path']}")
     return 0
 
@@ -283,9 +270,7 @@ def _cmd_hybrid(args) -> int:
 
 def _cmd_export_finetune(args) -> int:
     ds = evalkit.load_dataset_dir(args.data)
-    cfg = promptkit.PromptConfig(
-        paradigm=promptkit.FINETUNE_EXPORT, variant=args.variant
-    )
+    cfg = promptkit.PromptConfig(variant=args.variant)
     text = agents.export_finetune_from_dataset(ds, cfg)
     _write(Path(args.out), text)
     print(f"records: {text.count(chr(10))}")
@@ -318,12 +303,10 @@ def _cmd_report(args) -> int:
     for name, d in docs.items():
         cfg = d.get("config", {})
         paradigm = cfg.get("paradigm")
-        if paradigm in (promptkit.FEW_SHOT, promptkit.ICL):
+        if paradigm in (promptkit.FEW_SHOT, promptkit.ICL, promptkit.HYBRID_SELECT):
             paradigm_rows.append(
                 (evalkit.PARADIGM_LABELS[paradigm], evalkit.report_from_manifest(d))
             )
-        elif paradigm == promptkit.HYBRID_SELECT:
-            paradigm_rows.append(("Hybrid", evalkit.report_from_manifest(d)))
     zs_best = [r for label, r in zero_shot if label == "Z_score"]
     if zs_best:
         paradigm_rows.append(("Zero-shot", zs_best[0]))

@@ -17,7 +17,16 @@ import numpy as np
 from .errors import DetectorError
 from . import agents, promptkit
 from .grid import FeatureLayout
-from .scenario import ANOMALY, FeatureStats, Sample, compute_stats, zscores
+from .ruleoracle import top_abs_z
+from .scenario import (
+    ANOMALY,
+    FeatureStats,
+    Sample,
+    compute_stats,
+    stats_from_dict,
+    stats_to_dict,
+    zscores,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -273,8 +282,7 @@ def reference_selector(z: np.ndarray, m: int, sample_id: int = -1) -> FeatureSel
     """Indices of the m largest |z|, descending; ties break toward lower index."""
     if m < 1:
         raise DetectorError("m must be >= 1")
-    abs_z = np.abs(np.asarray(z, dtype=float))
-    ranked = sorted(range(len(abs_z)), key=lambda i: (-abs_z[i], i))[:m]
+    ranked = top_abs_z(np.abs(np.asarray(z, dtype=float)), m)
     return FeatureSelection(
         sample_id=sample_id, ranked=tuple(ranked), source=SOURCE_REFERENCE
     )
@@ -373,12 +381,7 @@ def model_to_json(model: DetectorModel) -> str:
         "layer_dims": list(model.layer_dims),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "input_stats": {
-            "mean": [float(v) for v in model.input_stats.mean],
-            "std": [float(v) for v in model.input_stats.std],
-            "n": model.input_stats.n,
-            "split": model.input_stats.split,
-        },
+        "input_stats": stats_to_dict(model.input_stats),
         "threshold": model.threshold,
         "train_seed": model.train_seed,
     }
@@ -387,17 +390,11 @@ def model_to_json(model: DetectorModel) -> str:
 
 def model_from_json(text: str) -> DetectorModel:
     doc = json.loads(text)
-    stats = doc["input_stats"]
     return DetectorModel(
         layer_dims=tuple(int(d) for d in doc["layer_dims"]),
         weights=tuple(np.asarray(w, dtype=float) for w in doc["weights"]),
         biases=tuple(np.asarray(b, dtype=float) for b in doc["biases"]),
-        input_stats=FeatureStats(
-            mean=np.asarray(stats["mean"], dtype=float),
-            std=np.asarray(stats["std"], dtype=float),
-            n=int(stats["n"]),
-            split=str(stats["split"]),
-        ),
+        input_stats=stats_from_dict(doc["input_stats"]),
         threshold=None if doc["threshold"] is None else float(doc["threshold"]),
         train_seed=int(doc["train_seed"]),
     )

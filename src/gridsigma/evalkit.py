@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import DatasetError, GridSigmaError
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
-from .scenario import ANOMALY, NORMAL, Dataset, zscores
+from .scenario import ANOMALY, NORMAL, Dataset, Sample, zscores
 
 logger = logging.getLogger(__name__)
 
@@ -87,10 +87,7 @@ def metrics(
     accuracy = (c.tp + c.tn) / c.total if c.total else None
     recall = c.tp / (c.tp + c.fn) if (c.tp + c.fn) else None
     precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) else None
-    if recall is None or precision is None or (recall + precision) == 0:
-        f1 = None
-    else:
-        f1 = 2 * recall * precision / (recall + precision)
+    f1 = None if recall is None or precision is None else f1_from(recall, precision)
     return MetricsReport(
         accuracy=accuracy,
         recall=recall,
@@ -130,7 +127,6 @@ class RunConfig:
     k_examples: int = -1  # -1 = paradigm default
     m_select: int = 8
     decimals: int = 4
-    selection_decimals: int = 6
     endpoint: "agents.EndpointConfig | None" = None
 
     def prompt_config(self) -> PromptConfig:
@@ -163,8 +159,8 @@ def load_dataset_dir(data_dir: "str | Path") -> Dataset:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
 
 
-def _config_doc(run: RunConfig, extra: dict | None = None) -> dict:
-    doc = {
+def _config_doc(run: RunConfig) -> dict:
+    return {
         "paradigm": run.paradigm,
         "variant": run.variant,
         "agent": run.agent,
@@ -176,9 +172,6 @@ def _config_doc(run: RunConfig, extra: dict | None = None) -> dict:
         "decimals": run.decimals,
         "model": run.endpoint.model_name if run.endpoint else None,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def _metrics_doc(report: MetricsReport) -> dict:
@@ -197,6 +190,45 @@ def _metrics_doc(report: MetricsReport) -> dict:
     }
 
 
+def _score_and_persist(
+    config: dict,
+    dataset: Dataset,
+    targets: list[Sample],
+    preds: list[str],
+    records: list[dict],
+    policies: tuple[str, ...],
+    out_dir: "str | Path | None",
+    name: str,
+    **extra,
+) -> tuple[dict[str, MetricsReport], dict]:
+    """Score preds against the injection labels and build the run manifest.
+
+    Each sample record gets id, label and truth ahead of the runner's own
+    fields. With out_dir, the manifest is written to out_dir/name and its
+    "path" set.
+    """
+    truths = [s.label for s in targets]
+    reports = {}
+    for policy in policies:
+        counts, invalid = confusion(preds, truths, policy)
+        reports[policy] = metrics(counts, invalid, policy)
+    manifest = {
+        "config": config,
+        "dataset_digest": _dataset_digest_of(dataset),
+        "samples": [
+            {"id": s.id, "label": p, "truth": s.label, **record}
+            for s, p, record in zip(targets, preds, records)
+        ],
+        "metrics": {policy: _metrics_doc(rep) for policy, rep in reports.items()},
+        **extra,
+    }
+    if out_dir is not None:
+        path = Path(out_dir) / name
+        write_manifest(manifest, path)
+        manifest["path"] = str(path)
+    return reports, manifest
+
+
 def run_experiment(
     run: RunConfig,
     dataset: Dataset | None = None,
@@ -213,10 +245,8 @@ def run_experiment(
         dataset = load_dataset_dir(run.data_dir)
     cfg = run.prompt_config()
     agent = run.agent_kind()
-    examples = (
-        promptkit.select_examples(dataset.split_samples("train"), cfg, dataset.stats)
-        if cfg.k_examples
-        else []
+    examples = promptkit.select_examples(
+        dataset.split_samples("train"), cfg, dataset.stats
     )
     example_ids = {s.id for s in examples}
     targets = [
@@ -230,37 +260,23 @@ def run_experiment(
     ]
     verdicts = agents.run_batch(bundles, agent, run.endpoint, cache)
     preds = [v.label for v in verdicts]
-    truths = [s.label for s in targets]
     if all(p == promptkit.INVALID for p in preds):
         logger.warning("all %d verdicts were invalid", len(preds))
-
-    reports = {}
-    for policy in INVALID_POLICIES:
-        counts, invalid = confusion(preds, truths, policy)
-        reports[policy] = metrics(counts, invalid, policy)
-    chosen = reports[run.invalid_policy]
-
-    manifest = {
-        "config": _config_doc(run),
-        "dataset_digest": _dataset_digest_of(dataset),
-        "samples": [
-            {
-                "id": s.id,
-                "prompt_hash": b.content_hash,
-                "label": v.label,
-                "truth": s.label,
-                "parse_mode": v.parse_mode,
-            }
-            for s, b, v in zip(targets, bundles, verdicts)
+    reports, manifest = _score_and_persist(
+        _config_doc(run),
+        dataset,
+        targets,
+        preds,
+        [
+            {"prompt_hash": b.content_hash, "parse_mode": v.parse_mode}
+            for b, v in zip(bundles, verdicts)
         ],
-        "example_ids": sorted(example_ids),
-        "metrics": {policy: _metrics_doc(rep) for policy, rep in reports.items()},
-    }
-    if out_dir is not None:
-        path = Path(out_dir) / manifest_name(run)
-        write_manifest(manifest, path)
-        manifest["path"] = str(path)
-    return chosen, manifest
+        INVALID_POLICIES,
+        out_dir,
+        manifest_name(run),
+        example_ids=sorted(example_ids),
+    )
+    return reports[run.invalid_policy], manifest
 
 
 def _dataset_digest_of(dataset: Dataset) -> str:
@@ -323,40 +339,24 @@ def run_hybrid_experiment(
                 run.endpoint,
                 cache,
                 m=run.m_select,
-                decimals=run.selection_decimals,
             )
         selections.append(sel)
         preds.append(detectors.hybrid_detect(model, sel, tau_h, s.features))
-    truths = [s.label for s in targets]
-    counts, invalid = confusion(preds, truths, run.invalid_policy)
-    report = metrics(counts, invalid, run.invalid_policy)
-    manifest = {
-        "config": _config_doc(
-            run,
-            {
-                "selector": "reference_topz" if use_reference_selector else run.agent,
-                "tau_hybrid": tau_h,
-            },
-        ),
-        "dataset_digest": _dataset_digest_of(dataset),
-        "samples": [
-            {
-                "id": s.id,
-                "label": p,
-                "truth": s.label,
-                "selection": list(sel.ranked),
-                "selection_source": sel.source,
-            }
-            for s, p, sel in zip(targets, preds, selections)
+    selector = "reference_topz" if use_reference_selector else run.agent
+    reports, manifest = _score_and_persist(
+        {**_config_doc(run), "selector": selector, "tau_hybrid": tau_h},
+        dataset,
+        targets,
+        preds,
+        [
+            {"selection": list(sel.ranked), "selection_source": sel.source}
+            for sel in selections
         ],
-        "metrics": {run.invalid_policy: _metrics_doc(report)},
-    }
-    if out_dir is not None:
-        selector = "reference_topz" if use_reference_selector else run.agent
-        path = Path(out_dir) / f"hybrid_{selector}.json"
-        write_manifest(manifest, path)
-        manifest["path"] = str(path)
-    return report, manifest
+        (run.invalid_policy,),
+        out_dir,
+        f"hybrid_{selector}.json",
+    )
+    return reports[run.invalid_policy], manifest
 
 
 def run_detector_experiment(
@@ -366,25 +366,18 @@ def run_detector_experiment(
 ) -> tuple[MetricsReport, dict]:
     """Standalone detector scored on the test split."""
     targets = dataset.split_samples("test")
-    preds = [detectors.detect(model, s.features) for s in targets]
-    truths = [s.label for s in targets]
-    counts, invalid = confusion(preds, truths, AS_WRONG)
-    report = metrics(counts, invalid, AS_WRONG)
-    manifest = {
-        "config": {"detector": "autoencoder", "threshold": model.threshold,
-                   "train_seed": model.train_seed},
-        "dataset_digest": _dataset_digest_of(dataset),
-        "samples": [
-            {"id": s.id, "label": p, "truth": s.label}
-            for s, p in zip(targets, preds)
-        ],
-        "metrics": {AS_WRONG: _metrics_doc(report)},
-    }
-    if out_dir is not None:
-        path = Path(out_dir) / "dl_detector.json"
-        write_manifest(manifest, path)
-        manifest["path"] = str(path)
-    return report, manifest
+    reports, manifest = _score_and_persist(
+        {"detector": "autoencoder", "threshold": model.threshold,
+         "train_seed": model.train_seed},
+        dataset,
+        targets,
+        [detectors.detect(model, s.features) for s in targets],
+        [{}] * len(targets),
+        (AS_WRONG,),
+        out_dir,
+        "dl_detector.json",
+    )
+    return reports[AS_WRONG], manifest
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +394,6 @@ PARADIGM_LABELS = {
     promptkit.ZERO_SHOT: "Zero-shot",
     promptkit.FEW_SHOT: "Few-shot",
     promptkit.ICL: "ICL",
-    promptkit.FINETUNE_EXPORT: "Fine-tuned",
     promptkit.HYBRID_SELECT: "Hybrid",
 }
 

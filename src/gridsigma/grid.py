@@ -445,6 +445,18 @@ def builtin_ieee14() -> GridCase:
 # AC power flow (polar-form Newton-Raphson)
 
 
+def _branch_two_port(br: Branch):
+    """(y_ff, y_ft, y_tf, y_tt) of the branch pi-model with tap and shift.
+
+    The from-end and to-end currents are i_f = y_ff v_f + y_ft v_t and
+    i_t = y_tf v_f + y_tt v_t.
+    """
+    ys = 1.0 / complex(br.r, br.x)
+    ysh = 0.5j * br.b_charging
+    tap = br.tap * np.exp(1j * br.shift)
+    return (ys + ysh) / (tap * np.conj(tap)), -ys / np.conj(tap), -ys / tap, ys + ysh
+
+
 def build_ybus(case: GridCase) -> np.ndarray:
     """Dense complex bus admittance matrix (pi-model with tap and shift)."""
     n = len(case.buses)
@@ -454,13 +466,11 @@ def build_ybus(case: GridCase) -> np.ndarray:
         if not br.in_service:
             continue
         f, t = idx[br.from_bus], idx[br.to_bus]
-        ys = 1.0 / complex(br.r, br.x)
-        ysh = 0.5j * br.b_charging
-        tap = br.tap * np.exp(1j * br.shift)
-        ybus[f, f] += (ys + ysh) / (tap * np.conj(tap))
-        ybus[f, t] += -ys / np.conj(tap)
-        ybus[t, f] += -ys / tap
-        ybus[t, t] += ys + ysh
+        y_ff, y_ft, y_tf, y_tt = _branch_two_port(br)
+        ybus[f, f] += y_ff
+        ybus[f, t] += y_ft
+        ybus[t, f] += y_tf
+        ybus[t, t] += y_tt
     for bus in case.buses:
         ybus[idx[bus.id], idx[bus.id]] += complex(bus.g_shunt, bus.b_shunt)
     return ybus
@@ -653,11 +663,9 @@ def branch_flows(case: GridCase, v_mag: np.ndarray, v_ang: np.ndarray):
         if not br.in_service:
             continue
         f, t = idx[br.from_bus], idx[br.to_bus]
-        ys = 1.0 / complex(br.r, br.x)
-        ysh = 0.5j * br.b_charging
-        tap = br.tap * np.exp(1j * br.shift)
-        i_from = (ys + ysh) / (tap * np.conj(tap)) * v[f] - ys / np.conj(tap) * v[t]
-        i_to = -ys / tap * v[f] + (ys + ysh) * v[t]
+        y_ff, y_ft, y_tf, y_tt = _branch_two_port(br)
+        i_from = y_ff * v[f] + y_ft * v[t]
+        i_to = y_tf * v[f] + y_tt * v[t]
         s_from[k] = v[f] * np.conj(i_from)
         s_to[k] = v[t] * np.conj(i_to)
     return s_from, s_to

@@ -15,14 +15,13 @@ import numpy as np
 
 from .errors import PromptError
 from .grid import FeatureLayout
-from .scenario import ANOMALY, NORMAL, FeatureStats, Sample, zscores
+from .scenario import ANOMALY, NORMAL, STD_FLOOR, FeatureStats, Sample, zscores
 
 ZERO_SHOT = "zero_shot"
 FEW_SHOT = "few_shot"
 ICL = "icl"
-FINETUNE_EXPORT = "finetune_export"
 HYBRID_SELECT = "hybrid_select"
-PARADIGMS = (ZERO_SHOT, FEW_SHOT, ICL, FINETUNE_EXPORT, HYBRID_SELECT)
+PARADIGMS = (ZERO_SHOT, FEW_SHOT, ICL, HYBRID_SELECT)
 
 VARIANT_VALUE = "value"
 VARIANT_MEAN_STD_VALUE = "mean_std_value"
@@ -57,7 +56,7 @@ _GROUP_TITLES = {
     "v_mag": ("V", "voltage magnitudes"),
 }
 
-_DEFAULT_K = {ZERO_SHOT: 0, FEW_SHOT: 2, ICL: 10, FINETUNE_EXPORT: 0, HYBRID_SELECT: 0}
+_DEFAULT_K = {ZERO_SHOT: 0, FEW_SHOT: 2, ICL: 10, HYBRID_SELECT: 0}
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class PromptConfig:
         if self.k_examples == -1:
             object.__setattr__(self, "k_examples", _DEFAULT_K[self.paradigm])
         k = self.k_examples
-        if self.paradigm in (ZERO_SHOT, FINETUNE_EXPORT, HYBRID_SELECT) and k != 0:
+        if self.paradigm in (ZERO_SHOT, HYBRID_SELECT) and k != 0:
             raise PromptError(f"{self.paradigm} requires k_examples = 0, got {k}")
         if self.paradigm == FEW_SHOT and k != 2:
             raise PromptError(f"few_shot requires k_examples = 2, got {k}")
@@ -127,7 +126,7 @@ def render_value_block(
         raise PromptError("sample/stats length does not match layout")
     columns = _VARIANT_COLUMNS[variant]
     z = np.abs(zscores(sample.features, stats))
-    std_floored = np.maximum(stats.std, 1e-12)
+    std_floored = np.maximum(stats.std, STD_FLOOR)
 
     cell_sources = {
         "value": sample.features,

@@ -49,6 +49,11 @@ def three_sigma_label(z, threshold: float = DEFAULT_THRESHOLD) -> RuleVerdict:
     )
 
 
+def top_abs_z(abs_z, m: int) -> list[int]:
+    """Indices of the m largest |z|, descending; ties break toward lower index."""
+    return sorted(range(len(abs_z)), key=lambda i: (-abs_z[i], i))[:m]
+
+
 def _abs_z_from_table(table: promptkit.ValueBlockTable) -> np.ndarray:
     """Recover |z| per sensor, inferring mean/std from values when absent."""
     cols = set(table.columns)
@@ -97,8 +102,7 @@ def reference_agent(prompt: PromptBundle) -> AgentVerdict:
             parse_mode=FAILED,
         )
     if prompt.config.paradigm == HYBRID_SELECT:
-        ranked = sorted(range(len(abs_z)), key=lambda i: (-abs_z[i], i))
-        top = ranked[: prompt.config.m_select]
+        top = top_abs_z(abs_z, prompt.config.m_select)
         raw = "\n".join(table.names[i] for i in top)
         return AgentVerdict(
             label=NORMAL, rationale="selection reply", raw=raw, parse_mode=STRICT

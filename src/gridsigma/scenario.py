@@ -350,24 +350,31 @@ def dataset_to_jsonl(ds: Dataset) -> str:
     )
 
 
-def stats_to_json(stats: FeatureStats) -> str:
-    doc = {
+def stats_to_dict(stats: FeatureStats) -> dict:
+    """JSON-ready {mean, std, n, split}; the key order is part of the file format."""
+    return {
         "mean": [float(v) for v in stats.mean],
         "std": [float(v) for v in stats.std],
         "n": stats.n,
         "split": stats.split,
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-def stats_from_json(text: str) -> FeatureStats:
-    doc = json.loads(text)
+def stats_from_dict(doc: dict) -> FeatureStats:
     return FeatureStats(
         mean=np.asarray(doc["mean"], dtype=float),
         std=np.asarray(doc["std"], dtype=float),
         n=int(doc["n"]),
         split=str(doc["split"]),
     )
+
+
+def stats_to_json(stats: FeatureStats) -> str:
+    return json.dumps(stats_to_dict(stats), indent=2) + "\n"
+
+
+def stats_from_json(text: str) -> FeatureStats:
+    return stats_from_dict(json.loads(text))
 
 
 def meta_to_json(ds: Dataset) -> str:

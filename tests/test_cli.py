@@ -67,8 +67,8 @@ class TestRunAndReport:
         out = capsys.readouterr().out
         assert "LLM + DL" in out
 
-    def test_run_paradigm_hybrid_with_agent(self, pipeline_dir, capsys):
-        assert main(["run", "--data", str(pipeline_dir), "--paradigm", "hybrid",
+    def test_hybrid_with_reference_agent(self, pipeline_dir, capsys):
+        assert main(["hybrid", "--data", str(pipeline_dir),
                      "--agent", "reference"]) == 0
         out = capsys.readouterr().out
         assert "LLM + DL" in out
@@ -105,11 +105,11 @@ class TestRunAndReport:
         assert main(["run", "--data", str(data), "--paradigm", "zero-shot",
                      "--variant", "z_only", "--agent", "reference"]) == 0
 
-    def test_run_paradigm_hybrid_requires_model(self, tmp_path, capsys):
+    def test_hybrid_requires_model(self, tmp_path, capsys):
         data = tmp_path / "d"
         assert main(["generate", "--samples", "80", "--seed", "3",
                      "--out", str(data)]) == 0
-        assert main(["run", "--data", str(data), "--paradigm", "hybrid",
+        assert main(["hybrid", "--data", str(data),
                      "--agent", "reference"]) == 1
         assert "train-dl" in capsys.readouterr().err
 

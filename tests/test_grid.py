@@ -8,6 +8,7 @@ from gridsigma.grid import (
     Generator,
     GridCase,
     active_losses,
+    branch_flows,
     builtin_ieee14,
     default_layout,
     extract_features,
@@ -171,6 +172,20 @@ class TestSolveNewton:
         for scale in (0.8, 1.0, 1.2):
             sol = solve_newton(ieee14, np.full(14, scale))
             assert abs(sol.p_inj.sum() - active_losses(ieee14, sol)) <= 1e-7
+
+    def test_branch_flows_balance_each_bus(self, ieee14):
+        # Flows out of a bus over its branches plus its shunt draw equal the
+        # bus's net injection, so each branch's pi-model terms are checked.
+        idx = ieee14.bus_index()
+        shunt = np.array([complex(b.g_shunt, -b.b_shunt) for b in ieee14.buses])
+        for scale in (1.0, 0.7, 1.15):
+            sol = solve_newton(ieee14, np.full(14, scale))
+            s_from, s_to = branch_flows(ieee14, sol.v_mag, sol.v_ang)
+            out = sol.v_mag**2 * shunt
+            for k, br in enumerate(ieee14.branches):
+                out[idx[br.from_bus]] += s_from[k]
+                out[idx[br.to_bus]] += s_to[k]
+            assert np.max(np.abs(out - (sol.p_inj + 1j * sol.q_inj))) <= 1e-10
 
     def test_convergence_over_load_range(self, ieee14):
         rng = np.random.default_rng(7)
