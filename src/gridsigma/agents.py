@@ -129,7 +129,9 @@ class ResponseCache:
                 return
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
+            # Per process and thread, so writers that share the directory
+            # never move each other's partial file into place.
+            tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
             tmp.write_text(text, encoding="utf-8")
             os.replace(tmp, path)
 

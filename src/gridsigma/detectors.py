@@ -228,25 +228,29 @@ def reconstruction_error(model: DetectorModel, features: np.ndarray):
 
 
 def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
-    """Smallest tau maximizing F1 of the inclusive rule (score >= tau)."""
-    best_tau = None
-    best_f1 = -1.0
-    for tau in sorted(set(scores.tolist())):
-        pred = scores >= tau
-        tp = int(np.sum(pred & truth))
-        fp = int(np.sum(pred & ~truth))
-        fn = int(np.sum(~pred & truth))
-        if tp == 0 or tp + fp == 0 or tp + fn == 0:
-            continue
-        recall = tp / (tp + fn)
-        precision = tp / (tp + fp)
-        f1 = 2 * recall * precision / (recall + precision)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_tau = tau
-    if best_tau is None:
+    """Smallest tau maximizing F1 of the inclusive rule (score >= tau).
+
+    Candidates are the distinct scores, ascending; a NaN score is never
+    flagged. Suffix sums over the candidates count, per tau, the scores and
+    the anomalies at or above it.
+    """
+    truth = np.asarray(truth, dtype=bool)
+    known = ~np.isnan(scores)
+    taus, group = np.unique(scores[known], return_inverse=True)
+    flagged = np.cumsum(np.bincount(group, minlength=len(taus))[::-1])[::-1]
+    tp = np.cumsum(
+        np.bincount(group[truth[known]], minlength=len(taus))[::-1]
+    )[::-1]
+    fp = flagged - tp
+    fn = int(np.sum(truth)) - tp
+    usable = tp > 0
+    if not usable.any():
         raise DetectorError("no usable threshold on this validation split")
-    return float(best_tau)
+    tp, fp, fn, taus = tp[usable], fp[usable], fn[usable], taus[usable]
+    recall = tp / (tp + fn)
+    precision = tp / (tp + fp)
+    f1 = 2 * recall * precision / (recall + precision)
+    return float(taus[np.argmax(f1)])  # argmax keeps the first, smallest tau
 
 
 def calibrate_threshold(model: DetectorModel, validation: list[Sample]) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import DatasetError, GridSigmaError
@@ -150,13 +150,25 @@ def load_dataset_dir(data_dir: "str | Path") -> Dataset:
 
     root = Path(data_dir)
     try:
-        return dataset_from_files(
-            (root / "dataset.jsonl").read_text(encoding="utf-8"),
+        jsonl_text, digest = _text_and_digest(root / "dataset.jsonl")
+        dataset = dataset_from_files(
+            jsonl_text,
             (root / "stats.json").read_text(encoding="utf-8"),
             (root / "meta.json").read_text(encoding="utf-8"),
         )
     except FileNotFoundError as exc:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
+    return replace(dataset, jsonl_digest=digest)
+
+
+def _text_and_digest(path: Path) -> tuple[str, str]:
+    """The file's UTF-8 text and the sha256 of its bytes.
+
+    The bytes are dropped on return, so they are not held while the text is
+    parsed.
+    """
+    raw = path.read_bytes()
+    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
 
 
 def _config_doc(run: RunConfig) -> dict:
@@ -280,8 +292,12 @@ def run_experiment(
 
 
 def _dataset_digest_of(dataset: Dataset) -> str:
+    """sha256 of the dataset's JSONL form: the file's, hashed at load, or the
+    serialisation's for a dataset built in memory."""
     from .scenario import dataset_to_jsonl
 
+    if dataset.jsonl_digest is not None:
+        return dataset.jsonl_digest
     return hashlib.sha256(dataset_to_jsonl(dataset).encode("utf-8")).hexdigest()
 
 

@@ -100,14 +100,16 @@ class GridCase:
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
+    """One hour's solution, or a stack of hours with a leading hour axis."""
+
     v_mag: np.ndarray  # per bus, pu
     v_ang: np.ndarray  # per bus, rad
     p_inj: np.ndarray  # per bus, pu
     q_inj: np.ndarray  # per bus, pu
     p_flow_from: np.ndarray  # per branch, sending end, pu
     q_flow_from: np.ndarray  # per branch, sending end, pu
-    iterations: int
-    max_mismatch: float
+    iterations: int | np.ndarray  # per hour when stacked
+    max_mismatch: float | np.ndarray  # per hour when stacked
 
 
 @dataclass(frozen=True)
@@ -476,16 +478,31 @@ def build_ybus(case: GridCase) -> np.ndarray:
     return ybus
 
 
-def _specified_injections(case: GridCase, load_scale: np.ndarray) -> np.ndarray:
-    """Net scheduled complex injection per bus (generation minus scaled load)."""
-    n = len(case.buses)
+def _newton_setup(case: GridCase, load_scale: np.ndarray, tol: float):
+    """Ybus, scheduled injections (H, n), start voltages and PV/PQ bus lists.
+
+    ``load_scale`` stacks one row of per-bus load multipliers per hour.
+    """
+    if tol <= 0:
+        raise PowerFlowError("tol must be positive")
     idx = case.bus_index()
-    s = np.zeros(n, dtype=complex)
-    for i, bus in enumerate(case.buses):
-        s[i] -= complex(bus.p_load, bus.q_load) * load_scale[i]
+    ybus = build_ybus(case)
+    load = np.array([complex(bus.p_load, bus.q_load) for bus in case.buses])
+    s_spec = np.zeros(load_scale.shape, dtype=complex)
+    s_spec -= load * load_scale
     for g in case.gens:
-        s[idx[g.bus]] += g.p_set
-    return s
+        s_spec[:, idx[g.bus]] += g.p_set
+
+    kinds = [bus.kind for bus in case.buses]
+    v_mag = np.array([bus.v_mag_init for bus in case.buses], dtype=float)
+    v_ang = np.array([bus.v_ang_init for bus in case.buses], dtype=float)
+    v_ang[kinds.index(SLACK)] = 0.0  # reference angle
+    for g in case.gens:
+        if kinds[idx[g.bus]] in (SLACK, PV):
+            v_mag[idx[g.bus]] = g.v_set
+    pv = [i for i, kind in enumerate(kinds) if kind == PV]
+    pq = [i for i, kind in enumerate(kinds) if kind == PQ]
+    return ybus, s_spec, v_mag, v_ang, pv, pq
 
 
 def solve_newton(
@@ -500,7 +517,8 @@ def solve_newton(
     ``load_scale`` multiplies each bus's P and Q load (defaults to ones).
     Convergence requires the max absolute P mismatch over non-slack buses
     and Q mismatch over PQ buses to fall to ``tol`` or below. Raises
-    PowerFlowError on non-convergence or a singular Jacobian.
+    PowerFlowError on non-convergence, a singular Jacobian or a non-finite
+    mismatch.
     """
     case.validate()
     n = len(case.buses)
@@ -511,37 +529,51 @@ def solve_newton(
         raise PowerFlowError(
             f"load_scale length {load_scale.shape} does not match bus count {n}"
         )
-    if tol <= 0:
-        raise PowerFlowError("tol must be positive")
-
-    idx = case.bus_index()
-    ybus = build_ybus(case)
-    s_spec = _specified_injections(case, load_scale)
-
-    kinds = [bus.kind for bus in case.buses]
-    slack = kinds.index(SLACK)
-    vset = {i: None for i in range(n)}
-    for g in case.gens:
-        vset[idx[g.bus]] = g.v_set
-
-    v_mag = np.array([bus.v_mag_init for bus in case.buses], dtype=float)
-    v_ang = np.array([bus.v_ang_init for bus in case.buses], dtype=float)
-    v_ang[slack] = 0.0  # reference angle
-    for i in range(n):
-        if kinds[i] in (SLACK, PV) and vset[i] is not None:
-            v_mag[i] = vset[i]
-
-    pv = [i for i in range(n) if kinds[i] == PV]
-    pq = [i for i in range(n) if kinds[i] == PQ]
-
+    ybus, s_spec, v_mag, v_ang, pv, pq = _newton_setup(case, load_scale[None, :], tol)
     if enforce_q_limits:
         state = _newton_q_limited(
-            case, idx, ybus, s_spec, load_scale, v_mag, v_ang, pv, pq, tol, max_iter
+            case, ybus, s_spec, load_scale, v_mag, v_ang, pv, pq, tol, max_iter
         )
     else:
-        state = _newton_inner(ybus, s_spec, v_mag, v_ang, pv, pq, tol, max_iter)
+        state = _newton_stack(ybus, s_spec, v_mag, v_ang, pv, pq, tol, max_iter)
+    v_mag, v_ang, s_calc, iterations, max_mismatch, errors = state
+    if errors[0] is not None:
+        raise PowerFlowError(errors[0])
+    return _solution(
+        case, v_mag[0], v_ang[0], s_calc[0], int(iterations[0]), float(max_mismatch[0])
+    )
 
-    v_mag, v_ang, s_calc, iterations, max_mismatch = state
+
+def solve_hours(
+    case: GridCase, load_scale: np.ndarray, tol: float = 1e-8, max_iter: int = 20
+) -> tuple[PowerFlowSolution, list[str | None]]:
+    """Solve the AC power flow of every hour in ``load_scale`` (hours, buses).
+
+    Each hour is solved as ``solve_newton`` solves it, but the case is
+    validated and its Ybus built once, and all hours iterate as one stack,
+    so the caller bounds the working memory by the number of hours it
+    passes. The solution's arrays gain a leading hour axis; iterations
+    and max_mismatch become per-hour arrays. The list holds, per hour, None
+    or the message ``solve_newton`` would raise; a failed hour's voltages,
+    injections and flows are NaN and the other hours are unaffected.
+    """
+    case.validate()
+    n = len(case.buses)
+    load_scale = np.asarray(load_scale, dtype=float)
+    if load_scale.ndim != 2 or load_scale.shape[1] != n:
+        raise PowerFlowError(
+            f"load_scale shape {load_scale.shape} is not (hours, {n})"
+        )
+    ybus, s_spec, v_mag, v_ang, pv, pq = _newton_setup(case, load_scale, tol)
+    v_mag, v_ang, s_calc, iterations, max_mismatch, errors = _newton_stack(
+        ybus, s_spec, v_mag, v_ang, pv, pq, tol, max_iter
+    )
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    v_mag[failed] = v_ang[failed] = s_calc[failed] = np.nan
+    return _solution(case, v_mag, v_ang, s_calc, iterations, max_mismatch), errors
+
+
+def _solution(case, v_mag, v_ang, s_calc, iterations, max_mismatch) -> PowerFlowSolution:
     s_from, _ = branch_flows(case, v_mag, v_ang)
     return PowerFlowSolution(
         v_mag=v_mag,
@@ -557,7 +589,6 @@ def solve_newton(
 
 def _newton_q_limited(
     case: GridCase,
-    idx: dict[int, int],
     ybus: np.ndarray,
     s_spec: np.ndarray,
     load_scale: np.ndarray,
@@ -568,7 +599,11 @@ def _newton_q_limited(
     tol: float,
     max_iter: int,
 ):
-    """Converge, pin Q-limit violators to PQ at the limit, re-solve until stable."""
+    """Converge, pin Q-limit violators to PQ at the limit, re-solve until stable.
+
+    Solves one hour: ``s_spec`` is (1, n) and ``load_scale`` is (n,).
+    """
+    idx = case.bus_index()
     q_lim: dict[int, tuple[float, float]] = {}
     for g in case.gens:
         i = idx[g.bus]
@@ -576,16 +611,18 @@ def _newton_q_limited(
         q_lim[i] = (lo + g.q_min, hi + g.q_max)
     s_work = s_spec.copy()
     for _ in range(len(case.buses)):
-        state = _newton_inner(ybus, s_work, v_mag, v_ang, pv, pq, tol, max_iter)
-        v_mag, v_ang, s_calc, _, _ = state
+        state = _newton_stack(ybus, s_work, v_mag, v_ang, pv, pq, tol, max_iter)
+        v_mag, v_ang, s_calc, _, _, errors = state
+        if errors[0] is not None:
+            return state
         switched = False
         for i in list(pv):
-            q_gen = s_calc.imag[i] + case.buses[i].q_load * load_scale[i]
+            q_gen = s_calc[0, i].imag + case.buses[i].q_load * load_scale[i]
             lo, hi = q_lim[i]
             if q_gen < lo or q_gen > hi:
                 pinned = lo if q_gen < lo else hi
-                s_work[i] = complex(
-                    s_work[i].real, pinned - case.buses[i].q_load * load_scale[i]
+                s_work[0, i] = complex(
+                    s_work[0, i].real, pinned - case.buses[i].q_load * load_scale[i]
                 )
                 pv.remove(i)
                 pq.append(i)
@@ -593,12 +630,10 @@ def _newton_q_limited(
                 switched = True
         if not switched:
             return state
-        v_mag = v_mag.copy()
-        v_ang = v_ang.copy()
     raise PowerFlowError("reactive-limit enforcement did not settle")
 
 
-def _newton_inner(
+def _newton_stack(
     ybus: np.ndarray,
     s_spec: np.ndarray,
     v_mag: np.ndarray,
@@ -608,66 +643,124 @@ def _newton_inner(
     tol: float,
     max_iter: int,
 ):
-    v_mag = v_mag.copy()
-    v_ang = v_ang.copy()
-    pvpq = sorted(pv + pq)
-    npv_pq = len(pvpq)
+    """Polar Newton-Raphson on a stack of hours; ``s_spec`` is (H, n).
 
-    def mismatch(vm: np.ndarray, va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = vm * np.exp(1j * va)
-        s_calc = v * np.conj(ybus @ v)
-        mis = s_calc - s_spec
-        return v, np.concatenate([mis.real[pvpq], mis.imag[pq]])
+    The start voltages broadcast to (H, n). An hour stops iterating, and
+    keeps its state, once its max absolute mismatch is at most ``tol``; the
+    rest iterate on. An hour fails when its mismatch is not finite, when its
+    Jacobian is singular, or when it has not converged after ``max_iter``
+    iterations. Returns v_mag, v_ang, s_calc, iterations and max_mismatch
+    per hour, and per hour None or the reason it failed.
+    """
+    hours = len(s_spec)
+    v_mag = np.array(np.broadcast_to(v_mag, s_spec.shape))
+    v_ang = np.array(np.broadcast_to(v_ang, s_spec.shape))
+    s_calc = np.empty(s_spec.shape, dtype=complex)
+    iterations = np.zeros(hours, dtype=int)
+    max_mismatch = np.zeros(hours)
+    errors: list[str | None] = [None] * hours
+    pvpq = np.array(sorted(pv + pq), dtype=np.intp)
+    pq_idx = np.array(pq, dtype=np.intp)
+    active = np.arange(hours)
+    iteration = 0
+    while True:
+        v = v_mag[active] * np.exp(1j * v_ang[active])
+        ibus = v @ ybus.T
+        s = v * np.conj(ibus)
+        mis = s - s_spec[active]
+        f = np.concatenate([mis.real[:, pvpq], mis.imag[:, pq_idx]], axis=1)
+        worst = np.abs(f).max(axis=1, initial=0.0)
+        s_calc[active] = s
+        max_mismatch[active] = worst
+        iterations[active] = iteration
+        finite = np.isfinite(worst)
+        for r in active[~finite]:
+            errors[r] = f"non-finite mismatch at iteration {iteration}"
+        pending = finite & (worst > tol)
+        if iteration >= max_iter:
+            for r, w in zip(active[pending], worst[pending]):
+                errors[r] = (
+                    f"no convergence in {max_iter} iterations (mismatch {w:.3e})"
+                )
+            break
+        active = active[pending]
+        if not active.size:
+            break
+        jac = _jacobian(ybus, v[pending], ibus[pending], pvpq, pq_idx)
+        dx, singular = _solve_each(jac, -f[pending])
+        for r in active[singular]:
+            errors[r] = f"singular Jacobian at iteration {iteration + 1}"
+        active, dx = active[~singular], dx[~singular]
+        v_ang[active[:, None], pvpq] += dx[:, : len(pvpq)]
+        v_mag[active[:, None], pq_idx] += dx[:, len(pvpq) :]
+        iteration += 1
+    return v_mag, v_ang, s_calc, iterations, max_mismatch, errors
 
-    v, f = mismatch(v_mag, v_ang)
-    iterations = 0
-    while float(np.max(np.abs(f))) > tol:
-        if iterations >= max_iter:
-            raise PowerFlowError(
-                f"no convergence in {max_iter} iterations "
-                f"(mismatch {float(np.max(np.abs(f))):.3e})"
-            )
-        ibus = ybus @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_vnorm = np.diag(v / np.abs(v))
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-        j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-        j12 = ds_dvm.real[np.ix_(pvpq, pq)]
-        j21 = ds_dva.imag[np.ix_(pq, pvpq)]
-        j22 = ds_dvm.imag[np.ix_(pq, pq)]
-        jac = np.block([[j11, j12], [j21, j22]])
+
+def _jacobian(
+    ybus: np.ndarray, v: np.ndarray, ibus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray
+) -> np.ndarray:
+    """Stacked Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]], one per hour.
+
+    Rows are P at pvpq then Q at pq; columns are Va at pvpq then Vm at pq.
+    The derivatives are MATPOWER's polar dSbus_dV taken element-wise: with
+    W_ik = V_i conj(Y_ik V_k), dS/dVa = j (diag(V conj(I)) - W) and
+    dS/dVm = W_ik / |V_k| + diag(conj(I) V / |V|).
+    """
+    diag = np.arange(v.shape[1])
+    v_abs = np.abs(v)
+    w = v[:, :, None] * np.conj(ybus * v[:, None, :])
+    ds_dva = -1j * w
+    ds_dva[:, diag, diag] += 1j * v * np.conj(ibus)
+    ds_dvm = w / v_abs[:, None, :]
+    ds_dvm[:, diag, diag] += np.conj(ibus) * v / v_abs
+    rows_p, rows_q = pvpq[:, None], pq[:, None]
+    return np.block(
+        [
+            [ds_dva.real[:, rows_p, pvpq], ds_dvm.real[:, rows_p, pq]],
+            [ds_dva.imag[:, rows_q, pvpq], ds_dvm.imag[:, rows_q, pq]],
+        ]
+    )
+
+
+def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every hour's Newton step; a singular Jacobian fails only its hour.
+
+    Returns the steps and the per-hour mask of singular Jacobians.
+    """
+    singular = np.zeros(len(jac), dtype=bool)
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    dx = np.zeros_like(rhs)
+    for r in range(len(jac)):
         try:
-            dx = np.linalg.solve(jac, -f)
+            dx[r] = np.linalg.solve(jac[r], rhs[r])
         except np.linalg.LinAlgError:
-            raise PowerFlowError(
-                f"singular Jacobian at iteration {iterations + 1}"
-            ) from None
-        v_ang[pvpq] += dx[:npv_pq]
-        v_mag[pq] += dx[npv_pq:]
-        iterations += 1
-        v, f = mismatch(v_mag, v_ang)
-
-    s_calc = v * np.conj(ybus @ v)
-    return v_mag, v_ang, s_calc, iterations, float(np.max(np.abs(f)))
+            singular[r] = True
+    return dx, singular
 
 
 def branch_flows(case: GridCase, v_mag: np.ndarray, v_ang: np.ndarray):
-    """Sending- and receiving-end complex flows per branch (pu)."""
+    """Sending- and receiving-end complex flows per branch (pu).
+
+    ``v_mag`` and ``v_ang`` are per bus, with any leading axes (such as
+    hours); the flows keep those axes. Out-of-service branches carry 0.
+    """
     idx = case.bus_index()
+    f = np.array([idx[br.from_bus] for br in case.branches], dtype=np.intp)
+    t = np.array([idx[br.to_bus] for br in case.branches], dtype=np.intp)
+    in_service = np.array([br.in_service for br in case.branches], dtype=bool)
+    y_ff, y_ft, y_tf, y_tt = np.array(
+        [_branch_two_port(br) if br.in_service else (0, 0, 0, 0)
+         for br in case.branches],
+        dtype=complex,
+    ).reshape(-1, 4).T
     v = v_mag * np.exp(1j * v_ang)
-    s_from = np.zeros(len(case.branches), dtype=complex)
-    s_to = np.zeros(len(case.branches), dtype=complex)
-    for k, br in enumerate(case.branches):
-        if not br.in_service:
-            continue
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        y_ff, y_ft, y_tf, y_tt = _branch_two_port(br)
-        i_from = y_ff * v[f] + y_ft * v[t]
-        i_to = y_tf * v[f] + y_tt * v[t]
-        s_from[k] = v[f] * np.conj(i_from)
-        s_to[k] = v[t] * np.conj(i_to)
+    v_f, v_t = v[..., f], v[..., t]
+    s_from = np.where(in_service, v_f * np.conj(y_ff * v_f + y_ft * v_t), 0)
+    s_to = np.where(in_service, v_t * np.conj(y_tf * v_f + y_tt * v_t), 0)
     return s_from, s_to
 
 
@@ -678,20 +771,26 @@ def active_losses(case: GridCase, sol: PowerFlowSolution) -> float:
 
 
 def extract_features(sol: PowerFlowSolution, layout: FeatureLayout) -> np.ndarray:
-    """Project a solution onto the layout's sensor order."""
-    source = {
-        "p_inj": sol.p_inj,
-        "q_inj": sol.q_inj,
-        "p_flow": sol.p_flow_from,
-        "q_flow": sol.q_flow_from,
-        "v_mag": sol.v_mag,
-    }
-    out = np.empty(len(layout), dtype=float)
+    """Project a solution onto the layout's sensor order.
+
+    A stacked solution (see ``solve_hours``) gives one row per hour.
+    """
+    sources = (
+        ("p_inj", sol.p_inj),
+        ("q_inj", sol.q_inj),
+        ("p_flow", sol.p_flow_from),
+        ("q_flow", sol.q_flow_from),
+        ("v_mag", sol.v_mag),
+    )
+    offset, size, start = {}, {}, 0
+    for kind, vec in sources:
+        offset[kind], size[kind] = start, vec.shape[-1]
+        start += vec.shape[-1]
+    columns = np.empty(len(layout), dtype=np.intp)
     for i, entry in enumerate(layout.entries):
-        vec = source[entry.kind]
-        if not 0 <= entry.index < len(vec):
+        if not 0 <= entry.index < size[entry.kind]:
             raise IndexError(
                 f"layout entry {entry.name} index {entry.index} out of range"
             )
-        out[i] = vec[entry.index]
-    return out
+        columns[i] = offset[entry.kind] + entry.index
+    return np.concatenate([vec for _, vec in sources], axis=-1)[..., columns]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, PowerFlowError
-from .grid import FeatureLayout, GridCase, LayoutEntry, extract_features, solve_newton
+from .errors import DatasetError
+from .grid import FeatureLayout, GridCase, LayoutEntry, extract_features, solve_hours
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +29,9 @@ _TAG_INJECT = 2
 _TAG_SPLIT = 3
 
 STD_FLOOR = 1e-12
+# Hours per stacked power-flow solve: bounds the memory of its Jacobian stack
+# and solution arrays.
+_CHUNK_HOURS = 512
 A_FLOOR = 0.05  # pu; minimum injected deviation so near-zero sensors move
 
 
@@ -80,6 +83,9 @@ class Dataset:
     layout: FeatureLayout
     stats: FeatureStats
     master_seed: int
+    # sha256 of the dataset.jsonl bytes this dataset was loaded from; None
+    # for a dataset built in memory.
+    jsonl_digest: str | None = None
 
     def by_id(self, sample_id: int) -> Sample:
         s = self.samples[sample_id]
@@ -207,8 +213,8 @@ def build_dataset(
     tol: float = 1e-8,
     max_iter: int = 20,
 ) -> Dataset:
-    """Run the measurement pipeline hour by hour and assemble a labeled,
-    stratified, split dataset.
+    """Run the measurement pipeline over the profile's hours and assemble a
+    labeled, stratified, split dataset.
 
     Half the samples are untouched power-flow measurements; the other half
     duplicate a normal base vector and receive seeded injections. Statistics
@@ -235,21 +241,28 @@ def build_dataset(
             f"profile supplies {profile.hours} hours, need at least {n_normal}"
         )
 
-    base_features: list[np.ndarray] = []
+    # Solve the hours still needed in stacked chunks, until enough converged.
+    base_features = np.empty((n_normal, len(layout)))
     hours_used: list[int] = []
-    for hour in range(profile.hours):
-        if len(base_features) == n_normal:
-            break
-        try:
-            sol = solve_newton(case, profile.scale[hour], tol=tol, max_iter=max_iter)
-        except PowerFlowError as exc:
-            logger.warning("hour %d skipped: %s", hour, exc)
-            continue
-        base_features.append(extract_features(sol, layout))
-        hours_used.append(hour)
-    if len(base_features) < n_normal:
+    hour = 0
+    while len(hours_used) < n_normal and hour < profile.hours:
+        stop = min(hour + n_normal - len(hours_used), hour + _CHUNK_HOURS,
+                   profile.hours)
+        sol, errors = solve_hours(
+            case, profile.scale[hour:stop], tol=tol, max_iter=max_iter
+        )
+        for h, features, error in zip(
+            range(hour, stop), extract_features(sol, layout), errors
+        ):
+            if error is None:
+                base_features[len(hours_used)] = features
+                hours_used.append(h)
+            else:
+                logger.warning("hour %d skipped: %s", h, error)
+        hour = stop
+    if len(hours_used) < n_normal:
         raise DatasetError(
-            f"only {len(base_features)} of {n_normal} required hours converged"
+            f"only {len(hours_used)} of {n_normal} required hours converged"
         )
 
     samples: list[Sample] = []

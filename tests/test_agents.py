@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -126,6 +127,37 @@ class TestCache:
         cache.put(key, text)
         assert cache.get(key) == text
         assert (tmp_path / "cache" / key[:2] / f"{key}.txt").exists()
+
+    def test_shared_directory_writers_do_not_collide(self, tmp_path):
+        # Two caches on one directory stand in for two processes: their locks
+        # do not exclude each other, so only the temp file name keeps one
+        # writer from renaming the other's file or publishing a partial one.
+        caches = [ResponseCache(tmp_path / "cache") for _ in range(2)]
+        key = cache_key("prompt", "model", 0.0)
+        texts = [c * 200_000 for c in "ab"]
+        errors = []
+
+        def writer(i):
+            try:
+                for _ in range(20):
+                    caches[i % 2].put(key, texts[i % 2])
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert caches[0].get(key) in texts
+        assert list((tmp_path / "cache").rglob("*.tmp")) == []
 
     def test_memory_cache(self):
         cache = ResponseCache()

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from gridsigma import parse_case
+from gridsigma import evalkit, parse_case, scenario
 from gridsigma.cli import main
 
 
@@ -60,6 +61,16 @@ class TestRunAndReport:
         doc = json.loads(path.read_text())
         assert doc["config"]["paradigm"] == "zero_shot"
         assert len(doc["samples"]) == 50
+
+    def test_manifest_digest_is_dataset_file_sha256(self, pipeline_dir):
+        # The digest hashed from the file at load equals the digest of the
+        # dataset re-serialised in memory.
+        jsonl = (pipeline_dir / "dataset.jsonl").read_bytes()
+        digest = hashlib.sha256(jsonl).hexdigest()
+        loaded = evalkit.load_dataset_dir(pipeline_dir)
+        assert scenario.dataset_to_jsonl(loaded).encode("utf-8") == jsonl
+        path = pipeline_dir / "manifests" / "zero_shot_z_only_reference_rule.json"
+        assert json.loads(path.read_text())["dataset_digest"] == digest
 
     def test_hybrid_command(self, pipeline_dir, capsys):
         assert main(["hybrid", "--data", str(pipeline_dir),

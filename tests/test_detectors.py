@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsigma import agents, detectors
 from gridsigma.detectors import (
@@ -200,6 +202,41 @@ class TestCalibration:
         ]
         tau = calibrate_threshold(model, val)
         assert tau == pytest.approx(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 1.0, 1.5, 3.0, np.inf, np.nan]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_best_threshold_matches_brute_force_scan(self, pairs):
+        # Few distinct scores, so ties are common; the reference is the
+        # per-candidate scan that the sort-and-suffix-sum search replaced.
+        scores = np.array([p[0] for p in pairs])
+        truth = np.array([p[1] for p in pairs])
+        best_tau, best_f1 = None, -1.0
+        for tau in sorted({float(v) for v in scores if not np.isnan(v)}):
+            pred = scores >= tau
+            tp = int(np.sum(pred & truth))
+            fp = int(np.sum(pred & ~truth))
+            fn = int(np.sum(~pred & truth))
+            if tp == 0:
+                continue
+            recall = tp / (tp + fn)
+            precision = tp / (tp + fp)
+            f1 = 2 * recall * precision / (recall + precision)
+            if f1 > best_f1:
+                best_f1, best_tau = f1, tau
+        if best_tau is None:
+            with pytest.raises(DetectorError):
+                detectors._best_f1_threshold(scores, truth)
+        else:
+            assert detectors._best_f1_threshold(scores, truth) == best_tau
 
     def test_single_label_validation_rejected(self):
         model = score_model()

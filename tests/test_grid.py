@@ -14,6 +14,7 @@ from gridsigma.grid import (
     extract_features,
     parse_case,
     serialize_case,
+    solve_hours,
     solve_newton,
 )
 
@@ -211,6 +212,30 @@ class TestSolveNewton:
         text = TWO_BUS_TEXT.replace("1 2 0.01 0.1 0.0 0 0 1", "1 2 0.01 0.1 0.0 0 0 0")
         with pytest.raises(PowerFlowError, match="singular Jacobian at iteration 1"):
             solve_newton(parse_case(text))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_load_fails(self, ieee14, bad):
+        scale = np.ones(14)
+        scale[3] = bad
+        with pytest.raises(PowerFlowError, match="non-finite mismatch"):
+            solve_newton(ieee14, scale)
+
+    def test_solve_hours_fails_each_hour_as_solve_newton(self, ieee14):
+        scale = np.ones((5, 14))
+        scale[1] = 3.9  # needs 6 iterations
+        scale[3, 3] = np.nan
+        sol, errors = solve_hours(ieee14, scale, max_iter=4)
+        for h in range(5):
+            try:
+                one = solve_newton(ieee14, scale[h], max_iter=4)
+            except PowerFlowError as exc:
+                assert errors[h] == str(exc)
+                assert np.isnan(sol.v_mag[h]).all()
+            else:
+                assert errors[h] is None
+                assert sol.iterations[h] == one.iterations
+                assert np.max(np.abs(sol.p_flow_from[h] - one.p_flow_from)) <= 1e-12
+        assert errors.count(None) == 3
 
     def test_load_scale_length_checked(self, ieee14):
         with pytest.raises(PowerFlowError, match="load_scale"):

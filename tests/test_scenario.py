@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsigma.errors import DatasetError
+from gridsigma.grid import default_layout, extract_features, parse_case, solve_newton
 from gridsigma.scenario import (
     ANOMALY,
     NORMAL,
@@ -258,6 +259,51 @@ class TestBuildDataset:
         profile = synth_load_profile(40, 14, seed=0)
         with pytest.raises(DatasetError, match="even"):
             build_dataset(ieee14, profile, layout68, sizes=SplitSizes(15, 8, 8))
+
+    def test_failed_hours_skipped_and_logged(self, ieee14, layout68, caplog):
+        # At scale 3.9 the solve needs 6 iterations, so max_iter=4 fails those
+        # hours; NaN and inf loads fail on their non-finite mismatch. Every
+        # other hour of the batch must come out as solve_newton gives it.
+        profile = synth_load_profile(14, 14, seed=3)
+        profile.scale[[2, 9]] = 3.9
+        profile.scale[5, 3] = np.nan
+        profile.scale[11, 6] = np.inf
+        with caplog.at_level("WARNING", logger="gridsigma.scenario"):
+            ds = build_dataset(
+                ieee14, profile, layout68, sizes=SplitSizes(12, 4, 4), max_iter=4
+            )
+        skipped = [r.getMessage() for r in caplog.records]
+        assert skipped == [
+            "hour 2 skipped: no convergence in 4 iterations (mismatch 1.703e-03)",
+            "hour 5 skipped: non-finite mismatch at iteration 0",
+            "hour 9 skipped: no convergence in 4 iterations (mismatch 1.703e-03)",
+            "hour 11 skipped: non-finite mismatch at iteration 0",
+        ]
+        normals = [s for s in ds.samples if s.label == NORMAL]
+        assert [s.hour for s in normals] == [0, 1, 3, 4, 6, 7, 8, 10, 12, 13]
+        for s in normals:
+            sol = solve_newton(ieee14, profile.scale[s.hour], max_iter=4)
+            expected = extract_features(sol, layout68)
+            assert np.max(np.abs(s.features - expected)) <= 1e-12
+
+    def test_always_singular_case_is_dataset_error(self):
+        # With its only branch out of service, bus 2 is islanded and every
+        # hour's Jacobian is singular.
+        case = parse_case(
+            """
+            baseMVA 100.0
+            bus
+            1 3 0.0 0.0 0.0 0.0 1.0 0.0
+            2 1 50.0 10.0 0.0 0.0 1.0 0.0
+            gen
+            1 0.0 1.0 -9999 9999
+            branch
+            1 2 0.01 0.1 0.0 0 0 0
+            """
+        )
+        profile = synth_load_profile(10, 2, seed=0)
+        with pytest.raises(DatasetError, match="only 0 of 10 required hours"):
+            build_dataset(case, profile, default_layout(case), sizes=SplitSizes(12, 4, 4))
 
 
 class TestPersistence:
