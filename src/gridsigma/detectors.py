@@ -79,6 +79,22 @@ def _init_params(dims: tuple[int, ...], rng: np.random.Generator):
     return weights, biases
 
 
+def _flat(weights, biases) -> np.ndarray:
+    """One vector of all parameters, ordered w0, b0, w1, b1, ..."""
+    return np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair])
+
+
+def _layer_views(theta: np.ndarray, dims: tuple[int, ...]):
+    """Per-layer weight and bias views into a vector laid out as ``_flat``'s."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(theta[start:stop].reshape(fan_in, fan_out))
+        biases.append(theta[stop : stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
 def _forward(x: np.ndarray, weights, biases):
     """Returns activations per layer; tanh on hidden layers, identity output."""
     acts = [x]
@@ -97,21 +113,17 @@ def loss_and_gradients(x: np.ndarray, weights, biases):
     Loss = mean over (batch, feature) of (x_hat - x)^2.
     """
     acts = _forward(x, weights, biases)
-    x_hat = acts[-1]
-    batch = x.shape[0]
-    diff = x_hat - x
+    diff = acts[-1] - x  # x_hat - x
     loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / diff.size  # d loss / d x_hat
-    grads_w = [np.zeros_like(w) for w in weights]
-    grads_b = [np.zeros_like(b) for b in biases]
-    delta = grad
+    delta = 2.0 * diff / diff.size  # d loss / d x_hat
+    grads_w, grads_b = [], []  # filled from the output layer back
     for l in range(len(weights) - 1, -1, -1):
         if l != len(weights) - 1:
             delta = delta * (1.0 - acts[l + 1] ** 2)  # tanh'
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        grads_w.append(acts[l].T @ delta)
+        grads_b.append(delta.sum(axis=0))
         delta = delta @ weights[l].T
-    return loss, grads_w, grads_b
+    return loss, grads_w[::-1], grads_b[::-1]
 
 
 def _mean_loss(x: np.ndarray, weights, biases) -> float:
@@ -156,19 +168,15 @@ def train_autoencoder(
     x_val = np.stack([zscores(s.features, stats) for s in val_normals])
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
-    weights, biases = _init_params(layer_dims, rng)
+    theta = _flat(*_init_params(layer_dims, rng))
+    weights, biases = _layer_views(theta, layer_dims)  # updated in place via theta
 
-    # Adam state
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    m, v = np.zeros_like(theta), np.zeros_like(theta)  # Adam moments over theta
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     best_val = np.inf
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best_theta = theta.copy()
     since_best = 0
 
     n = x_train.shape[0]
@@ -180,30 +188,22 @@ def train_autoencoder(
             if not np.isfinite(loss):
                 raise DetectorError(f"training diverged (loss NaN) at epoch {epoch}")
             step += 1
-            corr1 = 1.0 - beta1**step
-            corr2 = 1.0 - beta2**step
-            for l in range(len(weights)):
-                m_w[l] = beta1 * m_w[l] + (1 - beta1) * gw[l]
-                v_w[l] = beta2 * v_w[l] + (1 - beta2) * gw[l] ** 2
-                weights[l] -= hyper.lr * (m_w[l] / corr1) / (
-                    np.sqrt(v_w[l] / corr2) + eps
-                )
-                m_b[l] = beta1 * m_b[l] + (1 - beta1) * gb[l]
-                v_b[l] = beta2 * v_b[l] + (1 - beta2) * gb[l] ** 2
-                biases[l] -= hyper.lr * (m_b[l] / corr1) / (
-                    np.sqrt(v_b[l] / corr2) + eps
-                )
+            g = _flat(gw, gb)
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g**2
+            m_hat, v_hat = m / (1.0 - beta1**step), v / (1.0 - beta2**step)
+            theta -= hyper.lr * m_hat / (np.sqrt(v_hat) + eps)
         val_loss = _mean_loss(x_val, weights, biases)
         if val_loss < best_val:
             best_val = val_loss
-            best_weights = [w.copy() for w in weights]
-            best_biases = [b.copy() for b in biases]
+            best_theta = theta.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= hyper.patience:
                 break
 
+    best_weights, best_biases = _layer_views(best_theta, layer_dims)
     return DetectorModel(
         layer_dims=tuple(layer_dims),
         weights=tuple(best_weights),

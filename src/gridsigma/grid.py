@@ -489,7 +489,10 @@ def _newton_setup(case: GridCase, load_scale: np.ndarray, tol: float):
     ybus = build_ybus(case)
     load = np.array([complex(bus.p_load, bus.q_load) for bus in case.buses])
     s_spec = np.zeros(load_scale.shape, dtype=complex)
-    s_spec -= load * load_scale
+    # A zero load times an inf multiplier gives NaN, as a NaN multiplier
+    # does; _newton_stack fails such an hour, so numpy need not warn.
+    with np.errstate(invalid="ignore"):
+        s_spec -= load * load_scale
     for g in case.gens:
         s_spec[:, idx[g.bus]] += g.p_set
 

@@ -34,12 +34,18 @@ class RuleVerdict:
 
 
 def three_sigma_label(z, threshold: float = DEFAULT_THRESHOLD) -> RuleVerdict:
-    """Anomaly iff any |z[i]| >= threshold (inclusive); lists all violators."""
+    """Anomaly iff any |z[i]| >= threshold (inclusive); lists all violators.
+
+    A NaN z has no verdict: it raises ValueError, as an empty vector does.
+    """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("empty z vector")
+    nan_at = np.flatnonzero(np.isnan(z))
+    if nan_at.size:
+        raise ValueError(f"NaN z at index {nan_at[0]}")
     abs_z = np.abs(z)
     violating = frozenset(int(i) for i in np.nonzero(abs_z >= threshold)[0])
     return RuleVerdict(
@@ -84,23 +90,31 @@ def rationale_for(
     return f"all measurements lie within {thr} standard deviations"
 
 
+def _invalid(problem: str, detail: str) -> AgentVerdict:
+    return AgentVerdict(
+        label=INVALID,
+        rationale=f"{problem}: {detail}",
+        raw=f"ERROR: {problem}",
+        parse_mode=FAILED,
+    )
+
+
 def reference_agent(prompt: PromptBundle) -> AgentVerdict:
     """Execute the prompt's stated decision procedure on its own value block.
 
     Classification prompts yield the two-line schema; hybrid selection
     prompts yield one suspicious sensor name per line, ranked by |z|.
-    An unparseable value block yields an invalid verdict with a diagnostic.
+    An unparseable value block, or one whose |z| is NaN for some sensor,
+    yields an invalid verdict with a diagnostic.
     """
     try:
         table = promptkit.parse_value_block(promptkit.target_value_block(prompt.text))
         abs_z = _abs_z_from_table(table)
     except PromptError as exc:
-        return AgentVerdict(
-            label=INVALID,
-            rationale=f"value block could not be parsed: {exc}",
-            raw="ERROR: value block could not be parsed",
-            parse_mode=FAILED,
-        )
+        return _invalid("value block could not be parsed", str(exc))
+    unknown = np.flatnonzero(np.isnan(abs_z))
+    if unknown.size:
+        return _invalid("value block has a NaN |z|", f"sensor {table.names[unknown[0]]}")
     if prompt.config.paradigm == HYBRID_SELECT:
         top = top_abs_z(abs_z, prompt.config.m_select)
         raw = "\n".join(table.names[i] for i in top)

@@ -138,6 +138,80 @@ class TestGradients:
         assert worst < 1e-4
 
 
+def per_layer_adam(x_train, x_val, hyper, seed, dims):
+    """Adam with per-layer moment lists and the best epoch kept layer by layer.
+
+    Independent of train_autoencoder's parameter layout; returns the best
+    weights, the best biases and the number of epochs run.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
+    weights, biases = detectors._init_params(dims, rng)
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    best_val = np.inf
+    best_weights = [w.copy() for w in weights]
+    best_biases = [b.copy() for b in biases]
+    since_best = 0
+    n = x_train.shape[0]
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch):
+            batch = x_train[order[start : start + hyper.batch]]
+            _, gw, gb = loss_and_gradients(batch, weights, biases)
+            step += 1
+            corr1 = 1.0 - beta1**step
+            corr2 = 1.0 - beta2**step
+            for l in range(len(weights)):
+                m_w[l] = beta1 * m_w[l] + (1 - beta1) * gw[l]
+                v_w[l] = beta2 * v_w[l] + (1 - beta2) * gw[l] ** 2
+                weights[l] -= hyper.lr * (m_w[l] / corr1) / (np.sqrt(v_w[l] / corr2) + eps)
+                m_b[l] = beta1 * m_b[l] + (1 - beta1) * gb[l]
+                v_b[l] = beta2 * v_b[l] + (1 - beta2) * gb[l] ** 2
+                biases[l] -= hyper.lr * (m_b[l] / corr1) / (np.sqrt(v_b[l] / corr2) + eps)
+        val_loss = detectors._mean_loss(x_val, weights, biases)
+        if val_loss < best_val:
+            best_val = val_loss
+            best_weights = [w.copy() for w in weights]
+            best_biases = [b.copy() for b in biases]
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= hyper.patience:
+                break
+    return best_weights, best_biases, epoch + 1
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize(
+        "hyper, stops_early",
+        [
+            (Hyper(lr=0.05, batch=16, epochs=40, patience=2), True),
+            (Hyper(lr=0.01, batch=16, epochs=6, patience=6), False),
+        ],
+    )
+    def test_bit_identical_to_per_layer_adam(self, hyper, stops_early):
+        dims = (6, 4, 2, 4, 6)
+        rng = np.random.default_rng(5)
+        train = [make_sample(rng.normal(size=6), sample_id=i) for i in range(120)]
+        val = [make_sample(rng.normal(size=6), sample_id=200 + i) for i in range(30)]
+        stats = unit_stats(6)
+        model = train_autoencoder(
+            train, hyper, seed=3, val_normals=val, layer_dims=dims, stats=stats
+        )
+        x_train = np.stack([zscores(s.features, stats) for s in train])
+        x_val = np.stack([zscores(s.features, stats) for s in val])
+        weights, biases, epochs_run = per_layer_adam(x_train, x_val, hyper, 3, dims)
+        assert (epochs_run < hyper.epochs) == stops_early
+        assert len(model.weights) == len(weights) and len(model.biases) == len(biases)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 class TestReconstructionError:
     def test_identity_model_zero_residuals(self):
         model = DetectorModel(

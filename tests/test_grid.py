@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,18 @@ class TestSolveNewton:
         scale[3] = bad
         with pytest.raises(PowerFlowError, match="non-finite mismatch"):
             solve_newton(ieee14, scale)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_load_at_unloaded_bus_fails_without_warning(self, ieee14, bad):
+        # Bus 7 has no load, so its scheduled injection is 0 x inf = NaN.
+        scale = np.ones((2, 14))
+        scale[1, 6] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerFlowError, match="non-finite mismatch at iteration 0"):
+                solve_newton(ieee14, scale[1])
+            _, errors = solve_hours(ieee14, scale)
+        assert errors == [None, "non-finite mismatch at iteration 0"]
 
     def test_solve_hours_fails_each_hour_as_solve_newton(self, ieee14):
         scale = np.ones((5, 14))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,13 @@ class TestThreeSigma:
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
             three_sigma_label(np.array([]))
+
+    @pytest.mark.parametrize("z", [[np.nan, 0.5], [4.0, np.nan]])
+    def test_nan_z_rejected(self, z):
+        # A NaN is neither within nor beyond the threshold, even when another
+        # sensor already violates it.
+        with pytest.raises(ValueError, match="NaN z at index"):
+            three_sigma_label(np.array(z))
 
     def test_custom_threshold(self):
         verdict = three_sigma_label(np.array([1.5]), threshold=1.5)
@@ -130,6 +139,32 @@ class TestReferenceAgent:
         verdict = ruleoracle.reference_agent(broken)
         assert verdict.label == promptkit.INVALID
         assert verdict.parse_mode == promptkit.FAILED
+
+    @pytest.mark.parametrize(
+        "paradigm, variant",
+        [
+            ("zero_shot", "z_only"),
+            ("zero_shot", "mean_std_value_z"),
+            ("zero_shot", "mean_std_value"),
+            ("zero_shot", "value"),
+            ("hybrid_select", "z_only"),
+        ],
+    )
+    def test_nan_feature_yields_invalid(self, dataset42, paradigm, variant):
+        sample = dataset42.split_samples("test")[0]
+        features = sample.features.copy()
+        features[5] = np.nan
+        cfg = PromptConfig(paradigm=paradigm, variant=variant)
+        bundle = promptkit.render_prompt(
+            replace(sample, features=features), dataset42.stats, cfg, [], dataset42.layout
+        )
+        verdict = ruleoracle.reference_agent(bundle)
+        assert verdict.label == promptkit.INVALID
+        assert verdict.parse_mode == promptkit.FAILED
+        assert verdict.rationale.startswith("value block has a NaN |z|: sensor ")
+        if variant != "value":  # the value-only block infers a NaN mean for all
+            assert verdict.rationale.endswith(dataset42.layout.names()[5])
+        assert promptkit.parse_verdict(verdict.raw).parse_mode == promptkit.FAILED
 
     def test_raw_output_reparses_to_same_label(self, dataset42):
         for s in dataset42.split_samples("test")[:20]:
