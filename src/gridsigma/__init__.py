@@ -69,7 +69,6 @@ from .detectors import (
     calibrate_threshold,
     detect,
     hybrid_detect,
-    llm_select_features,
     reconstruction_error,
     reference_selector,
     train_autoencoder,

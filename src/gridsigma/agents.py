@@ -214,34 +214,29 @@ def complete(
     return text
 
 
-def run_batch(
+def complete_batch(
     prompts: list[PromptBundle],
     agent: AgentKind,
-    endpoint: EndpointConfig | None = None,
-    cache: ResponseCache | None = None,
-) -> list[AgentVerdict]:
-    """Execute prompts with bounded concurrency; verdicts in prompt order.
+    endpoint: EndpointConfig | None,
+    cache: ResponseCache | None,
+) -> list[str | AgentError]:
+    """One completion per prompt, in prompt order, with bounded concurrency.
 
-    Per-prompt failures become invalid verdicts and a run-log entry, never
-    an exception.
+    A prompt that fails yields its AgentError, also logged, in place of the
+    reply text; any other exception propagates. HTTP agents keep up to
+    ``max_in_flight`` requests in flight; mock agents run in order.
     """
     if not prompts:
         raise AgentError("empty prompt batch")
     if cache is None:
         cache = ResponseCache()
 
-    def one(prompt: PromptBundle) -> AgentVerdict:
+    def one(prompt: PromptBundle) -> str | AgentError:
         try:
-            raw = complete(prompt, agent, endpoint, cache)
+            return complete(prompt, agent, endpoint, cache)
         except AgentError as exc:
             logger.warning("prompt %s failed: %s", prompt.content_hash[:12], exc)
-            return AgentVerdict(
-                label=promptkit.INVALID,
-                rationale=str(exc),
-                raw="",
-                parse_mode=promptkit.FAILED,
-            )
-        return promptkit.parse_verdict(raw)
+            return exc
 
     if agent.kind == HTTP_ENDPOINT:
         if endpoint is None:
@@ -250,6 +245,22 @@ def run_batch(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, prompts))
     return [one(p) for p in prompts]
+
+
+def run_batch(
+    prompts: list[PromptBundle],
+    agent: AgentKind,
+    endpoint: EndpointConfig | None = None,
+    cache: ResponseCache | None = None,
+) -> list[AgentVerdict]:
+    """Parsed verdicts of ``complete_batch``; a failed prompt becomes an
+    invalid verdict, never an exception."""
+    return [
+        AgentVerdict(label=promptkit.INVALID, rationale=str(reply), raw="",
+                     parse_mode=promptkit.FAILED)
+        if isinstance(reply, AgentError) else promptkit.parse_verdict(reply)
+        for reply in complete_batch(prompts, agent, endpoint, cache)
+    ]
 
 
 def export_finetune_dataset(

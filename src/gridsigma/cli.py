@@ -112,9 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_WRITE_SLICE = 1 << 20  # characters per write, so no encoded copy of all of it
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start : start + _WRITE_SLICE])
     print(f"wrote {path}")
 
 

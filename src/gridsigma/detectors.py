@@ -1,4 +1,4 @@
-"""Reconstruction-error anomaly detector and the LLM-gated hybrid pipeline.
+"""Reconstruction-error anomaly detector and selection-gated hybrid scoring.
 
 The detector is a tanh autoencoder trained with mean-squared reconstruction
 loss and Adam-style moment updates, written directly in numpy so gradients
@@ -9,14 +9,11 @@ standardized with a fixed std floor; scoring only ever needs normal data.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DetectorError
-from . import agents, promptkit
-from .grid import FeatureLayout
 from .ruleoracle import top_abs_z
 from .scenario import (
     ANOMALY,
@@ -27,8 +24,6 @@ from .scenario import (
     stats_to_dict,
     zscores,
 )
-
-logger = logging.getLogger(__name__)
 
 SOURCE_LLM = "llm"
 SOURCE_REFERENCE = "reference_topz"
@@ -290,52 +285,6 @@ def reference_selector(z: np.ndarray, m: int, sample_id: int = -1) -> FeatureSel
     return FeatureSelection(
         sample_id=sample_id, ranked=tuple(ranked), source=SOURCE_REFERENCE
     )
-
-
-def llm_select_features(
-    sample: Sample,
-    stats: FeatureStats,
-    layout: FeatureLayout,
-    agent: agents.AgentKind,
-    endpoint: "agents.EndpointConfig | None" = None,
-    cache: "agents.ResponseCache | None" = None,
-    m: int = 8,
-    decimals: int = 6,
-) -> FeatureSelection:
-    """Ask an agent for up to m suspicious sensor names via a selection prompt.
-
-    Unknown names are dropped; an empty or failed reply falls back to
-    scoring all features (source='full'), flagged in the run log. Selection
-    prompts render with 6 decimals so table rounding cannot reorder the
-    |z| ranking.
-    """
-    config = promptkit.PromptConfig(
-        paradigm=promptkit.HYBRID_SELECT,
-        variant=promptkit.VARIANT_Z_ONLY,
-        m_select=m,
-        decimals=decimals,
-    )
-    bundle = promptkit.render_prompt(sample, stats, config, [], layout)
-    try:
-        raw = agents.complete(bundle, agent, endpoint, cache)
-    except Exception as exc:  # transport and protocol failures alike
-        logger.warning("selection for sample %d fell back to full: %s", sample.id, exc)
-        return FeatureSelection(sample_id=sample.id, ranked=(), source=SOURCE_FULL)
-    ranked: list[int] = []
-    for line in raw.splitlines():
-        name = line.strip()
-        if not name:
-            continue
-        idx = layout.index_of(name)
-        if idx is None or idx in ranked:
-            continue
-        ranked.append(idx)
-        if len(ranked) == m:
-            break
-    if not ranked:
-        logger.warning("selection for sample %d was empty; using full", sample.id)
-        return FeatureSelection(sample_id=sample.id, ranked=(), source=SOURCE_FULL)
-    return FeatureSelection(sample_id=sample.id, ranked=tuple(ranked), source=SOURCE_LLM)
 
 
 def hybrid_score(model: DetectorModel, selection: FeatureSelection, features) -> float:

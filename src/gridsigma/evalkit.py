@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import DatasetError, GridSigmaError
+from .errors import AgentError, DatasetError, GridSigmaError
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
 from .scenario import ANOMALY, NORMAL, Dataset, Sample, zscores
@@ -24,6 +24,8 @@ logger = logging.getLogger(__name__)
 AS_WRONG = "as_wrong"
 EXCLUDED = "excluded"
 INVALID_POLICIES = (AS_WRONG, EXCLUDED)
+
+SELECTION_DECIMALS = 6  # so table rounding cannot reorder the |z| ranking
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,9 @@ def run_hybrid_experiment(
 
     The hybrid cutoff is calibrated on the validation split with the
     reference selector; test-time selections come from the agent (or the
-    reference selector directly when use_reference_selector is set).
+    reference selector directly when use_reference_selector is set). An
+    agent reply that failed or names no known sensor scores all sensors
+    (source 'full'), with a warning in the run log.
     """
     if dataset is None:
         dataset = load_dataset_dir(run.data_dir)
@@ -337,27 +341,41 @@ def run_hybrid_experiment(
     tau_h = detectors.calibrate_hybrid_threshold(
         model, dataset.split_samples("validation"), dataset.stats, m=run.m_select
     )
-    agent = run.agent_kind()
     targets = dataset.split_samples("test")
-    preds: list[str] = []
-    selections: list[detectors.FeatureSelection] = []
-    for s in targets:
-        if use_reference_selector:
-            sel = detectors.reference_selector(
+    if use_reference_selector:
+        selections = [
+            detectors.reference_selector(
                 zscores(s.features, dataset.stats), run.m_select, sample_id=s.id
             )
-        else:
-            sel = detectors.llm_select_features(
-                s,
-                dataset.stats,
-                dataset.layout,
-                agent,
-                run.endpoint,
-                cache,
-                m=run.m_select,
+            for s in targets
+        ]
+    else:
+        config = PromptConfig(
+            paradigm=promptkit.HYBRID_SELECT,
+            variant=promptkit.VARIANT_Z_ONLY,
+            m_select=run.m_select,
+            decimals=SELECTION_DECIMALS,
+        )
+        bundles = [
+            promptkit.render_prompt(s, dataset.stats, config, [], dataset.layout)
+            for s in targets
+        ]
+        replies = agents.complete_batch(bundles, run.agent_kind(), run.endpoint, cache)
+        selections = []
+        for s, reply in zip(targets, replies):
+            failed = isinstance(reply, AgentError)
+            ranked = () if failed else promptkit.parse_selection(
+                reply, dataset.layout, run.m_select
             )
-        selections.append(sel)
-        preds.append(detectors.hybrid_detect(model, sel, tau_h, s.features))
+            if not ranked:
+                logger.warning("selection for sample %d fell back to full: %s", s.id,
+                               reply if failed else "no known sensor named")
+            source = detectors.SOURCE_LLM if ranked else detectors.SOURCE_FULL
+            selections.append(detectors.FeatureSelection(s.id, ranked, source))
+    preds = [
+        detectors.hybrid_detect(model, sel, tau_h, s.features)
+        for s, sel in zip(targets, selections)
+    ]
     selector = "reference_topz" if use_reference_selector else run.agent
     reports, manifest = _score_and_persist(
         {**_config_doc(run), "selector": selector, "tau_hybrid": tau_h},

@@ -650,10 +650,10 @@ def _newton_stack(
 
     The start voltages broadcast to (H, n). An hour stops iterating, and
     keeps its state, once its max absolute mismatch is at most ``tol``; the
-    rest iterate on. An hour fails when its mismatch is not finite, when its
-    Jacobian is singular, or when it has not converged after ``max_iter``
-    iterations. Returns v_mag, v_ang, s_calc, iterations and max_mismatch
-    per hour, and per hour None or the reason it failed.
+    rest iterate on. An hour fails when its mismatch or schedule is not finite,
+    when its Jacobian is singular, or when it has not converged after
+    ``max_iter`` iterations. Returns v_mag, v_ang, s_calc, iterations and
+    max_mismatch per hour, and per hour None or the reason it failed.
     """
     hours = len(s_spec)
     v_mag = np.array(np.broadcast_to(v_mag, s_spec.shape))
@@ -677,6 +677,9 @@ def _newton_stack(
         max_mismatch[active] = worst
         iterations[active] = iteration
         finite = np.isfinite(worst)
+        if iteration == 0:
+            # The mismatch leaves out the slack bus: check its load here.
+            finite &= np.isfinite(s_spec).all(axis=1)
         for r in active[~finite]:
             errors[r] = f"non-finite mismatch at iteration {iteration}"
         pending = finite & (worst > tol)

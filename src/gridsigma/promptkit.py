@@ -444,3 +444,20 @@ def parse_verdict(raw: str) -> AgentVerdict:
                 parse_mode=LENIENT,
             )
     return AgentVerdict(label=INVALID, rationale="", raw=raw, parse_mode=FAILED)
+
+
+def parse_selection(raw: str, layout: FeatureLayout, m: int) -> tuple[int, ...]:
+    """Sensor indices named one per line in a selection reply, in reply order.
+
+    Each line is stripped; lines that name no sensor of the layout, and
+    repeats, are dropped. Parsing stops at m sensors.
+    """
+    ranked: list[int] = []
+    for line in raw.splitlines():
+        idx = layout.index_of(line.strip())
+        if idx is None or idx in ranked:
+            continue
+        ranked.append(idx)
+        if len(ranked) == m:
+            break
+    return tuple(ranked)

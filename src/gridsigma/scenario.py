@@ -88,13 +88,10 @@ class Dataset:
     jsonl_digest: str | None = None
 
     def by_id(self, sample_id: int) -> Sample:
-        s = self.samples[sample_id]
-        if s.id != sample_id:  # samples are stored in id order by construction
-            for s in self.samples:
-                if s.id == sample_id:
-                    return s
-            raise KeyError(sample_id)
-        return s
+        for s in self.samples:
+            if s.id == sample_id:
+                return s
+        raise DatasetError(f"no sample with id {sample_id}")
 
     def split_samples(self, name: str) -> list[Sample]:
         return [self.samples[i] for i in self.splits[name]]

@@ -1,9 +1,13 @@
 import sys
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # for reference_pf
+sys.path.insert(0, str(Path(__file__).parent))  # for reference_pf, http_stub
+
+from http_stub import StubHandler
 
 from gridsigma import builtin_ieee14, build_dataset, default_layout, synth_load_profile
 from gridsigma import detectors
@@ -53,3 +57,15 @@ def model42(dataset42):
         train_normals, seed=42, val_normals=val_normals, stats=dataset42.stats
     )
     return detectors.calibrate(model, dataset42.split_samples("validation"))
+
+
+@pytest.fixture()
+def stub_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    server.requests = []
+    server.behavior = lambda text, n: {"kind": "reply", "text": "normal\nStub reply."}
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()

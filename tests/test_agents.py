@@ -1,8 +1,6 @@
 import json
 import sys
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -13,12 +11,15 @@ from gridsigma.agents import (
     ResponseCache,
     cache_key,
     complete,
+    complete_batch,
     export_finetune_from_dataset,
     run_batch,
 )
 from gridsigma.errors import AgentError
 from gridsigma.promptkit import PromptConfig
 from gridsigma.scenario import ANOMALY, NORMAL
+
+from http_stub import endpoint_for
 
 
 @pytest.fixture(scope="module")
@@ -28,64 +29,6 @@ def bundles(dataset42):
         promptkit.render_prompt(s, dataset42.stats, cfg, [], dataset42.layout)
         for s in dataset42.split_samples("test")[:12]
     ]
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        assert self.path == "/v1/chat/completions"
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        server = self.server
-        server.requests.append(body)
-        prompt_text = body["messages"][0]["content"]
-        action = server.behavior(prompt_text, len(server.requests))
-        if action["kind"] == "sleep":
-            time.sleep(action["seconds"])
-            action = {"kind": "reply", "text": "normal\nSlept."}
-        if action["kind"] == "status":
-            self.send_response(action["code"])
-            self.end_headers()
-            self.wfile.write(b"{}")
-            return
-        if action["kind"] == "raw":
-            payload = action["body"].encode()
-        else:
-            payload = json.dumps(
-                {"choices": [{"message": {"content": action["text"]}}]}
-            ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.requests = []
-    server.behavior = lambda text, n: {"kind": "reply", "text": "normal\nStub reply."}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
-def endpoint_for(server, **overrides) -> EndpointConfig:
-    opts = dict(
-        base_url=f"http://127.0.0.1:{server.server_address[1]}",
-        model_name="stub-model",
-        api_key="k",
-        timeout=2.0,
-        retries=1,
-        backoff=0.01,
-        max_in_flight=4,
-    )
-    opts.update(overrides)
-    return EndpointConfig(**opts)
 
 
 class TestMocks:
@@ -244,6 +187,23 @@ class TestHttpAgent:
         assert verdicts[1].label == promptkit.INVALID
         others = [v.label for i, v in enumerate(verdicts) if i != 1]
         assert all(lbl == NORMAL for lbl in others)
+
+    def test_complete_batch_returns_failures_in_place(self, stub_server, bundles):
+        failing_text = bundles[2].text
+
+        def behavior(text, n):
+            if text == failing_text:
+                return {"kind": "status", "code": 400}
+            return {"kind": "reply", "text": "Pf_7"}
+
+        stub_server.behavior = behavior
+        replies = complete_batch(
+            bundles[:4], AgentKind(agents.HTTP_ENDPOINT),
+            endpoint_for(stub_server, retries=0), None,
+        )
+        assert isinstance(replies[2], AgentError)
+        assert "HTTP 400" in str(replies[2])
+        assert [r for i, r in enumerate(replies) if i != 2] == ["Pf_7"] * 3
 
     def test_empty_completion_is_invalid(self, stub_server, bundles):
         stub_server.behavior = lambda text, n: {"kind": "reply", "text": "  "}

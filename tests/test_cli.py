@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gridsigma import evalkit, parse_case, scenario
+from gridsigma import cli, evalkit, parse_case, scenario
 from gridsigma.cli import main
 
 
@@ -168,6 +168,11 @@ class TestOtherCommands:
         assert main(["export-case"]) == 0
         assert "baseMVA" in capsys.readouterr().out
 
+    def test_write_is_byte_exact_across_slices(self, tmp_path, capsys):
+        text = "é€x\n" * 300_000  # 1.2 million characters: two slices
+        cli._write(tmp_path / "out" / "f.txt", text)
+        assert (tmp_path / "out" / "f.txt").read_bytes() == text.encode("utf-8")
+
 
 class TestErrors:
     def test_unknown_paradigm_is_usage_error(self, pipeline_dir):
@@ -179,6 +184,11 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--frobnicate", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sample_id", ["5000", "-3"])
+    def test_render_unknown_sample_is_domain_error(self, pipeline_dir, capsys, sample_id):
+        assert main(["render", "--data", str(pipeline_dir), "--sample", sample_id]) == 1
+        assert f"no sample with id {sample_id}" in capsys.readouterr().err
 
     def test_missing_dataset_is_domain_error(self, tmp_path, capsys):
         assert main(["run", "--data", str(tmp_path / "nope")]) == 1

@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsigma import agents, detectors
+from gridsigma import detectors
 from gridsigma.detectors import (
     DetectorModel,
     FeatureSelection,
@@ -15,7 +18,6 @@ from gridsigma.detectors import (
     detect,
     hybrid_detect,
     hybrid_score,
-    llm_select_features,
     loss_and_gradients,
     model_from_json,
     model_to_json,
@@ -398,54 +400,6 @@ class TestSelectors:
         with pytest.raises(DetectorError):
             reference_selector(np.array([1.0]), m=0)
 
-    def test_llm_selection_matches_reference(self, dataset42):
-        agent = agents.AgentKind(agents.REFERENCE_RULE)
-        cache = agents.ResponseCache()
-        for s in dataset42.split_samples("test")[:40]:
-            got = llm_select_features(
-                s, dataset42.stats, dataset42.layout, agent, cache=cache, m=8
-            )
-            want = reference_selector(zscores(s.features, dataset42.stats), 8, s.id)
-            assert got.ranked == want.ranked
-
-    def test_misspelled_sensor_dropped(self, dataset42, monkeypatch):
-        sample = dataset42.split_samples("test")[0]
-
-        def fake_complete(prompt, agent, endpoint=None, cache=None):
-            return "Pf_7\nNot_A_Sensor\nQ_3\n"
-
-        monkeypatch.setattr(agents, "complete", fake_complete)
-        sel = llm_select_features(
-            sample, dataset42.stats, dataset42.layout,
-            agents.AgentKind(agents.REFERENCE_RULE),
-        )
-        names = [dataset42.layout.entries[i].name for i in sel.ranked]
-        assert names == ["Pf_7", "Q_3"]
-
-    def test_unreachable_endpoint_falls_back_to_full(self, dataset42):
-        sample = dataset42.split_samples("test")[0]
-        endpoint = agents.EndpointConfig(
-            base_url="http://127.0.0.1:1",  # nothing listens here
-            model_name="m",
-            timeout=0.2,
-            retries=0,
-        )
-        sel = llm_select_features(
-            sample, dataset42.stats, dataset42.layout,
-            agents.AgentKind(agents.HTTP_ENDPOINT), endpoint=endpoint,
-        )
-        assert sel.source == SOURCE_FULL
-        assert sel.ranked == ()
-
-    def test_empty_reply_falls_back_to_full(self, dataset42, monkeypatch):
-        sample = dataset42.split_samples("test")[0]
-        monkeypatch.setattr(agents, "complete", lambda *a, **k: "nothing useful\n")
-        sel = llm_select_features(
-            sample, dataset42.stats, dataset42.layout,
-            agents.AgentKind(agents.REFERENCE_RULE),
-        )
-        assert sel.source == SOURCE_FULL
-
 
 class TestHybrid:
     def test_full_selection_reduces_to_detect(self, model42, dataset42):
@@ -524,3 +478,18 @@ class TestPersistence:
             assert np.array_equal(a, b)
         assert np.array_equal(again.input_stats.mean, model42.input_stats.mean)
         assert model_to_json(again) == text
+
+
+class TestLayering:
+    def test_imports_neither_agents_nor_promptkit(self):
+        # The detector is purely numeric: agent calls and prompt parsing for
+        # hybrid selection happen in evalkit.
+        tree = ast.parse(Path(detectors.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):  # from .x import y, from . import y
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+        assert imported.isdisjoint({"agents", "promptkit"}), imported

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsigma import agents, evalkit, promptkit
+from gridsigma.detectors import SOURCE_FULL, SOURCE_LLM, reference_selector
 from gridsigma.errors import GridSigmaError
 from gridsigma.evalkit import (
     AS_WRONG,
@@ -19,9 +21,12 @@ from gridsigma.evalkit import (
     lift,
     metrics,
     run_experiment,
+    run_hybrid_experiment,
 )
 from gridsigma.scenario import ANOMALY, NORMAL, zscores
 from gridsigma.ruleoracle import three_sigma_label
+
+from http_stub import endpoint_for
 
 INVALID = promptkit.INVALID
 
@@ -186,6 +191,86 @@ class TestRunExperiment:
         doc = json.loads(a)
         assert set(doc["metrics"]) == {AS_WRONG, EXCLUDED}
         assert doc["dataset_digest"]
+
+
+def _hybrid_records(dataset, model, n, agent=agents.REFERENCE_RULE, endpoint=None):
+    """Targets and manifest records of a hybrid run on the first n test samples."""
+    head = replace(dataset, splits={**dataset.splits, "test": dataset.splits["test"][:n]})
+    run = RunConfig(paradigm=promptkit.HYBRID_SELECT, agent=agent,
+                    data_dir="unused", endpoint=endpoint)
+    _, manifest = run_hybrid_experiment(run, model, dataset=head)
+    return head.split_samples("test"), manifest["samples"]
+
+
+class TestHybridSelection:
+    def test_llm_selection_matches_reference(self, dataset42, model42):
+        targets, records = _hybrid_records(dataset42, model42, 40)
+        for s, record in zip(targets, records):
+            want = reference_selector(zscores(s.features, dataset42.stats), 8, s.id)
+            assert tuple(record["selection"]) == want.ranked
+            assert record["selection_source"] == SOURCE_LLM
+
+    def test_misspelled_sensor_dropped(self, dataset42, model42, monkeypatch):
+        def fake_complete(prompt, agent, endpoint=None, cache=None):
+            return "Pf_7\nNot_A_Sensor\nQ_3\n"
+
+        monkeypatch.setattr(agents, "complete", fake_complete)
+        _, records = _hybrid_records(dataset42, model42, 1)
+        names = [dataset42.layout.entries[i].name for i in records[0]["selection"]]
+        assert names == ["Pf_7", "Q_3"]
+
+    def test_unreachable_endpoint_falls_back_to_full(self, dataset42, model42):
+        endpoint = agents.EndpointConfig(
+            base_url="http://127.0.0.1:1",  # nothing listens here
+            model_name="m",
+            timeout=0.2,
+            retries=0,
+        )
+        _, records = _hybrid_records(
+            dataset42, model42, 1, agents.HTTP_ENDPOINT, endpoint
+        )
+        assert records[0]["selection_source"] == SOURCE_FULL
+        assert records[0]["selection"] == []
+
+    def test_empty_reply_falls_back_to_full(self, dataset42, model42, monkeypatch):
+        monkeypatch.setattr(agents, "complete", lambda *a, **k: "nothing useful\n")
+        _, records = _hybrid_records(dataset42, model42, 1)
+        assert records[0]["selection_source"] == SOURCE_FULL
+
+    def test_timeout_falls_back_for_that_sample_only(
+        self, dataset42, model42, stub_server
+    ):
+        config = promptkit.PromptConfig(
+            paradigm=promptkit.HYBRID_SELECT, variant=promptkit.VARIANT_Z_ONLY,
+            m_select=8, decimals=evalkit.SELECTION_DECIMALS,
+        )
+        slow = dataset42.split_samples("test")[1]
+        slow_text = promptkit.render_prompt(
+            slow, dataset42.stats, config, [], dataset42.layout
+        ).text
+
+        def behavior(text, n):
+            if text == slow_text:
+                return {"kind": "sleep", "seconds": 1.0}
+            return {"kind": "reply", "text": "Pf_7\nQ_3"}
+
+        stub_server.behavior = behavior
+        endpoint = endpoint_for(stub_server, timeout=0.3, retries=0)
+        _, records = _hybrid_records(
+            dataset42, model42, 4, agents.HTTP_ENDPOINT, endpoint
+        )
+        assert [r["selection_source"] for r in records] == [
+            SOURCE_LLM, SOURCE_FULL, SOURCE_LLM, SOURCE_LLM
+        ]
+        assert len(stub_server.requests) == 4
+
+    def test_programming_error_propagates(self, dataset42, model42, monkeypatch):
+        def broken_complete(*args, **kwargs):
+            raise TypeError("not an agent failure")
+
+        monkeypatch.setattr(agents, "complete", broken_complete)
+        with pytest.raises(TypeError, match="not an agent failure"):
+            _hybrid_records(dataset42, model42, 1)
 
 
 class TestAblationTable:

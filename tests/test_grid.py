@@ -222,6 +222,17 @@ class TestSolveNewton:
         with pytest.raises(PowerFlowError, match="non-finite mismatch"):
             solve_newton(ieee14, scale)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_load_at_slack_bus_fails(self, ieee14, bad):
+        # The mismatch leaves out the slack bus, so only the scheduled
+        # injection can show the bad multiplier.
+        scale = np.ones((2, 14))
+        scale[1, 0] = bad
+        with pytest.raises(PowerFlowError, match="non-finite mismatch at iteration 0"):
+            solve_newton(ieee14, scale[1])
+        _, errors = solve_hours(ieee14, scale)
+        assert errors == [None, "non-finite mismatch at iteration 0"]
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_load_at_unloaded_bus_fails_without_warning(self, ieee14, bad):
         # Bus 7 has no load, so its scheduled injection is 0 x inf = NaN.

@@ -13,6 +13,7 @@ from gridsigma.promptkit import (
     ZERO_SHOT,
     PromptConfig,
     VARIANTS,
+    parse_selection,
     parse_value_block,
     parse_verdict,
     render_prompt,
@@ -359,3 +360,22 @@ class TestParseVerdict:
         v = parse_verdict("\nanomaly\n\nSensor Q_2 too high.\n\n")
         assert v.parse_mode == "strict"
         assert v.label == ANOMALY
+
+
+class TestParseSelection:
+    def test_names_in_reply_order(self, layout68):
+        ranked = parse_selection("Pf_7\nQ_3\nP_1\n", layout68, 8)
+        assert [layout68.entries[i].name for i in ranked] == ["Pf_7", "Q_3", "P_1"]
+
+    def test_lines_stripped_unknown_and_repeats_dropped(self, layout68):
+        raw = "  Pf_7 \n\nNot_A_Sensor\nPf_7\n\tQ_3\nP_1: high\n"
+        ranked = parse_selection(raw, layout68, 8)
+        assert [layout68.entries[i].name for i in ranked] == ["Pf_7", "Q_3"]
+
+    def test_stops_at_m(self, layout68):
+        ranked = parse_selection("P_1\nP_2\nP_3\nP_4\n", layout68, 2)
+        assert [layout68.entries[i].name for i in ranked] == ["P_1", "P_2"]
+
+    def test_no_known_sensor_is_empty(self, layout68):
+        assert parse_selection("nothing useful\n", layout68, 8) == ()
+        assert parse_selection("", layout68, 8) == ()
