@@ -51,6 +51,7 @@ from .promptkit import (
     PromptConfig,
     parse_verdict,
     render_prompt,
+    render_prompts,
     render_value_block,
     select_examples,
 )

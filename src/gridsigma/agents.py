@@ -295,8 +295,8 @@ def export_finetune_dataset(
                 {"role": "assistant", "content": answer},
             ]
         }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    return "".join(lines)
 
 
 def export_finetune_from_dataset(ds: Dataset, config: PromptConfig | None = None) -> str:

@@ -50,11 +50,26 @@ class DetectorModel:
     train_seed: int
 
     def __post_init__(self):
-        for l, w in enumerate(self.weights):
-            if w.shape != (self.layer_dims[l], self.layer_dims[l + 1]):
+        dims = self.layer_dims
+        if not len(self.weights) == len(self.biases) == len(dims) - 1:
+            raise DetectorError(
+                f"{len(self.weights)} weights and {len(self.biases)} biases "
+                f"for {len(dims) - 1} layers"
+            )
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.shape != (dims[l], dims[l + 1]):
                 raise DetectorError(
                     f"layer {l} weight shape {w.shape} does not match dims"
                 )
+            if b.shape != (dims[l + 1],):
+                raise DetectorError(
+                    f"layer {l} bias shape {b.shape} does not match dims"
+                )
+        if self.input_stats.mean.shape != (dims[0],):
+            raise DetectorError(
+                f"input stats hold {self.input_stats.mean.shape} values for "
+                f"{dims[0]} inputs"
+            )
 
 
 @dataclass(frozen=True)
@@ -342,12 +357,15 @@ def model_to_json(model: DetectorModel) -> str:
 
 
 def model_from_json(text: str) -> DetectorModel:
-    doc = json.loads(text)
-    return DetectorModel(
-        layer_dims=tuple(int(d) for d in doc["layer_dims"]),
-        weights=tuple(np.asarray(w, dtype=float) for w in doc["weights"]),
-        biases=tuple(np.asarray(b, dtype=float) for b in doc["biases"]),
-        input_stats=stats_from_dict(doc["input_stats"]),
-        threshold=None if doc["threshold"] is None else float(doc["threshold"]),
-        train_seed=int(doc["train_seed"]),
-    )
+    try:
+        doc = json.loads(text)
+        return DetectorModel(
+            layer_dims=tuple(int(d) for d in doc["layer_dims"]),
+            weights=tuple(np.asarray(w, dtype=float) for w in doc["weights"]),
+            biases=tuple(np.asarray(b, dtype=float) for b in doc["biases"]),
+            input_stats=stats_from_dict(doc["input_stats"]),
+            threshold=None if doc["threshold"] is None else float(doc["threshold"]),
+            train_seed=int(doc["train_seed"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DetectorError(f"model.json: {type(exc).__name__}: {exc}") from None

@@ -268,10 +268,9 @@ def run_experiment(
     ]
     if not targets:
         raise DatasetError("test split is empty")
-    bundles = [
-        promptkit.render_prompt(s, dataset.stats, cfg, examples, dataset.layout)
-        for s in targets
-    ]
+    bundles = promptkit.render_prompts(
+        targets, dataset.stats, cfg, examples, dataset.layout
+    )
     verdicts = agents.run_batch(bundles, agent, run.endpoint, cache)
     preds = [v.label for v in verdicts]
     if all(p == promptkit.INVALID for p in preds):
@@ -356,10 +355,9 @@ def run_hybrid_experiment(
             m_select=run.m_select,
             decimals=SELECTION_DECIMALS,
         )
-        bundles = [
-            promptkit.render_prompt(s, dataset.stats, config, [], dataset.layout)
-            for s in targets
-        ]
+        bundles = promptkit.render_prompts(
+            targets, dataset.stats, config, [], dataset.layout
+        )
         replies = agents.complete_batch(bundles, run.agent_kind(), run.endpoint, cache)
         selections = []
         for s, reply in zip(targets, replies):

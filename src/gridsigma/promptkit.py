@@ -119,53 +119,44 @@ def render_value_block(
     variant: str,
     decimals: int = 4,
 ) -> str:
-    """Plain-text sensor table, grouped by sensor kind, columns per variant."""
+    """Plain-text sensor table, grouped by sensor kind, columns per variant.
+
+    Each column is formatted in one pass; each row is one %-format that pads
+    the sensor name and every cell to its column's width.
+    """
     if variant not in _VARIANT_COLUMNS:
         raise PromptError(f"unknown variant {variant!r}")
     if len(stats.mean) != len(layout) or len(sample.features) != len(layout):
         raise PromptError("sample/stats length does not match layout")
     columns = _VARIANT_COLUMNS[variant]
-    z = np.abs(zscores(sample.features, stats))
-    std_floored = np.maximum(stats.std, STD_FLOOR)
+    cell_sources = {"value": sample.features, "mean": stats.mean}
+    if "std" in columns:
+        cell_sources["std"] = np.maximum(stats.std, STD_FLOOR)
+    if "|z|" in columns:
+        cell_sources["|z|"] = np.abs(zscores(sample.features, stats))
 
-    cell_sources = {
-        "value": sample.features,
-        "mean": stats.mean,
-        "std": std_floored,
-        "|z|": z,
-    }
-
-    groups: list[tuple[str, list[int]]] = []
-    for i, entry in enumerate(layout.entries):
-        if groups and groups[-1][0] == entry.kind:
-            groups[-1][1].append(i)
-        else:
-            groups.append((entry.kind, [i]))
-
-    name_width = max(len("sensor"), max(len(e.name) for e in layout.entries))
-    col_cells = {
-        c: [f"{cell_sources[c][i]:.{decimals}f}" for i in range(len(layout))]
+    cell_format = f"%.{decimals}f"
+    col_cells = [
+        [cell_format % v for v in np.asarray(cell_sources[c]).tolist()]
         for c in columns
-    }
-    col_width = {
-        c: max(len(c), max(len(v) for v in col_cells[c])) for c in columns
-    }
+    ]
+    names = layout.names()
+    row_format = f"%-{max(len('sensor'), max(map(len, names)))}s" + "".join(
+        f"  %{max(len(c), max(map(len, cells)))}s"
+        for c, cells in zip(columns, col_cells)
+    )
+    header = row_format % ("sensor", *columns)
+    rows = [row_format % row for row in zip(names, *col_cells)]
 
     lines: list[str] = []
-    for gi, (kind, indices) in enumerate(groups):
-        tag, title = _GROUP_TITLES[kind]
-        if gi > 0:
-            lines.append("")
-        lines.append(f"[{tag}] {title}")
-        header = "sensor".ljust(name_width)
-        for c in columns:
-            header += "  " + c.rjust(col_width[c])
-        lines.append(header)
-        for i in indices:
-            row = layout.entries[i].name.ljust(name_width)
-            for c in columns:
-                row += "  " + col_cells[c][i].rjust(col_width[c])
-            lines.append(row)
+    for i, entry in enumerate(layout.entries):
+        if i == 0 or entry.kind != layout.entries[i - 1].kind:
+            if i > 0:
+                lines.append("")
+            tag, title = _GROUP_TITLES[entry.kind]
+            lines.append(f"[{tag}] {title}")
+            lines.append(header)
+        lines.append(rows[i])
     return "\n".join(lines)
 
 
@@ -285,14 +276,19 @@ def _output_format_select(m: int) -> str:
     )
 
 
-def render_prompt(
-    sample: Sample,
+def render_prompts(
+    samples: list[Sample],
     stats: FeatureStats,
     config: PromptConfig,
     examples: list[Sample],
     layout: FeatureLayout,
-) -> PromptBundle:
-    """Assemble the full prompt in fixed block order."""
+) -> list[PromptBundle]:
+    """Assemble one prompt per sample in fixed block order.
+
+    The blocks every prompt shares (role, context, rule, examples and the
+    Value Block heading) are rendered once; each sample adds its own value
+    block and the output format.
+    """
     if len(examples) != config.k_examples:
         raise PromptError(
             f"{config.paradigm} expects {config.k_examples} examples, "
@@ -315,21 +311,38 @@ def render_prompt(
             ex_lines.append("")
         parts.append("\n".join(ex_lines).rstrip())
     parts.append(VALUE_BLOCK_HEADING)
-    parts.append(
-        render_value_block(sample, stats, layout, config.variant, config.decimals)
-    )
+    prefix = "\n".join(parts) + "\n"
     if config.paradigm == HYBRID_SELECT:
-        parts.append(_output_format_select(config.m_select))
+        suffix = "\n" + _output_format_select(config.m_select) + "\n"
     else:
-        parts.append(_OUTPUT_FORMAT_CLASSIFY)
-    text = "\n".join(parts) + "\n"
-    return PromptBundle(
-        text=text,
-        sample_id=sample.id,
-        config=config,
-        example_ids=tuple(ex.id for ex in examples),
-        content_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    )
+        suffix = "\n" + _OUTPUT_FORMAT_CLASSIFY + "\n"
+    example_ids = tuple(ex.id for ex in examples)
+    bundles = []
+    for sample in samples:
+        text = prefix + render_value_block(
+            sample, stats, layout, config.variant, config.decimals
+        ) + suffix
+        bundles.append(
+            PromptBundle(
+                text=text,
+                sample_id=sample.id,
+                config=config,
+                example_ids=example_ids,
+                content_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            )
+        )
+    return bundles
+
+
+def render_prompt(
+    sample: Sample,
+    stats: FeatureStats,
+    config: PromptConfig,
+    examples: list[Sample],
+    layout: FeatureLayout,
+) -> PromptBundle:
+    """The prompt for one sample; see render_prompts."""
+    return render_prompts([sample], stats, config, examples, layout)[0]
 
 
 def target_value_block(prompt_text: str) -> str:

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,11 @@ class Dataset:
     jsonl_digest: str | None = None
 
     def by_id(self, sample_id: int) -> Sample:
-        for s in self.samples:
-            if s.id == sample_id:
-                return s
-        raise DatasetError(f"no sample with id {sample_id}")
+        # Sample ids are positions: build_dataset numbers them in order and
+        # dataset_from_files checks that line i holds id i.
+        if not 0 <= sample_id < len(self.samples):
+            raise DatasetError(f"no sample with id {sample_id}")
+        return self.samples[sample_id]
 
     def split_samples(self, name: str) -> list[Sample]:
         return [self.samples[i] for i in self.splits[name]]
@@ -324,28 +326,24 @@ def build_dataset(
 # Persistence: JSONL samples, JSON stats/meta, CSV feature export
 
 
-def sample_to_record(sample: Sample) -> dict:
-    return {
-        "id": sample.id,
-        "hour": sample.hour,
-        "label": sample.label,
-        "injected": list(sample.injected),
-        "deltas": list(sample.deltas),
-        "features": [float(v) for v in sample.features],
-    }
-
-
 def sample_from_record(rec: dict) -> Sample:
-    label = str(rec["label"])
+    label = rec["label"]
+    if label not in (NORMAL, ANOMALY):
+        raise ValueError(f"label {label!r} is neither {NORMAL!r} nor {ANOMALY!r}")
     injected = tuple(int(i) for i in rec["injected"])
     deltas = tuple(float(d) for d in rec["deltas"])
+    features = np.asarray(rec["features"], dtype=float)
     if (label == ANOMALY) != bool(injected):
         raise ValueError(f"label {label!r} inconsistent with injected {injected}")
     if len(deltas) != len(injected):
         raise ValueError("deltas and injected lengths differ")
+    if features.ndim != 1:
+        raise ValueError("features is not a flat list")
+    if not (np.isfinite(features).all() and all(map(math.isfinite, deltas))):
+        raise ValueError("non-finite feature or delta")
     return Sample(
         id=int(rec["id"]),
-        features=np.asarray(rec["features"], dtype=float),
+        features=features,
         label=label,
         injected=injected,
         deltas=deltas,
@@ -353,11 +351,36 @@ def sample_from_record(rec: dict) -> Sample:
     )
 
 
+# One dataset.jsonl line: compact JSON with the keys in this order, and each
+# float in its shortest round-trip repr (as json.dumps writes it).
+_JSONL_LINE = (
+    '{"id":%d,"hour":%d,"label":"%s",'
+    '"injected":[%s],"deltas":[%s],"features":[%s]}\n'
+)
+
+
+def _floats_text(values) -> str:
+    return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _check_label(sample: Sample) -> None:
+    if sample.label not in (NORMAL, ANOMALY):
+        raise DatasetError(f"sample {sample.id}: label {sample.label!r}")
+
+
 def dataset_to_jsonl(ds: Dataset) -> str:
-    return "".join(
-        json.dumps(sample_to_record(s), separators=(",", ":")) + "\n"
-        for s in ds.samples
-    )
+    """One line per sample. Refuses a label other than normal/anomaly and a
+    non-finite feature or delta, which standard JSON cannot hold."""
+    out = io.StringIO()
+    for s in ds.samples:
+        _check_label(s)
+        if not (np.isfinite(s.features).all() and all(map(math.isfinite, s.deltas))):
+            raise DatasetError(f"sample {s.id}: non-finite feature or delta")
+        out.write(_JSONL_LINE % (
+            s.id, s.hour, s.label, ",".join(map(str, s.injected)),
+            _floats_text(s.deltas), _floats_text(s.features),
+        ))
+    return out.getvalue()
 
 
 def stats_to_dict(stats: FeatureStats) -> dict:
@@ -401,37 +424,91 @@ def meta_to_json(ds: Dataset) -> str:
 
 def features_to_csv(ds: Dataset) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "hour", "label"] + ds.layout.names())
+    csv.writer(out, lineterminator="\n").writerow(
+        ["id", "hour", "label"] + ds.layout.names()
+    )
     for s in ds.samples:
-        writer.writerow(
-            [s.id, s.hour, s.label] + [repr(float(v)) for v in s.features]
-        )
+        _check_label(s)
+        out.write("%d,%d,%s,%s\n" % (s.id, s.hour, s.label, _floats_text(s.features)))
     return out.getvalue()
 
 
+def _lines(text: str):
+    """The text's lines, without their newline, one at a time, so a loader
+    never holds a second copy of the text as a list of lines."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end == -1:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
 def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Dataset:
+    """Parse and check a dataset's three files.
+
+    Line i of dataset.jsonl must hold sample id i with one finite feature per
+    layout sensor; every split id must name a sample and lie in one split
+    only; the stats must have one finite mean and std per layout sensor.
+    """
+    try:
+        meta = json.loads(meta_text)
+        layout = FeatureLayout(
+            tuple(
+                LayoutEntry(name=str(e["name"]), kind=str(e["kind"]),
+                            index=int(e["index"]))
+                for e in meta["layout"]
+            )
+        )
+        splits = {
+            name: tuple(meta["splits"][name])
+            for name in ("train", "validation", "test")
+        }
+        master_seed = int(meta["master_seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"meta.json: {type(exc).__name__}: {exc}") from None
+    try:
+        stats = stats_from_json(stats_text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"stats.json: {type(exc).__name__}: {exc}") from None
+    for name, values in (("mean", stats.mean), ("std", stats.std)):
+        if values.shape != (len(layout),) or not np.isfinite(values).all():
+            raise DatasetError(
+                f"stats.json: {name} must hold {len(layout)} finite values"
+            )
+
     samples = []
-    for lineno, line in enumerate(jsonl_text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(jsonl_text), start=1):
         if not line.strip():
             continue
         try:
-            samples.append(sample_from_record(json.loads(line)))
-        except (KeyError, ValueError) as exc:
+            sample = sample_from_record(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"dataset line {lineno}: {exc}") from None
-    meta = json.loads(meta_text)
-    layout = FeatureLayout(
-        tuple(
-            LayoutEntry(name=e["name"], kind=e["kind"], index=int(e["index"]))
-            for e in meta["layout"]
-        )
-    )
+        if sample.id != len(samples):
+            raise DatasetError(
+                f"dataset line {lineno}: id {sample.id}, expected {len(samples)}"
+            )
+        if len(sample.features) != len(layout):
+            raise DatasetError(
+                f"dataset line {lineno}: {len(sample.features)} features, "
+                f"layout has {len(layout)}"
+            )
+        samples.append(sample)
+
+    seen: set = set()
+    for name, ids in splits.items():
+        for i in ids:
+            if type(i) is not int or not 0 <= i < len(samples):
+                raise DatasetError(f"meta.json: {name} split id {i!r} names no sample")
+            if i in seen:
+                raise DatasetError(f"meta.json: id {i} is listed more than once")
+            seen.add(i)
     return Dataset(
         samples=tuple(samples),
-        splits={
-            name: tuple(int(i) for i in ids) for name, ids in meta["splits"].items()
-        },
+        splits=splits,
         layout=layout,
-        stats=stats_from_json(stats_text),
-        master_seed=int(meta["master_seed"]),
+        stats=stats,
+        master_seed=master_seed,
     )

@@ -1,0 +1,93 @@
+"""Straightforward reference versions of the dataset writers and the value
+block renderer: one json.dumps per sample dict, csv.writer with one float()
+per cell, and per-cell f-strings padded with ljust/rjust. The package's
+templated versions must produce the same bytes."""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+import numpy as np
+
+from gridsigma.scenario import STD_FLOOR, zscores
+
+_COLUMNS = {
+    "value": ("value",),
+    "mean_std_value": ("value", "mean", "std"),
+    "mean_std_value_z": ("value", "mean", "std", "|z|"),
+    "z_only": ("|z|",),
+}
+_GROUP_TITLES = {
+    "p_inj": ("P", "active power injections"),
+    "q_inj": ("Q", "reactive power injections"),
+    "p_flow": ("Pf", "active line flows"),
+    "q_flow": ("Qf", "reactive line flows"),
+    "v_mag": ("V", "voltage magnitudes"),
+}
+
+
+def dataset_to_jsonl(ds) -> str:
+    return "".join(
+        json.dumps(
+            {
+                "id": s.id,
+                "hour": s.hour,
+                "label": s.label,
+                "injected": list(s.injected),
+                "deltas": list(s.deltas),
+                "features": [float(v) for v in s.features],
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for s in ds.samples
+    )
+
+
+def features_to_csv(ds) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "hour", "label"] + ds.layout.names())
+    for s in ds.samples:
+        writer.writerow([s.id, s.hour, s.label] + [repr(float(v)) for v in s.features])
+    return out.getvalue()
+
+
+def render_value_block(sample, stats, layout, variant, decimals=4) -> str:
+    columns = _COLUMNS[variant]
+    cell_sources = {
+        "value": sample.features,
+        "mean": stats.mean,
+        "std": np.maximum(stats.std, STD_FLOOR),
+        "|z|": np.abs(zscores(sample.features, stats)),
+    }
+    groups: list[tuple[str, list[int]]] = []
+    for i, entry in enumerate(layout.entries):
+        if groups and groups[-1][0] == entry.kind:
+            groups[-1][1].append(i)
+        else:
+            groups.append((entry.kind, [i]))
+    name_width = max(len("sensor"), max(len(e.name) for e in layout.entries))
+    col_cells = {
+        c: [f"{cell_sources[c][i]:.{decimals}f}" for i in range(len(layout))]
+        for c in columns
+    }
+    col_width = {c: max(len(c), max(len(v) for v in col_cells[c])) for c in columns}
+    lines: list[str] = []
+    for gi, (kind, indices) in enumerate(groups):
+        tag, title = _GROUP_TITLES[kind]
+        if gi > 0:
+            lines.append("")
+        lines.append(f"[{tag}] {title}")
+        header = "sensor".ljust(name_width)
+        for c in columns:
+            header += "  " + c.rjust(col_width[c])
+        lines.append(header)
+        for i in indices:
+            row = layout.entries[i].name.ljust(name_width)
+            for c in columns:
+                row += "  " + col_cells[c][i].rjust(col_width[c])
+            lines.append(row)
+    return "\n".join(lines)

@@ -194,6 +194,39 @@ class TestErrors:
         assert main(["run", "--data", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def _corrupted_copy(self, pipeline_dir, tmp_path, name, edit):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in ("dataset.jsonl", "stats.json", "meta.json", "model.json"):
+            text = (pipeline_dir / f).read_text()
+            (data / f).write_text(edit(text) if f == name else text)
+        return data
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("meta.json", lambda t: t[:200], "meta.json: JSONDecodeError"),
+        ("meta.json", lambda t: t.replace('"master_seed"', '"seed"'),
+         "meta.json: KeyError"),
+        ("stats.json", lambda t: t.replace("[\n", "[\n    0.5,\n", 1),
+         "stats.json: mean must hold 68"),
+        ("dataset.jsonl", lambda t: t.replace('"label":"normal"', '"label":"ok"', 1),
+         "label 'ok'"),
+    ], ids=["truncated-meta", "meta-key", "stats-length", "label"])
+    def test_malformed_dataset_is_domain_error(self, pipeline_dir, tmp_path, capsys,
+                                               name, edit, message):
+        data = self._corrupted_copy(pipeline_dir, tmp_path, name, edit)
+        assert main(["run", "--data", str(data)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_short_bias_is_domain_error(self, pipeline_dir, tmp_path, capsys):
+        def edit(text):
+            doc = json.loads(text)
+            doc["biases"][0].pop()
+            return json.dumps(doc)
+
+        data = self._corrupted_copy(pipeline_dir, tmp_path, "model.json", edit)
+        assert main(["hybrid", "--data", str(data), "--reference-topz"]) == 1
+        assert "layer 0 bias shape" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,39 @@ class TestPersistence:
             assert np.array_equal(a, b)
         assert np.array_equal(again.input_stats.mean, model42.input_stats.mean)
         assert model_to_json(again) == text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["biases"][1].pop(), "layer 1 bias shape"),
+        (lambda doc: doc["biases"].pop(), "4 weights and 3 biases"),
+        (lambda doc: doc["weights"][0][3].pop(), "ValueError"),
+        (lambda doc: doc["weights"][2].pop(), "layer 2 weight shape"),
+        (lambda doc: doc["input_stats"]["mean"].pop(), "input stats hold"),
+        (lambda doc: doc.pop("threshold"), "KeyError"),
+        (lambda doc: doc["input_stats"].pop("std"), "KeyError"),
+        (lambda doc: doc.update(layer_dims=None), "TypeError"),
+    ], ids=["short-bias", "missing-bias", "ragged-weight", "short-weight",
+            "short-stats", "no-threshold", "no-std", "null-dims"])
+    def test_malformed_model_rejected(self, model42, edit, message):
+        doc = json.loads(model_to_json(model42))
+        edit(doc)
+        with pytest.raises(DetectorError, match=message):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["", "{", "[1, 2]", "null"])
+    def test_unparseable_model_rejected(self, text):
+        with pytest.raises(DetectorError, match="model.json"):
+            model_from_json(text)
+
+    def test_bias_shape_checked_at_construction(self):
+        with pytest.raises(DetectorError, match="layer 0 bias shape"):
+            DetectorModel(
+                layer_dims=(3, 3),
+                weights=(np.eye(3),),
+                biases=(np.zeros(2),),
+                input_stats=unit_stats(3),
+                threshold=None,
+                train_seed=0,
+            )
 
 
 class TestLayering:

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import legacy_formats
 from gridsigma import promptkit
 from gridsigma.errors import PromptError
 from gridsigma.grid import builtin_ieee14, default_layout
@@ -17,6 +18,7 @@ from gridsigma.promptkit import (
     parse_value_block,
     parse_verdict,
     render_prompt,
+    render_prompts,
     render_value_block,
     select_examples,
 )
@@ -270,6 +272,57 @@ class TestRenderPrompt:
                     assert seen[b.content_hash] == b.text
                 seen[b.content_hash] = b.text
         assert len(seen) == len(set(seen.values()))
+
+
+class TestRenderPrompts:
+    @pytest.mark.parametrize("paradigm", promptkit.PARADIGMS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_one_prompt_at_a_time(self, dataset42, paradigm, variant):
+        cfg = PromptConfig(paradigm=paradigm, variant=variant)
+        examples = select_examples(dataset42.split_samples("train"), cfg, dataset42.stats)
+        test = dataset42.split_samples("test")
+        batch = render_prompts(test, dataset42.stats, cfg, examples, dataset42.layout)
+        assert batch == [
+            render_prompt(s, dataset42.stats, cfg, examples, dataset42.layout)
+            for s in test
+        ]
+
+    def test_examples_rendered_once_per_call(self, fixture_world, monkeypatch):
+        layout, samples, stats = fixture_world
+        calls = []
+        original = promptkit.render_value_block
+
+        def counting(sample, *args):
+            calls.append(sample.id)
+            return original(sample, *args)
+
+        monkeypatch.setattr(promptkit, "render_value_block", counting)
+        cfg = PromptConfig(paradigm=ICL, variant="mean_std_value_z")
+        bundles = render_prompts(samples[10:], stats, cfg, samples[:10], layout)
+        assert len(bundles) == 2
+        assert calls == [s.id for s in samples]
+
+    def test_no_samples_no_prompts(self, fixture_world):
+        layout, samples, stats = fixture_world
+        cfg = PromptConfig(paradigm=FEW_SHOT)
+        assert render_prompts([], stats, cfg, samples[:2], layout) == []
+        with pytest.raises(PromptError, match="expects 2 examples"):
+            render_prompts([], stats, cfg, samples[:1], layout)
+
+
+class TestValueBlockFormatting:
+    @pytest.mark.parametrize("decimals", [0, 4, 6])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_per_cell_formatting(self, dataset42, variant, decimals):
+        # Wide values, signed zeros and a NaN exercise the column widths and
+        # the "-0.0000" cells.
+        base = dataset42.by_id(1234).features.copy()
+        base[[0, 20, 40, 60]] = [-0.0, -1e-9, 1.5e7, np.nan]
+        sample = Sample(id=0, features=base, label=NORMAL, injected=(),
+                        deltas=(), hour=0)
+        for s in (sample, *dataset42.split_samples("test")[:20]):
+            args = (s, dataset42.stats, dataset42.layout, variant, decimals)
+            assert render_value_block(*args) == legacy_formats.render_value_block(*args)
 
 
 class TestGoldenSnapshots:

@@ -1,13 +1,26 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_formats
 from gridsigma.errors import DatasetError
-from gridsigma.grid import default_layout, extract_features, parse_case, solve_newton
+from gridsigma.grid import (
+    FeatureLayout,
+    LayoutEntry,
+    default_layout,
+    extract_features,
+    parse_case,
+    solve_newton,
+)
 from gridsigma.scenario import (
     ANOMALY,
     NORMAL,
+    Dataset,
+    FeatureStats,
     Sample,
     SplitSizes,
     build_dataset,
@@ -345,3 +358,196 @@ class TestPersistence:
         lines = text.strip().splitlines()
         assert len(lines) == 1601
         assert lines[0].startswith("id,hour,label,P_1,")
+
+
+# Floats whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, the switch to exponent notation at 1e16 and 1e-5, integral values.
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 9.999999999999999e-06,
+     1e22, 2.0**53, 1.0, -7.0, 0.1, 1.7976931348623157e308]
+)
+_FINITE = st.one_of(
+    _EDGE_FLOATS,
+    st.integers(-(10**6), 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def small_datasets(draw):
+    n_features = draw(st.integers(1, 5))
+    layout = FeatureLayout(
+        tuple(LayoutEntry(f"P_{i + 1}", "p_inj", i) for i in range(n_features))
+    )
+    samples = []
+    for i in range(draw(st.integers(1, 6))):
+        injected = tuple(sorted(draw(
+            st.sets(st.integers(0, n_features - 1), max_size=n_features)
+        )))
+        samples.append(Sample(
+            id=i,
+            features=np.asarray(
+                draw(st.lists(_FINITE, min_size=n_features, max_size=n_features)),
+                dtype=float,
+            ),
+            label=ANOMALY if injected else NORMAL,
+            injected=injected,
+            deltas=tuple(draw(
+                st.lists(_FINITE, min_size=len(injected), max_size=len(injected))
+            )),
+            hour=draw(st.integers(0, 10**6)),
+        ))
+    stats = FeatureStats(
+        mean=np.zeros(n_features), std=np.ones(n_features), n=1, split="train"
+    )
+    return Dataset(
+        samples=tuple(samples),
+        splits={"train": tuple(range(len(samples))), "validation": (), "test": ()},
+        layout=layout,
+        stats=stats,
+        master_seed=0,
+    )
+
+
+class TestTemplatedWriters:
+    @settings(max_examples=200, deadline=None)
+    @given(small_datasets())
+    def test_bytes_match_json_and_csv_modules(self, ds):
+        jsonl = dataset_to_jsonl(ds)
+        assert jsonl == legacy_formats.dataset_to_jsonl(ds)
+        assert features_to_csv(ds) == legacy_formats.features_to_csv(ds)
+        again = dataset_from_files(jsonl, stats_to_json(ds.stats), meta_to_json(ds))
+        assert dataset_to_jsonl(again) == jsonl
+
+    def test_default_dataset_bytes_match(self, dataset42):
+        assert dataset_to_jsonl(dataset42) == legacy_formats.dataset_to_jsonl(dataset42)
+        assert features_to_csv(dataset42) == legacy_formats.features_to_csv(dataset42)
+
+    @pytest.mark.parametrize("where", ["features", "deltas"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_jsonl_refuses_non_finite(self, dataset42, where, value):
+        sample = dataset42.by_id(1500)  # anomalous, so it has deltas
+        if where == "features":
+            features = sample.features.copy()
+            features[3] = value
+            sample = replace(sample, features=features)
+        else:
+            sample = replace(sample, deltas=(value,) + sample.deltas[1:])
+        ds = replace(dataset42, samples=(sample,))
+        with pytest.raises(DatasetError, match="non-finite"):
+            dataset_to_jsonl(ds)
+
+
+@pytest.fixture(scope="module")
+def files42(dataset42):
+    """The seed-42 dataset as its three files' texts."""
+    return (
+        dataset_to_jsonl(dataset42),
+        stats_to_json(dataset42.stats),
+        meta_to_json(dataset42),
+    )
+
+
+class TestLoaderChecks:
+    def test_by_id_is_positional(self, files42):
+        ds = dataset_from_files(*files42)
+        assert ds.by_id(1000).id == 1000
+        for bad in (-1, len(ds.samples)):
+            with pytest.raises(DatasetError, match=f"no sample with id {bad}"):
+                ds.by_id(bad)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.rstrip("\n"),
+        lambda text: text.replace("\n", "\n\n", 3),
+    ], ids=["crlf", "no-final-newline", "blank-lines"])
+    def test_line_endings_tolerated(self, files42, edit):
+        jsonl, stats_text, meta_text = files42
+        ds = dataset_from_files(edit(jsonl), stats_text, meta_text)
+        assert dataset_to_jsonl(ds) == jsonl
+
+    def test_swapped_lines_rejected(self, files42):
+        jsonl, stats_text, meta_text = files42
+        lines = jsonl.splitlines(keepends=True)
+        lines[0], lines[1000] = lines[1000], lines[0]
+        with pytest.raises(DatasetError, match="line 1: id 1000, expected 0"):
+            dataset_from_files("".join(lines), stats_text, meta_text)
+
+    def _with_meta(self, files42, edit):
+        jsonl, stats_text, meta_text = files42
+        meta = json.loads(meta_text)
+        edit(meta)
+        return dataset_from_files(jsonl, stats_text, json.dumps(meta))
+
+    @pytest.mark.parametrize("bad_id", [99999, -1, 1600, 2.0, "3"])
+    def test_split_id_out_of_range_rejected(self, files42, bad_id):
+        def edit(meta):
+            meta["splits"]["test"][0] = bad_id
+
+        with pytest.raises(DatasetError, match="test split id .* names no sample"):
+            self._with_meta(files42, edit)
+
+    def test_id_in_two_splits_rejected(self, files42):
+        def edit(meta):
+            meta["splits"]["test"][0] = meta["splits"]["train"][0]
+
+        with pytest.raises(DatasetError, match="listed more than once"):
+            self._with_meta(files42, edit)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.update(label="Normal"),
+        lambda rec: rec.update(label=None),
+        lambda rec: rec["features"].__setitem__(5, float("nan")),
+        lambda rec: rec["features"].__setitem__(5, float("-inf")),
+        lambda rec: rec.update(features=rec["features"][:-1]),
+        lambda rec: rec.update(features=[rec["features"]]),
+        lambda rec: rec.pop("hour"),
+    ], ids=["label-case", "label-null", "feature-nan", "feature-inf",
+            "feature-short", "feature-nested", "missing-key"])
+    def test_bad_record_rejected(self, files42, edit):
+        jsonl, stats_text, meta_text = files42
+        lines = jsonl.splitlines()
+        rec = json.loads(lines[7])
+        edit(rec)
+        lines[7] = json.dumps(rec)  # writes NaN / -Infinity tokens
+        with pytest.raises(DatasetError, match="dataset line 8"):
+            dataset_from_files("\n".join(lines), stats_text, meta_text)
+
+    def test_non_finite_delta_rejected(self, files42):
+        jsonl, stats_text, meta_text = files42
+        lines = jsonl.splitlines()
+        rec = json.loads(lines[1500])
+        rec["deltas"][0] = float("inf")
+        lines[1500] = json.dumps(rec)
+        with pytest.raises(DatasetError, match="line 1501: non-finite"):
+            dataset_from_files("\n".join(lines), stats_text, meta_text)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("master_seed"),
+        lambda meta: meta["splits"].pop("test"),
+        lambda meta: meta["layout"][0].pop("kind"),
+        lambda meta: meta.update(splits=[1, 2]),
+    ], ids=["master_seed", "test-split", "layout-kind", "splits-list"])
+    def test_meta_missing_key_rejected(self, files42, edit):
+        with pytest.raises(DatasetError, match="meta.json"):
+            self._with_meta(files42, edit)
+
+    def test_truncated_meta_rejected(self, files42):
+        jsonl, stats_text, meta_text = files42
+        with pytest.raises(DatasetError, match="meta.json: JSONDecodeError"):
+            dataset_from_files(jsonl, stats_text, meta_text[:200])
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:200],
+        lambda text: text.replace('"std"', '"sd"'),
+        lambda text: json.dumps({**json.loads(text),
+                                 "mean": json.loads(text)["mean"][:-1]}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "std": json.loads(text)["std"] + [1.0]}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "mean": [float("nan")] * 68}),
+    ], ids=["truncated", "missing-key", "short-mean", "long-std", "nan-mean"])
+    def test_bad_stats_rejected(self, files42, edit):
+        jsonl, stats_text, meta_text = files42
+        with pytest.raises(DatasetError, match="stats.json"):
+            dataset_from_files(jsonl, edit(stats_text), meta_text)
