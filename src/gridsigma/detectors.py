@@ -9,6 +9,7 @@ standardized with a fixed std floor; scoring only ever needs normal data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +39,13 @@ class Hyper:
     batch: int = 32
     epochs: int = 200
     patience: int = 20
+
+    def __post_init__(self):
+        for name in ("batch", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise DetectorError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr < math.inf:
+            raise DetectorError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -111,29 +119,46 @@ def _forward(x: np.ndarray, weights, biases):
     a = x
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
-        a = z if l == last else np.tanh(z)
+        a = a @ w
+        a += b
+        if l != last:
+            np.tanh(a, out=a)
         acts.append(a)
     return acts
 
 
-def loss_and_gradients(x: np.ndarray, weights, biases):
+def loss_and_gradients(x: np.ndarray, weights, biases, out=None):
     """Mean squared reconstruction loss over the batch, with gradients.
 
-    Loss = mean over (batch, feature) of (x_hat - x)^2.
+    Loss = mean over (batch, feature) of (x_hat - x)^2. The gradients are
+    written into ``out``, a float64 vector laid out as ``_flat``'s (one is
+    allocated when not given); the returned per-layer gradients are views
+    into it.
     """
+    dims = (weights[0].shape[0], *(w.shape[1] for w in weights))
+    if out is None:
+        out = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+    grads_w, grads_b = _layer_views(out, dims)
     acts = _forward(x, weights, biases)
-    diff = acts[-1] - x  # x_hat - x
-    loss = float(np.mean(diff**2))
-    delta = 2.0 * diff / diff.size  # d loss / d x_hat
-    grads_w, grads_b = [], []  # filled from the output layer back
-    for l in range(len(weights) - 1, -1, -1):
-        if l != len(weights) - 1:
-            delta = delta * (1.0 - acts[l + 1] ** 2)  # tanh'
-        grads_w.append(acts[l].T @ delta)
-        grads_b.append(delta.sum(axis=0))
-        delta = delta @ weights[l].T
-    return loss, grads_w[::-1], grads_b[::-1]
+    # Every array in acts but x belongs to this call, so the backward pass
+    # works in them in place; each step rounds as the expression beside it.
+    delta = acts[-1]
+    delta -= x  # x_hat - x
+    loss = float((delta * delta).sum() / delta.size)  # np.mean(delta**2)
+    delta *= 2.0
+    delta /= delta.size  # d loss / d x_hat = 2.0 * (x_hat - x) / size
+    last = len(weights) - 1
+    for l in range(last, -1, -1):  # from the output layer back
+        if l != last:
+            tanh_grad = acts[l + 1]  # not read again
+            np.multiply(tanh_grad, tanh_grad, out=tanh_grad)
+            np.subtract(1.0, tanh_grad, out=tanh_grad)
+            delta *= tanh_grad  # delta * (1.0 - a**2), tanh'
+        np.matmul(acts[l].T, delta, out=grads_w[l])
+        np.add.reduce(delta, axis=0, out=grads_b[l])
+        if l:
+            delta = delta @ weights[l].T
+    return loss, grads_w, grads_b
 
 
 def _mean_loss(x: np.ndarray, weights, biases) -> float:
@@ -168,6 +193,8 @@ def train_autoencoder(
             f"layer_dims[0] = {layer_dims[0]}"
         )
 
+    if val_normals is not None and not val_normals:
+        raise DetectorError("val_normals is empty; early stopping needs held-out normals")
     if stats is None:
         stats = compute_stats(normals, split="train-normal")
     if val_normals is None:
@@ -181,7 +208,11 @@ def train_autoencoder(
     theta = _flat(*_init_params(layer_dims, rng))
     weights, biases = _layer_views(theta, layer_dims)  # updated in place via theta
 
-    m, v = np.zeros_like(theta), np.zeros_like(theta)  # Adam moments over theta
+    # Gradient, Adam moments and two scratch vectors, all laid out as theta;
+    # every step writes into these.
+    g = np.empty_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    t1, t2 = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -194,15 +225,27 @@ def train_autoencoder(
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch):
             batch = x_train[order[start : start + hyper.batch]]
-            loss, gw, gb = loss_and_gradients(batch, weights, biases)
-            if not np.isfinite(loss):
+            loss, _, _ = loss_and_gradients(batch, weights, biases, out=g)
+            if not math.isfinite(loss):
                 raise DetectorError(f"training diverged (loss NaN) at epoch {epoch}")
             step += 1
-            g = _flat(gw, gb)
-            m = beta1 * m + (1 - beta1) * g
-            v = beta2 * v + (1 - beta2) * g**2
-            m_hat, v_hat = m / (1.0 - beta1**step), v / (1.0 - beta2**step)
-            theta -= hyper.lr * m_hat / (np.sqrt(v_hat) + eps)
+            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2
+            m *= beta1
+            np.multiply(g, 1 - beta1, out=t1)
+            m += t1
+            v *= beta2
+            np.multiply(g, g, out=t1)
+            t1 *= 1 - beta2
+            v += t1
+            # theta -= lr * m_hat / (sqrt(v_hat) + eps), with the bias-corrected
+            # m_hat = m / (1 - beta1**step) and v_hat = v / (1 - beta2**step)
+            np.divide(m, 1.0 - beta1**step, out=t1)
+            t1 *= hyper.lr
+            np.divide(v, 1.0 - beta2**step, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2
+            theta -= t1
         val_loss = _mean_loss(x_val, weights, biases)
         if val_loss < best_val:
             best_val = val_loss

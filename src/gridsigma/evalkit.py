@@ -331,12 +331,20 @@ def run_hybrid_experiment(
     reference selector; test-time selections come from the agent (or the
     reference selector directly when use_reference_selector is set). An
     agent reply that failed or names no known sensor scores all sensors
-    (source 'full'), with a warning in the run log.
+    (source 'full'), with a warning in the run log. A model whose input
+    stats are not exactly the dataset's raises DatasetError.
     """
     if dataset is None:
         dataset = load_dataset_dir(run.data_dir)
     if model.threshold is None:
         raise GridSigmaError("hybrid needs a calibrated detector model")
+    trained, current = model.input_stats, dataset.stats
+    if (trained.n != current.n or trained.mean.tolist() != current.mean.tolist()
+            or trained.std.tolist() != current.std.tolist()):
+        raise DatasetError(
+            f"the model was trained on other stats (n={trained.n}) than the "
+            f"dataset's stats.json (n={current.n}); rerun train-dl"
+        )
     tau_h = detectors.calibrate_hybrid_threshold(
         model, dataset.split_samples("validation"), dataset.stats, m=run.m_select
     )

@@ -227,6 +227,33 @@ class TestErrors:
         assert main(["hybrid", "--data", str(data), "--reference-topz"]) == 1
         assert "layer 0 bias shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--batch", "0"], "batch must be >= 1, got 0"),
+        (["--batch", "-5"], "batch must be >= 1, got -5"),
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    ], ids=["batch-0", "batch-negative", "epochs-0"])
+    def test_untrainable_settings_are_domain_errors(self, pipeline_dir, tmp_path,
+                                                    capsys, flags, message):
+        data = self._corrupted_copy(pipeline_dir, tmp_path, None, None)  # unmodified
+        assert main(["train-dl", "--data", str(data), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert (data / "model.json").read_bytes() == (
+            pipeline_dir / "model.json").read_bytes()
+
+    def test_hybrid_refuses_model_trained_on_other_stats(self, pipeline_dir, tmp_path,
+                                                         capsys):
+        def halve_train_split(text):
+            doc = json.loads(text)
+            train = doc["splits"]["train"]
+            doc["splits"]["train"] = train[: len(train) // 2]
+            return json.dumps(doc)
+
+        data = self._corrupted_copy(pipeline_dir, tmp_path, "meta.json",
+                                    halve_train_split)
+        assert main(["stats", "--data", str(data)]) == 0
+        assert main(["hybrid", "--data", str(data), "--reference-topz"]) == 1
+        assert "trained on other stats (n=300)" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):

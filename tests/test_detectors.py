@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_training
 from gridsigma import detectors
 from gridsigma.detectors import (
     DetectorModel,
@@ -109,6 +110,27 @@ class TestTraining:
             train_autoencoder(samples, Hyper(epochs=5), seed=0,
                               layer_dims=(6, 4, 2, 4, 6))
 
+    @pytest.mark.parametrize("settings_, message", [
+        (dict(batch=0), "batch must be >= 1"),
+        (dict(batch=-5), "batch must be >= 1"),
+        (dict(epochs=0), "epochs must be >= 1"),
+        (dict(patience=0), "patience must be >= 1"),
+        (dict(lr=0.0), "lr must be finite and positive"),
+        (dict(lr=-1e-3), "lr must be finite and positive"),
+        (dict(lr=float("nan")), "lr must be finite and positive"),
+        (dict(lr=float("inf")), "lr must be finite and positive"),
+    ], ids=["batch-0", "batch-negative", "epochs-0", "patience-0", "lr-0",
+            "lr-negative", "lr-nan", "lr-inf"])
+    def test_untrainable_settings_rejected(self, settings_, message):
+        with pytest.raises(DetectorError, match=message):
+            Hyper(**settings_)
+
+    def test_empty_validation_normals_rejected(self):
+        samples = [make_sample(np.full(6, 0.01 * i), sample_id=i) for i in range(120)]
+        with pytest.raises(DetectorError, match="val_normals is empty"):
+            train_autoencoder(samples, Hyper(epochs=2), seed=0, val_normals=[],
+                              layer_dims=(6, 4, 2, 4, 6))
+
 
 class TestGradients:
     def test_analytic_matches_central_differences(self):
@@ -139,6 +161,38 @@ class TestGradients:
             scale = max(abs(numeric), abs(analytic), 1e-8)
             worst = max(worst, abs(numeric - analytic) / scale)
         assert worst < 1e-4
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(st.integers(1, 10), min_size=0, max_size=4),
+        st.sampled_from(["one row", "full batch", "tail batch"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_flat_buffer_matches_reference(self, width, hidden, rows, seed):
+        """Gradients written into one flat vector equal the reference's bits."""
+        dims = (width, *hidden, width)
+        rng = np.random.default_rng(seed)
+        weights, biases = detectors._init_params(dims, rng)
+        for b in biases:
+            b[:] = rng.normal(size=b.shape)
+        n_rows = {"one row": 1, "full batch": 32, "tail batch": 17}[rows]
+        x = rng.normal(size=(n_rows, width))
+        x_before = x.copy()
+        size = sum(w.size + b.size for w, b in zip(weights, biases))
+        g = np.full(size, np.nan)  # a slot left unwritten stays NaN
+        loss, grads_w, grads_b = loss_and_gradients(x, weights, biases, out=g)
+        assert np.array_equal(x, x_before)  # the batch is read, never written
+        ref_loss, ref_w, ref_b = legacy_training.loss_and_gradients(x, weights, biases)
+        assert loss == ref_loss
+        assert np.array_equal(g, detectors._flat(ref_w, ref_b))
+        for got, want in zip(grads_w + grads_b, ref_w + ref_b):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got.base is g
+        alloc_loss, alloc_w, alloc_b = loss_and_gradients(x, weights, biases)
+        assert alloc_loss == ref_loss
+        assert np.array_equal(detectors._flat(alloc_w, alloc_b), g)
 
 
 def per_layer_adam(x_train, x_val, hyper, seed, dims):
@@ -194,6 +248,10 @@ class TestOptimizer:
         [
             (Hyper(lr=0.05, batch=16, epochs=40, patience=2), True),
             (Hyper(lr=0.01, batch=16, epochs=6, patience=6), False),
+            # batch > n: one partial batch per epoch
+            (Hyper(lr=0.02, batch=500, epochs=8, patience=8), False),
+            # n % batch == 0: no tail batch
+            (Hyper(lr=0.05, batch=40, epochs=40, patience=2), True),
         ],
     )
     def test_bit_identical_to_per_layer_adam(self, hyper, stops_early):
