@@ -151,11 +151,19 @@ def _cmd_generate(args) -> int:
         case, profile, layout, sizes=sizes, seed=args.seed,
         k_inject=args.k_inject, magnitude=args.magnitude,
     )
+    blocks = scenario.dataset_blocks(ds)  # refuses a bad dataset before any write
     out = Path(args.out)
-    _write(out / "dataset.jsonl", scenario.dataset_to_jsonl(ds))
+    out.mkdir(parents=True, exist_ok=True)
+    jsonl_path, csv_path = out / "dataset.jsonl", out / "features.csv"
+    with (jsonl_path.open("w", encoding="utf-8") as jsonl_file,
+          csv_path.open("w", encoding="utf-8") as csv_file):
+        for jsonl_block, csv_block in blocks:
+            jsonl_file.write(jsonl_block)
+            csv_file.write(csv_block)
+    print(f"wrote {jsonl_path}")
     _write(out / "stats.json", scenario.stats_to_json(ds.stats))
     _write(out / "meta.json", scenario.meta_to_json(ds))
-    _write(out / "features.csv", scenario.features_to_csv(ds))
+    print(f"wrote {csv_path}")
     return 0
 
 
@@ -171,8 +179,7 @@ def _sizes_for(total: int) -> scenario.SplitSizes:
 
 
 def _cmd_stats(args) -> int:
-    ds = evalkit.load_dataset_dir(args.data)
-    stats = scenario.compute_stats(ds.split_samples("train"), split="train")
+    stats = evalkit.load_dataset_dir(args.data, recompute_stats=True).stats
     _write(Path(args.data) / "stats.json", scenario.stats_to_json(stats))
     print(f"train samples: {stats.n}; features: {len(stats.mean)}")
     return 0

@@ -147,7 +147,10 @@ class RunConfig:
         return agents.AgentKind(self.agent)
 
 
-def load_dataset_dir(data_dir: "str | Path") -> Dataset:
+def load_dataset_dir(data_dir: "str | Path", recompute_stats: bool = False) -> Dataset:
+    """Load and check a dataset directory. With recompute_stats, stats.json
+    is not read and the stats come from the train split (what `gridsigma
+    stats` writes back)."""
     from .scenario import dataset_from_files
 
     root = Path(data_dir)
@@ -155,7 +158,8 @@ def load_dataset_dir(data_dir: "str | Path") -> Dataset:
         jsonl_text, digest = _text_and_digest(root / "dataset.jsonl")
         dataset = dataset_from_files(
             jsonl_text,
-            (root / "stats.json").read_text(encoding="utf-8"),
+            None if recompute_stats
+            else (root / "stats.json").read_text(encoding="utf-8"),
             (root / "meta.json").read_text(encoding="utf-8"),
         )
     except FileNotFoundError as exc:
@@ -294,12 +298,15 @@ def run_experiment(
 
 def _dataset_digest_of(dataset: Dataset) -> str:
     """sha256 of the dataset's JSONL form: the file's, hashed at load, or the
-    serialisation's for a dataset built in memory."""
-    from .scenario import dataset_to_jsonl
+    serialisation's for a dataset built in memory, hashed block by block."""
+    from .scenario import dataset_blocks
 
     if dataset.jsonl_digest is not None:
         return dataset.jsonl_digest
-    return hashlib.sha256(dataset_to_jsonl(dataset).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    for jsonl, _ in dataset_blocks(dataset):
+        digest.update(jsonl.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def manifest_name(run: RunConfig) -> str:

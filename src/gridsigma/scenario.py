@@ -357,30 +357,61 @@ _JSONL_LINE = (
     '{"id":%d,"hour":%d,"label":"%s",'
     '"injected":[%s],"deltas":[%s],"features":[%s]}\n'
 )
+# One features.csv row: id, hour, label, then the features as in the JSONL line.
+_CSV_ROW = "%d,%d,%s,%s\n"
+# Samples per block of dataset_blocks: bounds the text held between writes.
+_BLOCK_ROWS = 256
 
 
 def _floats_text(values) -> str:
     return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _check_label(sample: Sample) -> None:
+def _check_sample(sample: Sample) -> None:
+    """Refuse what the loader would reject: a label other than normal/anomaly,
+    or a non-finite feature or delta, which standard JSON cannot hold."""
     if sample.label not in (NORMAL, ANOMALY):
         raise DatasetError(f"sample {sample.id}: label {sample.label!r}")
+    if not (np.isfinite(sample.features).all()
+            and all(map(math.isfinite, sample.deltas))):
+        raise DatasetError(f"sample {sample.id}: non-finite feature or delta")
+
+
+def dataset_blocks(ds: Dataset):
+    """The dataset.jsonl and features.csv texts as (jsonl_block, csv_block)
+    pairs of _BLOCK_ROWS samples each; the CSV header opens the first block.
+
+    Every sample is checked before this returns, so a refused dataset raises
+    before any block is made. Each sample's features are formatted once, and
+    that text goes into both its JSONL line and its CSV row.
+    """
+    for s in ds.samples:
+        _check_sample(s)
+    return _blocks(ds)
+
+
+def _blocks(ds: Dataset):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(
+        ["id", "hour", "label"] + ds.layout.names()
+    )
+    header = out.getvalue()
+    # max(..., 1): an empty dataset still yields the CSV header.
+    for start in range(0, max(len(ds.samples), 1), _BLOCK_ROWS):
+        jsonl_lines, csv_rows = [], [] if start else [header]
+        for s in ds.samples[start : start + _BLOCK_ROWS]:
+            features = _floats_text(s.features)
+            jsonl_lines.append(_JSONL_LINE % (
+                s.id, s.hour, s.label, ",".join(map(str, s.injected)),
+                _floats_text(s.deltas), features,
+            ))
+            csv_rows.append(_CSV_ROW % (s.id, s.hour, s.label, features))
+        yield "".join(jsonl_lines), "".join(csv_rows)
 
 
 def dataset_to_jsonl(ds: Dataset) -> str:
-    """One line per sample. Refuses a label other than normal/anomaly and a
-    non-finite feature or delta, which standard JSON cannot hold."""
-    out = io.StringIO()
-    for s in ds.samples:
-        _check_label(s)
-        if not (np.isfinite(s.features).all() and all(map(math.isfinite, s.deltas))):
-            raise DatasetError(f"sample {s.id}: non-finite feature or delta")
-        out.write(_JSONL_LINE % (
-            s.id, s.hour, s.label, ",".join(map(str, s.injected)),
-            _floats_text(s.deltas), _floats_text(s.features),
-        ))
-    return out.getvalue()
+    """One line per sample; refuses what dataset_blocks refuses."""
+    return "".join(jsonl for jsonl, _ in dataset_blocks(ds))
 
 
 def stats_to_dict(stats: FeatureStats) -> dict:
@@ -423,14 +454,9 @@ def meta_to_json(ds: Dataset) -> str:
 
 
 def features_to_csv(ds: Dataset) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(
-        ["id", "hour", "label"] + ds.layout.names()
-    )
-    for s in ds.samples:
-        _check_label(s)
-        out.write("%d,%d,%s,%s\n" % (s.id, s.hour, s.label, _floats_text(s.features)))
-    return out.getvalue()
+    """A header row, then one row per sample; refuses what dataset_blocks
+    refuses."""
+    return "".join(rows for _, rows in dataset_blocks(ds))
 
 
 def _lines(text: str):
@@ -445,12 +471,16 @@ def _lines(text: str):
         start = end + 1
 
 
-def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Dataset:
+def dataset_from_files(
+    jsonl_text: str, stats_text: "str | None", meta_text: str
+) -> Dataset:
     """Parse and check a dataset's three files.
 
     Line i of dataset.jsonl must hold sample id i with one finite feature per
     layout sensor; every split id must name a sample and lie in one split
-    only; the stats must have one finite mean and std per layout sensor.
+    only; the stats must have one finite mean and std per layout sensor and
+    equal, exactly, compute_stats over the train split. With stats_text None
+    the dataset takes those computed stats instead.
     """
     try:
         meta = json.loads(meta_text)
@@ -468,15 +498,17 @@ def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Data
         master_seed = int(meta["master_seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"meta.json: {type(exc).__name__}: {exc}") from None
-    try:
-        stats = stats_from_json(stats_text)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"stats.json: {type(exc).__name__}: {exc}") from None
-    for name, values in (("mean", stats.mean), ("std", stats.std)):
-        if values.shape != (len(layout),) or not np.isfinite(values).all():
-            raise DatasetError(
-                f"stats.json: {name} must hold {len(layout)} finite values"
-            )
+    stats = None
+    if stats_text is not None:
+        try:
+            stats = stats_from_json(stats_text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"stats.json: {type(exc).__name__}: {exc}") from None
+        for name, values in (("mean", stats.mean), ("std", stats.std)):
+            if values.shape != (len(layout),) or not np.isfinite(values).all():
+                raise DatasetError(
+                    f"stats.json: {name} must hold {len(layout)} finite values"
+                )
 
     samples = []
     for lineno, line in enumerate(_lines(jsonl_text), start=1):
@@ -505,6 +537,20 @@ def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Data
             if i in seen:
                 raise DatasetError(f"meta.json: id {i} is listed more than once")
             seen.add(i)
+    train_stats = compute_stats([samples[i] for i in splits["train"]])
+    if stats is None:
+        stats = train_stats
+    else:
+        for name, ours, theirs in (
+            ("n", stats.n, train_stats.n),
+            ("mean", stats.mean, train_stats.mean),
+            ("std", stats.std, train_stats.std),
+        ):
+            if not np.array_equal(ours, theirs):
+                raise DatasetError(
+                    f"stats.json: {name} differs from that of the "
+                    f"{train_stats.n} train samples in meta.json"
+                )
     return Dataset(
         samples=tuple(samples),
         splits=splits,

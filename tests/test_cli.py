@@ -1,8 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import legacy_formats
 from gridsigma import cli, evalkit, parse_case, scenario
 from gridsigma.cli import main
 
@@ -19,7 +22,69 @@ def pipeline_dir(tmp_path_factory):
     return data
 
 
+def _generate_capturing(monkeypatch, out, *flags, edit=lambda ds: ds):
+    """Run `generate`, passing the dataset it builds through edit first;
+    return the exit code and the dataset that was handed to the writers."""
+    built = []
+    build = scenario.build_dataset
+
+    def capture(*args, **kwargs):
+        built.append(edit(build(*args, **kwargs)))
+        return built[-1]
+
+    monkeypatch.setattr(cli.scenario, "build_dataset", capture)
+    return main(["generate", "--seed", "3", "--out", str(out), *flags]), built[0]
+
+
+def _spoil_last_sample(changes):
+    def edit(ds):
+        last = replace(ds.samples[-1], **changes(ds.samples[-1]))
+        return replace(ds, samples=ds.samples[:-1] + (last,))
+    return edit
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("flags", [[], ["--include-voltage"]],
+                             ids=["68-sensors", "82-sensors"])
+    def test_files_equal_legacy_writers(self, tmp_path, monkeypatch, capsys, flags):
+        out = tmp_path / "d"
+        rc, ds = _generate_capturing(monkeypatch, out, "--samples", "640", *flags)
+        assert rc == 0
+        assert len(ds.samples) > 2 * scenario._BLOCK_ROWS
+        assert (out / "dataset.jsonl").read_text(encoding="utf-8") == (
+            legacy_formats.dataset_to_jsonl(ds))
+        assert (out / "features.csv").read_text(encoding="utf-8") == (
+            legacy_formats.features_to_csv(ds))
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}"
+            for name in ("dataset.jsonl", "stats.json", "meta.json", "features.csv")
+        ]
+
+    def test_in_memory_digest_is_written_file_digest(self, tmp_path, monkeypatch,
+                                                     capsys):
+        rc, ds = _generate_capturing(monkeypatch, tmp_path / "d", "--samples", "640")
+        assert rc == 0 and ds.jsonl_digest is None
+        digest = evalkit._dataset_digest_of(ds)
+        assert digest == hashlib.sha256(
+            scenario.dataset_to_jsonl(ds).encode("utf-8")).hexdigest()
+        assert digest == evalkit.load_dataset_dir(tmp_path / "d").jsonl_digest
+
+    @pytest.mark.parametrize("changes, message", [
+        (lambda s: {"features": np.where(np.arange(len(s.features)) == 4,
+                                         np.nan, s.features)},
+         "non-finite feature or delta"),
+        (lambda s: {"label": "suspect"}, "label 'suspect'"),
+    ], ids=["nan-feature", "unknown-label"])
+    def test_refused_dataset_leaves_no_files(self, tmp_path, monkeypatch, capsys,
+                                             changes, message):
+        out = tmp_path / "d"
+        rc, ds = _generate_capturing(monkeypatch, out, "--samples", "640",
+                                     edit=_spoil_last_sample(changes))
+        assert rc == 1
+        assert f"sample {len(ds.samples) - 1}: {message}" in capsys.readouterr().err
+        for name in ("dataset.jsonl", "features.csv", "stats.json", "meta.json"):
+            assert not (out / name).exists(), name
+
     def test_writes_expected_files(self, pipeline_dir, capsys):
         for name in ("dataset.jsonl", "stats.json", "meta.json", "features.csv"):
             assert (pipeline_dir / name).exists()
@@ -239,6 +304,31 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert (data / "model.json").read_bytes() == (
             pipeline_dir / "model.json").read_bytes()
+
+    def test_hand_edited_stats_is_domain_error(self, pipeline_dir, tmp_path, capsys):
+        def edit(text):
+            doc = json.loads(text)
+            doc["mean"][3] += 1e-9
+            return json.dumps(doc)
+
+        data = self._corrupted_copy(pipeline_dir, tmp_path, "stats.json", edit)
+        assert main(["run", "--data", str(data)]) == 1
+        assert ("stats.json: mean differs from that of the 300 train samples"
+                in capsys.readouterr().err)
+
+    def test_moved_train_id_is_domain_error_until_stats_rerun(
+            self, pipeline_dir, tmp_path, capsys):
+        def move(text):
+            doc = json.loads(text)
+            doc["splits"]["test"].append(doc["splits"]["train"].pop(0))
+            return json.dumps(doc)
+
+        data = self._corrupted_copy(pipeline_dir, tmp_path, "meta.json", move)
+        assert main(["run", "--data", str(data)]) == 1
+        assert "stats.json: n differs" in capsys.readouterr().err
+        assert main(["stats", "--data", str(data)]) == 0
+        assert "train samples: 299" in capsys.readouterr().out
+        assert main(["run", "--data", str(data)]) == 0
 
     def test_hybrid_refuses_model_trained_on_other_stats(self, pipeline_dir, tmp_path,
                                                          capsys):

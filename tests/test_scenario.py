@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_formats
+from gridsigma import scenario
 from gridsigma.errors import DatasetError
 from gridsigma.grid import (
     FeatureLayout,
@@ -20,11 +21,11 @@ from gridsigma.scenario import (
     ANOMALY,
     NORMAL,
     Dataset,
-    FeatureStats,
     Sample,
     SplitSizes,
     build_dataset,
     compute_stats,
+    dataset_blocks,
     dataset_from_files,
     dataset_to_jsonl,
     export_load_csv,
@@ -397,14 +398,14 @@ def small_datasets(draw):
             )),
             hour=draw(st.integers(0, 10**6)),
         ))
-    stats = FeatureStats(
-        mean=np.zeros(n_features), std=np.ones(n_features), n=1, split="train"
-    )
+    # The loader checks stats.json against the train split. One train sample
+    # keeps its stats exact (mean = the sample, std = 0) for any finite floats.
     return Dataset(
         samples=tuple(samples),
-        splits={"train": tuple(range(len(samples))), "validation": (), "test": ()},
+        splits={"train": (0,), "validation": tuple(range(1, len(samples))),
+                "test": ()},
         layout=layout,
-        stats=stats,
+        stats=compute_stats(samples[:1]),
         master_seed=0,
     )
 
@@ -436,6 +437,54 @@ class TestTemplatedWriters:
         ds = replace(dataset42, samples=(sample,))
         with pytest.raises(DatasetError, match="non-finite"):
             dataset_to_jsonl(ds)
+
+
+@pytest.fixture(scope="module")
+def dataset82(ieee14):
+    """640 samples on the 82-sensor layout: more than two blocks."""
+    profile = synth_load_profile(320, len(ieee14.buses), seed=5)
+    return build_dataset(ieee14, profile, default_layout(ieee14, include_voltage=True),
+                         sizes=SplitSizes(train=480, validation=80, test=80), seed=5)
+
+
+_B = scenario._BLOCK_ROWS
+
+
+class TestDatasetBlocks:
+    @pytest.mark.parametrize("layout", ["68", "82"])
+    @pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+    def test_blocks_equal_legacy_writers(self, dataset42, dataset82, layout, rows):
+        full = {"68": dataset42, "82": dataset82}[layout]
+        assert len(full.layout) == int(layout)
+        ds = replace(full, samples=full.samples[:rows])
+        blocks = list(dataset_blocks(ds))
+        assert len(blocks) == -(-rows // _B)
+        for k, (jsonl, csv_text) in enumerate(blocks):
+            in_block = min(_B, rows - k * _B)
+            assert jsonl.count("\n") == in_block
+            assert csv_text.count("\n") == in_block + (k == 0)  # header
+        assert "".join(j for j, _ in blocks) == legacy_formats.dataset_to_jsonl(ds)
+        assert "".join(c for _, c in blocks) == legacy_formats.features_to_csv(ds)
+        assert dataset_to_jsonl(ds) == legacy_formats.dataset_to_jsonl(ds)
+        assert features_to_csv(ds) == legacy_formats.features_to_csv(ds)
+
+    def test_empty_dataset_is_the_csv_header(self, dataset42):
+        ds = replace(dataset42, samples=())
+        assert list(dataset_blocks(ds)) == [("", legacy_formats.features_to_csv(ds))]
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: replace(s, features=np.where(np.arange(len(s.features)) == 9,
+                                               np.nan, s.features)),
+        lambda s: replace(s, label="Anomaly"),
+    ], ids=["nan-feature", "unknown-label"])
+    def test_last_sample_refused_before_any_block(self, dataset42, edit):
+        ds = replace(dataset42, samples=dataset42.samples[:-1]
+                     + (edit(dataset42.samples[-1]),))
+        with pytest.raises(DatasetError, match="sample 1599"):
+            dataset_blocks(ds)  # raises on the call, not on the first next()
+        for writer in (dataset_to_jsonl, features_to_csv):
+            with pytest.raises(DatasetError, match="sample 1599"):
+                writer(ds)
 
 
 @pytest.fixture(scope="module")
@@ -551,3 +600,40 @@ class TestLoaderChecks:
         jsonl, stats_text, meta_text = files42
         with pytest.raises(DatasetError, match="stats.json"):
             dataset_from_files(jsonl, edit(stats_text), meta_text)
+
+    def test_hand_edited_mean_rejected(self, files42):
+        jsonl, stats_text, meta_text = files42
+        doc = json.loads(stats_text)
+        doc["mean"][17] = float(np.nextafter(doc["mean"][17], np.inf))
+        with pytest.raises(DatasetError, match="stats.json: mean differs from "
+                                               "that of the 1200 train samples"):
+            dataset_from_files(jsonl, json.dumps(doc), meta_text)
+
+    def test_hand_edited_std_rejected(self, files42):
+        jsonl, stats_text, meta_text = files42
+        doc = json.loads(stats_text)
+        doc["std"][0] *= 2
+        with pytest.raises(DatasetError, match="stats.json: std differs"):
+            dataset_from_files(jsonl, json.dumps(doc), meta_text)
+
+    def test_train_id_moved_without_new_stats_rejected(self, files42):
+        def move(meta):
+            meta["splits"]["validation"].append(meta["splits"]["train"].pop())
+
+        with pytest.raises(DatasetError, match="stats.json: n differs from that "
+                                               "of the 1199 train samples"):
+            self._with_meta(files42, move)
+
+    def test_train_id_swapped_without_new_stats_rejected(self, files42):
+        def swap(meta):
+            splits = meta["splits"]
+            splits["train"][0], splits["validation"][0] = (
+                splits["validation"][0], splits["train"][0])
+
+        with pytest.raises(DatasetError, match="stats.json: mean differs"):
+            self._with_meta(files42, swap)
+
+    def test_without_stats_text_takes_train_stats(self, dataset42, files42):
+        jsonl, stats_text, meta_text = files42
+        ds = dataset_from_files(jsonl, None, meta_text)
+        assert stats_to_json(ds.stats) == stats_text
