@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import agents, detectors, evalkit, grid, promptkit, scenario
-from .errors import GridSigmaError
+from .errors import DetectorError, GridSigmaError
 
 logger = logging.getLogger(__name__)
 
@@ -143,7 +143,7 @@ def _cmd_generate(args) -> int:
     n_normal = sizes.total // 2
     if args.load_csv:
         profile = scenario.ingest_load_csv(
-            Path(args.load_csv).read_text(encoding="utf-8"), len(case.buses)
+            evalkit.read_text(Path(args.load_csv)), len(case.buses)
         )
     else:
         profile = scenario.synth_load_profile(n_normal, len(case.buses), args.seed)
@@ -168,6 +168,8 @@ def _cmd_generate(args) -> int:
 
 
 def _sizes_for(total: int) -> scenario.SplitSizes:
+    if total < 8:
+        raise GridSigmaError(f"--samples must be at least 8, got {total}")
     if total % 8 != 0:
         raise GridSigmaError(
             f"--samples must be a multiple of 8 (6:1:1 split, balanced labels), "
@@ -226,7 +228,7 @@ def _load_model(data: Path) -> detectors.DetectorModel:
     path = data / "model.json"
     if not path.exists():
         raise GridSigmaError(f"no trained model at {path}; run train-dl first")
-    return detectors.model_from_json(path.read_text(encoding="utf-8"))
+    return detectors.model_from_json(evalkit.read_text(path, DetectorError))
 
 
 def _cmd_train_dl(args) -> int:

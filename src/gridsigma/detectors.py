@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DetectorError
+from .errors import MALFORMED_DOCUMENT, DetectorError
 from .ruleoracle import top_abs_z
 from .scenario import (
     ANOMALY,
@@ -221,10 +221,11 @@ def train_autoencoder(
     since_best = 0
 
     n = x_train.shape[0]
+    shuffled = np.empty_like(x_train)  # this epoch's rows; batches are slices
     for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
+        np.take(x_train, rng.permutation(n), axis=0, out=shuffled)
         for start in range(0, n, hyper.batch):
-            batch = x_train[order[start : start + hyper.batch]]
+            batch = shuffled[start : start + hyper.batch]
             loss, _, _ = loss_and_gradients(batch, weights, biases, out=g)
             if not math.isfinite(loss):
                 raise DetectorError(f"training diverged (loss NaN) at epoch {epoch}")
@@ -410,5 +411,5 @@ def model_from_json(text: str) -> DetectorModel:
             threshold=None if doc["threshold"] is None else float(doc["threshold"]),
             train_seed=int(doc["train_seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED_DOCUMENT as exc:
         raise DetectorError(f"model.json: {type(exc).__name__}: {exc}") from None

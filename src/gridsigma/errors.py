@@ -1,5 +1,10 @@
 """Shared exception types."""
 
+# What json.loads and the int()/float()/numpy conversions of its fields raise
+# on a malformed document: a missing key, a value of the wrong type or out of
+# range (an id of 1e400 is a float infinity), nesting too deep to decode.
+MALFORMED_DOCUMENT = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
 
 class GridSigmaError(Exception):
     """Base class for all domain errors raised by this package."""

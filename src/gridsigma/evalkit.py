@@ -158,9 +158,8 @@ def load_dataset_dir(data_dir: "str | Path", recompute_stats: bool = False) -> D
         jsonl_text, digest = _text_and_digest(root / "dataset.jsonl")
         dataset = dataset_from_files(
             jsonl_text,
-            None if recompute_stats
-            else (root / "stats.json").read_text(encoding="utf-8"),
-            (root / "meta.json").read_text(encoding="utf-8"),
+            None if recompute_stats else read_text(root / "stats.json"),
+            read_text(root / "meta.json"),
         )
     except FileNotFoundError as exc:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
@@ -174,7 +173,24 @@ def _text_and_digest(path: Path) -> tuple[str, str]:
     parsed.
     """
     raw = path.read_bytes()
-    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, DatasetError) from None
+    return text, hashlib.sha256(raw).hexdigest()
+
+
+def read_text(path: Path, error: "type[GridSigmaError]" = DatasetError) -> str:
+    """The file's UTF-8 text, newlines translated as Path.read_text does;
+    bytes that are not UTF-8 raise ``error``, naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, error) from None
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError, error) -> GridSigmaError:
+    return error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
 def _config_doc(run: RunConfig) -> dict:

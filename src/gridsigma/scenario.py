@@ -12,11 +12,12 @@ import io
 import json
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import MALFORMED_DOCUMENT, DatasetError
 from .grid import FeatureLayout, GridCase, LayoutEntry, extract_features, solve_hours
 
 logger = logging.getLogger(__name__)
@@ -119,8 +120,11 @@ def synth_load_profile(hours: int, bus_count: int, seed: int) -> LoadProfile:
 
 def ingest_load_csv(text: str, bus_count: int) -> LoadProfile:
     """Read a load profile from CSV text: header row of bus ids, numeric body."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text))
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:  # e.g. a lone carriage return inside a row
+        raise DatasetError(f"CSV: {exc}") from None
     if not rows:
         raise DatasetError("empty CSV")
     header = rows[0]
@@ -152,6 +156,16 @@ def export_load_csv(profile: LoadProfile, bus_ids: list[int]) -> str:
     return out.getvalue()
 
 
+def _check_injection(k_inject: int, magnitude: float, n_features: int) -> None:
+    if not 1 <= k_inject <= n_features:
+        raise DatasetError(
+            f"k_inject must lie in [1, {n_features}] (the feature count), "
+            f"got {k_inject}"
+        )
+    if not 0.0 < magnitude < math.inf:
+        raise DatasetError(f"magnitude must be finite and positive, got {magnitude}")
+
+
 def inject_anomaly(
     features: np.ndarray,
     seed: "int | np.random.SeedSequence",
@@ -160,10 +174,7 @@ def inject_anomaly(
 ) -> tuple[np.ndarray, tuple[int, ...], tuple[float, ...]]:
     """Corrupt k distinct sensors: delta = sign * max(magnitude*|x|, A_FLOOR)."""
     n = len(features)
-    if k_inject > n:
-        raise DatasetError(f"k_inject {k_inject} exceeds feature count {n}")
-    if magnitude <= 0:
-        raise DatasetError("magnitude must be positive")
+    _check_injection(k_inject, magnitude, n)
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(n, size=k_inject, replace=False))
     signs = rng.integers(0, 2, size=k_inject) * 2 - 1
@@ -220,6 +231,7 @@ def build_dataset(
     come from the train split only. Hours whose power flow fails to converge
     are skipped with a log entry.
     """
+    _check_injection(k_inject, magnitude, len(layout))
     for name, size in (
         ("train", sizes.train),
         ("validation", sizes.validation),
@@ -396,17 +408,43 @@ def _blocks(ds: Dataset):
         ["id", "hour", "label"] + ds.layout.names()
     )
     header = out.getvalue()
-    # max(..., 1): an empty dataset still yields the CSV header.
-    for start in range(0, max(len(ds.samples), 1), _BLOCK_ROWS):
-        jsonl_lines, csv_rows = [], [] if start else [header]
-        for s in ds.samples[start : start + _BLOCK_ROWS]:
-            features = _floats_text(s.features)
-            jsonl_lines.append(_JSONL_LINE % (
-                s.id, s.hour, s.label, ",".join(map(str, s.injected)),
-                _floats_text(s.deltas), features,
-            ))
-            csv_rows.append(_CSV_ROW % (s.id, s.hour, s.label, features))
-        yield "".join(jsonl_lines), "".join(csv_rows)
+    # The features text of the first sample at each hour is kept, and a later
+    # sample at that hour with as many features formats only the cells whose
+    # float64 bits differ from it (an injected anomaly: its k changed cells).
+    # Bits, not ==, so that -0.0 and 0.0 keep their own text. The text lives
+    # in an anonymous mmap, whose pages go back to the OS when it closes:
+    # heap freed here would stay with the process and raise the peak RSS of
+    # whatever it runs next. Sample i may keep its text, ended by a newline,
+    # in slot i; 25 bytes per cell hold the longest float repr (24
+    # characters) and its comma. Slots never written take no memory.
+    slot = 25 * max((len(s.features) for s in ds.samples), default=0) + 1
+    first_at: dict[int, int] = {}  # hour -> index of its first sample
+    with mmap.mmap(-1, slot * max(len(ds.samples), 1)) as kept:
+        # max(..., 1): an empty dataset still yields the CSV header.
+        for start in range(0, max(len(ds.samples), 1), _BLOCK_ROWS):
+            jsonl_lines, csv_rows = [], [] if start else [header]
+            for i, s in enumerate(ds.samples[start : start + _BLOCK_ROWS], start):
+                values = np.asarray(s.features, dtype=float)
+                b = first_at.setdefault(s.hour, i)
+                base = np.asarray(ds.samples[b].features, dtype=float)
+                if b == i or len(base) != len(values):
+                    features = _floats_text(values)
+                else:
+                    texts = kept[b * slot : kept.find(b"\n", b * slot)]
+                    texts = texts.decode("ascii").split(",")
+                    changed = values.view(np.uint64) != base.view(np.uint64)
+                    for c in np.flatnonzero(changed).tolist():
+                        texts[c] = repr(float(values[c]))
+                    features = ",".join(texts)
+                if b == i:
+                    kept[i * slot : i * slot + len(features) + 1] = (
+                        features + "\n").encode("ascii")
+                jsonl_lines.append(_JSONL_LINE % (
+                    s.id, s.hour, s.label, ",".join(map(str, s.injected)),
+                    _floats_text(s.deltas), features,
+                ))
+                csv_rows.append(_CSV_ROW % (s.id, s.hour, s.label, features))
+            yield "".join(jsonl_lines), "".join(csv_rows)
 
 
 def dataset_to_jsonl(ds: Dataset) -> str:
@@ -496,13 +534,13 @@ def dataset_from_files(
             for name in ("train", "validation", "test")
         }
         master_seed = int(meta["master_seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED_DOCUMENT as exc:
         raise DatasetError(f"meta.json: {type(exc).__name__}: {exc}") from None
     stats = None
     if stats_text is not None:
         try:
             stats = stats_from_json(stats_text)
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED_DOCUMENT as exc:
             raise DatasetError(f"stats.json: {type(exc).__name__}: {exc}") from None
         for name, values in (("mean", stats.mean), ("std", stats.std)):
             if values.shape != (len(layout),) or not np.isfinite(values).all():
@@ -516,7 +554,7 @@ def dataset_from_files(
             continue
         try:
             sample = sample_from_record(json.loads(line))
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED_DOCUMENT as exc:
             raise DatasetError(f"dataset line {lineno}: {exc}") from None
         if sample.id != len(samples):
             raise DatasetError(

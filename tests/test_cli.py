@@ -101,6 +101,31 @@ class TestGenerate:
         assert main(["generate", "--samples", "100", "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-inject", "0"], "k_inject must lie in [1, 68]"),
+        (["--k-inject=-2"], "k_inject must lie in [1, 68]"),
+        (["--k-inject", "69"], "k_inject must lie in [1, 68]"),
+        (["--k-inject", "83", "--include-voltage"], "k_inject must lie in [1, 82]"),
+        (["--magnitude", "nan"], "magnitude must be finite and positive, got nan"),
+        (["--magnitude", "inf"], "magnitude must be finite and positive, got inf"),
+        (["--magnitude", "0"], "magnitude must be finite and positive, got 0.0"),
+        (["--magnitude=-1"], "magnitude must be finite and positive, got -1.0"),
+        (["--samples", "0"], "--samples must be at least 8, got 0"),
+        (["--samples=-8"], "--samples must be at least 8, got -8"),
+    ], ids=["k-0", "k-negative", "k-69", "k-83-voltage", "magnitude-nan",
+            "magnitude-inf", "magnitude-0", "magnitude-negative", "samples-0",
+            "samples-negative"])
+    def test_bad_injection_arguments_refused_before_solving(
+            self, tmp_path, monkeypatch, capsys, flags, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an hour was solved")
+
+        monkeypatch.setattr(scenario, "solve_hours", no_solve)
+        out = tmp_path / "d"
+        assert main(["generate", "--seed", "1", "--out", str(out), *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_ingestion_path(self, tmp_path, capsys):
         profile_csv = tmp_path / "profile.csv"
         header = ",".join(str(i) for i in range(1, 15))
@@ -281,6 +306,30 @@ class TestErrors:
         data = self._corrupted_copy(pipeline_dir, tmp_path, name, edit)
         assert main(["run", "--data", str(data)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("dataset.jsonl", ["run"]),
+        ("meta.json", ["run"]),
+        ("stats.json", ["run"]),
+        ("model.json", ["hybrid", "--reference-topz"]),
+    ])
+    def test_non_utf8_file_is_domain_error(self, pipeline_dir, tmp_path, capsys,
+                                           name, argv):
+        data = self._corrupted_copy(pipeline_dir, tmp_path, name, lambda t: t)
+        raw = (data / name).read_bytes()
+        (data / name).write_bytes(raw[:40] + b"\xff" + raw[40:])
+        assert main([argv[0], "--data", str(data), *argv[1:]]) == 1
+        assert f"{data / name}: not UTF-8 text (byte 40: invalid start byte)" in (
+            capsys.readouterr().err)
+
+    def test_non_utf8_load_csv_is_domain_error(self, tmp_path, capsys):
+        profile_csv = tmp_path / "profile.csv"
+        profile_csv.write_bytes(b"1,2,3\n0.9,\xff1.0,1.1\n")
+        out = tmp_path / "d"
+        assert main(["generate", "--samples", "80", "--out", str(out),
+                     "--load-csv", str(profile_csv)]) == 1
+        assert f"{profile_csv}: not UTF-8 text (byte 10" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_bias_is_domain_error(self, pipeline_dir, tmp_path, capsys):
         def edit(text):

@@ -448,9 +448,81 @@ def dataset82(ieee14):
 
 
 _B = scenario._BLOCK_ROWS
+# Hours drawn for rows after the prefix: 0-2 are the first prefix rows' hours
+# (when there is a prefix), 7777 is no prefix row's hour.
+_HOURS = [0, 1, 2, 7777]
+
+
+@st.composite
+def repeated_hour_datasets(draw, full):
+    """A prefix of full's first rows (none, all but the last of block 0, or
+    all of block 0), then up to 12 rows at a few repeated hours. Each such row
+    starts from the last row drawn at its hour (else a real row), may drop
+    trailing features, and has random cells set to an edge float, negated
+    (0.0 <-> -0.0) or moved one float toward zero (a repr of another
+    length)."""
+    n = len(full.layout)
+    samples = list(full.samples[: draw(st.sampled_from([0, _B - 1, _B]))])
+    last = {}
+    for _ in range(draw(st.integers(1, 12))):
+        hour = draw(st.sampled_from(_HOURS))
+        values = last.get(hour, full.samples[_HOURS.index(hour)].features).copy()
+        if draw(st.integers(0, 4)) == 0:  # another feature count
+            values = values[: draw(st.integers(1, len(values)))]
+        edits = draw(st.lists(st.tuples(
+            st.one_of(st.integers(0, 2), st.integers(0, n - 1)),  # 0-2 collide
+            st.one_of(_EDGE_FLOATS, st.sampled_from(["negate", "next"])),
+        ), max_size=4))
+        for i, edit in edits:
+            if i < len(values):
+                values[i] = (-values[i] if edit == "negate"
+                             else np.nextafter(values[i], 0.0) if edit == "next"
+                             else edit)
+        last[hour] = values
+        samples.append(Sample(id=len(samples), features=values, label=NORMAL,
+                              injected=(), deltas=(), hour=hour))
+    return replace(full, samples=tuple(samples))
 
 
 class TestDatasetBlocks:
+    @pytest.mark.parametrize("layout", ["68", "82"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_repeated_hours_equal_legacy_writers(self, dataset42, dataset82,
+                                                 layout, data):
+        ds = data.draw(repeated_hour_datasets({"68": dataset42,
+                                               "82": dataset82}[layout]))
+        blocks = list(dataset_blocks(ds))
+        assert "".join(j for j, _ in blocks) == legacy_formats.dataset_to_jsonl(ds)
+        assert "".join(c for _, c in blocks) == legacy_formats.features_to_csv(ds)
+
+    def test_signed_zero_keeps_its_text(self, dataset42):
+        # -0.0 == 0.0, so only a comparison of bits gives -0.0 its own text.
+        first = dataset42.samples[0]
+        base, later = first.features.copy(), first.features.copy()
+        base[:2] = 0.0, 5e-324
+        later[:2] = -0.0, 5e-324
+        ds = replace(dataset42, samples=(replace(first, features=base),
+                                         replace(first, id=1, features=later)))
+        jsonl = dataset_to_jsonl(ds)
+        assert jsonl == legacy_formats.dataset_to_jsonl(ds)
+        assert '"features":[-0.0,5e-324,' in jsonl.splitlines()[1]
+
+    def test_anomaly_rows_format_only_their_injected_cells(self, dataset42,
+                                                           monkeypatch):
+        formatted = []
+        floats_text = scenario._floats_text
+
+        def counting(values):
+            formatted.append(len(values))
+            return floats_text(values)
+
+        monkeypatch.setattr(scenario, "_floats_text", counting)
+        assert dataset_to_jsonl(dataset42) == legacy_formats.dataset_to_jsonl(dataset42)
+        # Features: once per normal row, whose hour is new; deltas: every row.
+        assert formatted.count(len(dataset42.layout)) == 800
+        assert formatted.count(3) == 800 and formatted.count(0) == 800
+
     @pytest.mark.parametrize("layout", ["68", "82"])
     @pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
     def test_blocks_equal_legacy_writers(self, dataset42, dataset82, layout, rows):
