@@ -28,7 +28,6 @@ from .grid import (
     default_layout,
     extract_features,
     parse_case,
-    serialize_case,
     solve_newton,
 )
 from .scenario import (

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import requests
 
-from .errors import AgentError
+from .errors import AgentError, not_utf8
 from . import promptkit, ruleoracle
 from .promptkit import ZERO_SHOT, AgentVerdict, PromptBundle, PromptConfig
 from .scenario import ANOMALY, Dataset, FeatureStats
@@ -120,7 +120,12 @@ class ResponseCache:
         path = self._path(key)
         if not path.exists():
             return None
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            # Not an AgentError: a corrupt entry stops the run instead of
+            # becoming an invalid verdict.
+            raise not_utf8(path, exc) from None
 
     def put(self, key: str, text: str) -> None:
         with self._write_lock:

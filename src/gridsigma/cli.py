@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import agents, detectors, evalkit, grid, promptkit, scenario
-from .errors import DetectorError, GridSigmaError
+from .errors import MALFORMED_DOCUMENT, DatasetError, DetectorError, GridSigmaError
 
 logger = logging.getLogger(__name__)
 
@@ -52,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the 82-sensor layout with voltage magnitudes")
     p.add_argument("--k-inject", type=int, default=3)
     p.add_argument("--magnitude", type=float, default=0.15)
-
-    p = sub.add_parser("stats", help="recompute train-split statistics")
-    p.add_argument("--data", required=True)
 
     p = sub.add_parser("render", help="print one rendered prompt")
     p.add_argument("--data", required=True)
@@ -105,9 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=["text", "md", "json"], default="text")
     p.add_argument("--out", help="also write tables under this directory")
-
-    p = sub.add_parser("export-case", help="write the embedded IEEE 14-bus case")
-    p.add_argument("--out", help="file path (stdout when omitted)")
 
     return parser
 
@@ -178,13 +172,6 @@ def _sizes_for(total: int) -> scenario.SplitSizes:
     return scenario.SplitSizes(
         train=total * 6 // 8, validation=total // 8, test=total // 8
     )
-
-
-def _cmd_stats(args) -> int:
-    stats = evalkit.load_dataset_dir(args.data, recompute_stats=True).stats
-    _write(Path(args.data) / "stats.json", scenario.stats_to_json(stats))
-    print(f"train samples: {stats.n}; features: {len(stats.mean)}")
-    return 0
 
 
 def _cmd_render(args) -> int:
@@ -296,31 +283,29 @@ def _cmd_report(args) -> int:
     manifest_dir = data / "manifests"
     if not manifest_dir.is_dir():
         raise GridSigmaError(f"no manifests under {manifest_dir}; run experiments first")
-    docs = {}
+    runs = {}  # manifest name -> (config, report)
+    zero_shot = []
     for path in sorted(manifest_dir.glob("*.json")):
-        docs[path.stem] = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(evalkit.read_text(path))
+            cfg, report = dict(doc["config"]), evalkit.report_from_manifest(doc)
+            if cfg.get("paradigm") == promptkit.ZERO_SHOT and "variant" in cfg:
+                zero_shot.append((evalkit.VARIANT_LABELS[cfg["variant"]], report))
+        except MALFORMED_DOCUMENT as exc:
+            raise DatasetError(f"{path}: {type(exc).__name__}: {exc}") from None
+        runs[path.stem] = (cfg, report)
 
     sections: list[tuple[str, str]] = []
-
-    zero_shot = [
-        (evalkit.VARIANT_LABELS[d["config"]["variant"]], evalkit.report_from_manifest(d))
-        for name, d in docs.items()
-        if d.get("config", {}).get("paradigm") == promptkit.ZERO_SHOT
-        and "variant" in d["config"]
-    ]
     if zero_shot:
         sections.append(
             ("Zero-shot ablation", evalkit.ablation_table(zero_shot, fmt=args.format))
         )
 
     paradigm_rows = []
-    for name, d in docs.items():
-        cfg = d.get("config", {})
+    for cfg, report in runs.values():
         paradigm = cfg.get("paradigm")
         if paradigm in (promptkit.FEW_SHOT, promptkit.ICL, promptkit.HYBRID_SELECT):
-            paradigm_rows.append(
-                (evalkit.PARADIGM_LABELS[paradigm], evalkit.report_from_manifest(d))
-            )
+            paradigm_rows.append((evalkit.PARADIGM_LABELS[paradigm], report))
     zs_best = [r for label, r in zero_shot if label == "Z_score"]
     if zs_best:
         paradigm_rows.append(("Zero-shot", zs_best[0]))
@@ -336,15 +321,12 @@ def _cmd_report(args) -> int:
              evalkit.ablation_table(unique_rows, fmt=args.format))
         )
 
-    dl = docs.get("dl_detector")
+    dl = runs.get("dl_detector")
     hybrid = next(
-        (d for name, d in docs.items() if name.startswith("hybrid_")), None
+        (run for name, run in runs.items() if name.startswith("hybrid_")), None
     )
     if dl and hybrid:
-        rows = [
-            ("Traditional DL", evalkit.report_from_manifest(dl)),
-            ("LLM + DL", evalkit.report_from_manifest(hybrid)),
-        ]
+        rows = [("Traditional DL", dl[1]), ("LLM + DL", hybrid[1])]
         sections.append(
             ("Traditional vs hybrid",
              evalkit.ablation_table(rows, fmt=args.format, with_lift=True))
@@ -363,25 +345,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_export_case(args) -> int:
-    text = grid.serialize_case(grid.builtin_ieee14())
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        print(text, end="")
-    return 0
-
-
 _HANDLERS = {
     "generate": _cmd_generate,
-    "stats": _cmd_stats,
     "render": _cmd_render,
     "run": _cmd_run,
     "train-dl": _cmd_train_dl,
     "hybrid": _cmd_hybrid,
     "export-finetune": _cmd_export_finetune,
     "report": _cmd_report,
-    "export-case": _cmd_export_case,
 }
 
 

@@ -78,6 +78,16 @@ class DetectorModel:
                 f"input stats hold {self.input_stats.mean.shape} values for "
                 f"{dims[0]} inputs"
             )
+        # A NaN or infinite parameter scores every input as "normal".
+        for name, values in (
+            ("weights", self.weights),
+            ("biases", self.biases),
+            ("input stats", (self.input_stats.mean, self.input_stats.std)),
+        ):
+            if not all(np.isfinite(v).all() for v in values):
+                raise DetectorError(f"{name} hold a non-finite value")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise DetectorError(f"threshold {self.threshold} is not finite")
 
 
 @dataclass(frozen=True)

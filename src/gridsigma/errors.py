@@ -38,3 +38,8 @@ class AgentError(GridSigmaError):
 
 class DetectorError(GridSigmaError):
     """Detector training, calibration, or inference failed."""
+
+
+def not_utf8(path, exc: UnicodeDecodeError, error=GridSigmaError) -> GridSigmaError:
+    """The domain error, naming the file, for bytes that are not UTF-8."""
+    return error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import AgentError, DatasetError, GridSigmaError
+from .errors import AgentError, DatasetError, GridSigmaError, not_utf8
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
 from .scenario import ANOMALY, NORMAL, Dataset, Sample, zscores
@@ -147,19 +147,15 @@ class RunConfig:
         return agents.AgentKind(self.agent)
 
 
-def load_dataset_dir(data_dir: "str | Path", recompute_stats: bool = False) -> Dataset:
-    """Load and check a dataset directory. With recompute_stats, stats.json
-    is not read and the stats come from the train split (what `gridsigma
-    stats` writes back)."""
+def load_dataset_dir(data_dir: "str | Path") -> Dataset:
+    """Load and check a dataset directory (see ``dataset_from_files``)."""
     from .scenario import dataset_from_files
 
     root = Path(data_dir)
     try:
         jsonl_text, digest = _text_and_digest(root / "dataset.jsonl")
         dataset = dataset_from_files(
-            jsonl_text,
-            None if recompute_stats else read_text(root / "stats.json"),
-            read_text(root / "meta.json"),
+            jsonl_text, read_text(root / "stats.json"), read_text(root / "meta.json")
         )
     except FileNotFoundError as exc:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
@@ -176,7 +172,7 @@ def _text_and_digest(path: Path) -> tuple[str, str]:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, DatasetError) from None
+        raise not_utf8(path, exc, DatasetError) from None
     return text, hashlib.sha256(raw).hexdigest()
 
 
@@ -186,11 +182,7 @@ def read_text(path: Path, error: "type[GridSigmaError]" = DatasetError) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, error) from None
-
-
-def _not_utf8(path: Path, exc: UnicodeDecodeError, error) -> GridSigmaError:
-    return error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+        raise not_utf8(path, exc, error) from None
 
 
 def _config_doc(run: RunConfig) -> dict:
@@ -570,7 +562,10 @@ def ablation_table(
 
 
 def report_from_manifest(doc: dict, policy: str = AS_WRONG) -> MetricsReport:
-    m = doc["metrics"].get(policy) or next(iter(doc["metrics"].values()))
+    """The manifest's metrics under ``policy``, else under the first policy it
+    holds. A malformed document raises one of errors.MALFORMED_DOCUMENT."""
+    by_policy = dict(doc["metrics"])
+    m = by_policy.get(policy) or by_policy[next(iter(by_policy), policy)]
     counts = ConfusionCounts(**m["counts"])
     return MetricsReport(
         accuracy=m["accuracy"],

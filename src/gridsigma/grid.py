@@ -19,8 +19,7 @@ SLACK = "slack"
 PV = "PV"
 PQ = "PQ"
 
-_BUS_KIND_CODE = {PQ: 1, PV: 2, SLACK: 3}
-_BUS_CODE_KIND = {v: k for k, v in _BUS_KIND_CODE.items()}
+_BUS_CODE_KIND = {1: PQ, 2: PV, 3: SLACK}
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class Generator:
     bus: int
     p_set: float  # pu
     v_set: float  # pu
-    q_min: float  # pu
+    q_min: float  # pu; read from the case text, not enforced by the solver
     q_max: float  # pu
 
 
@@ -279,94 +278,6 @@ def parse_case(text: str) -> GridCase:
     return case
 
 
-def serialize_case(case: GridCase) -> str:
-    """Render a GridCase back to case text; parse_case(serialize_case(c)) == c."""
-    base = case.base_mva
-    mva = _exact_emitter(lambda v: v * base, lambda s: s / base)
-    deg = _exact_emitter(math.degrees, math.radians)
-    out = [f"baseMVA {_fmt(case.base_mva)}", ""]
-    out.append("bus")
-    out.append("# id type Pd_MW Qd_MVAr Gs_MW Bs_MVAr Vm_pu Va_deg")
-    for b in case.buses:
-        out.append(
-            " ".join(
-                [
-                    str(b.id),
-                    str(_BUS_KIND_CODE[b.kind]),
-                    mva(b.p_load),
-                    mva(b.q_load),
-                    mva(b.g_shunt),
-                    mva(b.b_shunt),
-                    _fmt(b.v_mag_init),
-                    deg(b.v_ang_init),
-                ]
-            )
-        )
-    out.append("")
-    out.append("gen")
-    out.append("# bus Pg_MW Vset_pu Qmin_MVAr Qmax_MVAr")
-    for g in case.gens:
-        out.append(
-            " ".join(
-                [
-                    str(g.bus),
-                    mva(g.p_set),
-                    _fmt(g.v_set),
-                    mva(g.q_min),
-                    mva(g.q_max),
-                ]
-            )
-        )
-    out.append("")
-    out.append("branch")
-    out.append("# from to r_pu x_pu b_pu tap shift_deg status")
-    for br in case.branches:
-        out.append(
-            " ".join(
-                [
-                    str(br.from_bus),
-                    str(br.to_bus),
-                    _fmt(br.r),
-                    _fmt(br.x),
-                    _fmt(br.b_charging),
-                    _fmt(br.tap),
-                    deg(br.shift),
-                    "1" if br.in_service else "0",
-                ]
-            )
-        )
-    out.append("")
-    return "\n".join(out)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _exact_emitter(encode, decode):
-    """Emit file-unit text whose re-parse reproduces the stored value bit-exactly.
-
-    Unit conversion rounds twice, so the nearest file-unit float may miss the
-    stored value by an ulp; probe neighbouring floats for an exact preimage.
-    """
-
-    def emit(value: float) -> str:
-        candidate = encode(value)
-        probe = candidate
-        for _ in range(4):
-            if decode(float(repr(probe))) == value:
-                return repr(probe)
-            probe = math.nextafter(probe, math.inf)
-        probe = math.nextafter(candidate, -math.inf)
-        for _ in range(4):
-            if decode(float(repr(probe))) == value:
-                return repr(probe)
-            probe = math.nextafter(probe, -math.inf)
-        return repr(candidate)
-
-    return emit
-
-
 def _parse_float(tok: str, lineno: int) -> float:
     try:
         return float(tok)
@@ -513,15 +424,15 @@ def solve_newton(
     load_scale: "np.ndarray | list[float] | None" = None,
     tol: float = 1e-8,
     max_iter: int = 20,
-    enforce_q_limits: bool = False,
 ) -> PowerFlowSolution:
-    """Solve the AC power flow from the case's stored initial voltages.
+    """Solve one hour's AC power flow from the case's stored initial voltages.
 
     ``load_scale`` multiplies each bus's P and Q load (defaults to ones).
-    Convergence requires the max absolute P mismatch over non-slack buses
-    and Q mismatch over PQ buses to fall to ``tol`` or below. Raises
-    PowerFlowError on non-convergence, a singular Jacobian or a non-finite
-    mismatch.
+    PV buses hold their voltage set points whatever reactive power that
+    takes: generator Q limits are not enforced. Convergence requires the
+    max absolute P mismatch over non-slack buses and Q mismatch over PQ
+    buses to fall to ``tol`` or below. Raises PowerFlowError on
+    non-convergence, a singular Jacobian or a non-finite mismatch.
     """
     case.validate()
     n = len(case.buses)
@@ -533,13 +444,9 @@ def solve_newton(
             f"load_scale length {load_scale.shape} does not match bus count {n}"
         )
     ybus, s_spec, v_mag, v_ang, pv, pq = _newton_setup(case, load_scale[None, :], tol)
-    if enforce_q_limits:
-        state = _newton_q_limited(
-            case, ybus, s_spec, load_scale, v_mag, v_ang, pv, pq, tol, max_iter
-        )
-    else:
-        state = _newton_stack(ybus, s_spec, v_mag, v_ang, pv, pq, tol, max_iter)
-    v_mag, v_ang, s_calc, iterations, max_mismatch, errors = state
+    v_mag, v_ang, s_calc, iterations, max_mismatch, errors = _newton_stack(
+        ybus, s_spec, v_mag, v_ang, pv, pq, tol, max_iter
+    )
     if errors[0] is not None:
         raise PowerFlowError(errors[0])
     return _solution(
@@ -588,52 +495,6 @@ def _solution(case, v_mag, v_ang, s_calc, iterations, max_mismatch) -> PowerFlow
         iterations=iterations,
         max_mismatch=max_mismatch,
     )
-
-
-def _newton_q_limited(
-    case: GridCase,
-    ybus: np.ndarray,
-    s_spec: np.ndarray,
-    load_scale: np.ndarray,
-    v_mag: np.ndarray,
-    v_ang: np.ndarray,
-    pv: list[int],
-    pq: list[int],
-    tol: float,
-    max_iter: int,
-):
-    """Converge, pin Q-limit violators to PQ at the limit, re-solve until stable.
-
-    Solves one hour: ``s_spec`` is (1, n) and ``load_scale`` is (n,).
-    """
-    idx = case.bus_index()
-    q_lim: dict[int, tuple[float, float]] = {}
-    for g in case.gens:
-        i = idx[g.bus]
-        lo, hi = q_lim.get(i, (0.0, 0.0))
-        q_lim[i] = (lo + g.q_min, hi + g.q_max)
-    s_work = s_spec.copy()
-    for _ in range(len(case.buses)):
-        state = _newton_stack(ybus, s_work, v_mag, v_ang, pv, pq, tol, max_iter)
-        v_mag, v_ang, s_calc, _, _, errors = state
-        if errors[0] is not None:
-            return state
-        switched = False
-        for i in list(pv):
-            q_gen = s_calc[0, i].imag + case.buses[i].q_load * load_scale[i]
-            lo, hi = q_lim[i]
-            if q_gen < lo or q_gen > hi:
-                pinned = lo if q_gen < lo else hi
-                s_work[0, i] = complex(
-                    s_work[0, i].real, pinned - case.buses[i].q_load * load_scale[i]
-                )
-                pv.remove(i)
-                pq.append(i)
-                pq.sort()
-                switched = True
-        if not switched:
-            return state
-    raise PowerFlowError("reactive-limit enforcement did not settle")
 
 
 def _newton_stack(
@@ -768,12 +629,6 @@ def branch_flows(case: GridCase, v_mag: np.ndarray, v_ang: np.ndarray):
     s_from = np.where(in_service, v_f * np.conj(y_ff * v_f + y_ft * v_t), 0)
     s_to = np.where(in_service, v_t * np.conj(y_tf * v_f + y_tt * v_t), 0)
     return s_from, s_to
-
-
-def active_losses(case: GridCase, sol: PowerFlowSolution) -> float:
-    """Total active power dissipated in branches (pu)."""
-    s_from, s_to = branch_flows(case, sol.v_mag, sol.v_ang)
-    return float(np.sum(s_from.real + s_to.real))
 
 
 def extract_features(sol: PowerFlowSolution, layout: FeatureLayout) -> np.ndarray:

@@ -147,15 +147,6 @@ def ingest_load_csv(text: str, bus_count: int) -> LoadProfile:
     return LoadProfile(hours=len(body), scale=np.asarray(body, dtype=float))
 
 
-def export_load_csv(profile: LoadProfile, bus_ids: list[int]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(bus_ids)
-    for row in profile.scale:
-        writer.writerow([repr(float(v)) for v in row])
-    return out.getvalue()
-
-
 def _check_injection(k_inject: int, magnitude: float, n_features: int) -> None:
     if not 1 <= k_inject <= n_features:
         raise DatasetError(
@@ -509,16 +500,13 @@ def _lines(text: str):
         start = end + 1
 
 
-def dataset_from_files(
-    jsonl_text: str, stats_text: "str | None", meta_text: str
-) -> Dataset:
+def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Dataset:
     """Parse and check a dataset's three files.
 
     Line i of dataset.jsonl must hold sample id i with one finite feature per
     layout sensor; every split id must name a sample and lie in one split
     only; the stats must have one finite mean and std per layout sensor and
-    equal, exactly, compute_stats over the train split. With stats_text None
-    the dataset takes those computed stats instead.
+    equal, exactly, compute_stats over the train split.
     """
     try:
         meta = json.loads(meta_text)
@@ -536,17 +524,15 @@ def dataset_from_files(
         master_seed = int(meta["master_seed"])
     except MALFORMED_DOCUMENT as exc:
         raise DatasetError(f"meta.json: {type(exc).__name__}: {exc}") from None
-    stats = None
-    if stats_text is not None:
-        try:
-            stats = stats_from_json(stats_text)
-        except MALFORMED_DOCUMENT as exc:
-            raise DatasetError(f"stats.json: {type(exc).__name__}: {exc}") from None
-        for name, values in (("mean", stats.mean), ("std", stats.std)):
-            if values.shape != (len(layout),) or not np.isfinite(values).all():
-                raise DatasetError(
-                    f"stats.json: {name} must hold {len(layout)} finite values"
-                )
+    try:
+        stats = stats_from_json(stats_text)
+    except MALFORMED_DOCUMENT as exc:
+        raise DatasetError(f"stats.json: {type(exc).__name__}: {exc}") from None
+    for name, values in (("mean", stats.mean), ("std", stats.std)):
+        if values.shape != (len(layout),) or not np.isfinite(values).all():
+            raise DatasetError(
+                f"stats.json: {name} must hold {len(layout)} finite values"
+            )
 
     samples = []
     for lineno, line in enumerate(_lines(jsonl_text), start=1):
@@ -576,19 +562,16 @@ def dataset_from_files(
                 raise DatasetError(f"meta.json: id {i} is listed more than once")
             seen.add(i)
     train_stats = compute_stats([samples[i] for i in splits["train"]])
-    if stats is None:
-        stats = train_stats
-    else:
-        for name, ours, theirs in (
-            ("n", stats.n, train_stats.n),
-            ("mean", stats.mean, train_stats.mean),
-            ("std", stats.std, train_stats.std),
-        ):
-            if not np.array_equal(ours, theirs):
-                raise DatasetError(
-                    f"stats.json: {name} differs from that of the "
-                    f"{train_stats.n} train samples in meta.json"
-                )
+    for name, ours, theirs in (
+        ("n", stats.n, train_stats.n),
+        ("mean", stats.mean, train_stats.mean),
+        ("std", stats.std, train_stats.std),
+    ):
+        if not np.array_equal(ours, theirs):
+            raise DatasetError(
+                f"stats.json: {name} differs from that of the "
+                f"{train_stats.n} train samples in meta.json"
+            )
     return Dataset(
         samples=tuple(samples),
         splits=splits,

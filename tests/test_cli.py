@@ -1,12 +1,13 @@
 import hashlib
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import legacy_formats
-from gridsigma import cli, evalkit, parse_case, scenario
+from gridsigma import cli, evalkit, scenario
 from gridsigma.cli import main
 
 
@@ -34,6 +35,17 @@ def _generate_capturing(monkeypatch, out, *flags, edit=lambda ds: ds):
 
     monkeypatch.setattr(cli.scenario, "build_dataset", capture)
     return main(["generate", "--seed", "3", "--out", str(out), *flags]), built[0]
+
+
+def _write_train_stats(data):
+    """Rewrite stats.json from the train split that meta.json names, as
+    `generate` computes it."""
+    meta = json.loads((data / "meta.json").read_text())
+    lines = (data / "dataset.jsonl").read_text().splitlines()
+    train = [scenario.sample_from_record(json.loads(lines[i]))
+             for i in meta["splits"]["train"]]
+    (data / "stats.json").write_text(
+        scenario.stats_to_json(scenario.compute_stats(train)))
 
 
 def _spoil_last_sample(changes):
@@ -228,10 +240,6 @@ class TestRunAndReport:
 
 
 class TestOtherCommands:
-    def test_stats_recompute(self, pipeline_dir, capsys):
-        assert main(["stats", "--data", str(pipeline_dir)]) == 0
-        assert "train samples: 300" in capsys.readouterr().out
-
     def test_render_prints_prompt(self, pipeline_dir, capsys):
         assert main(["render", "--data", str(pipeline_dir), "--sample", "1",
                      "--paradigm", "icl", "--variant", "mean_std_value_z"]) == 0
@@ -247,16 +255,6 @@ class TestOtherCommands:
         assert len(lines) == 300
         record = json.loads(lines[0])
         assert [m["role"] for m in record["messages"]] == ["user", "assistant"]
-
-    def test_export_case_round_trips(self, tmp_path, capsys):
-        out_file = tmp_path / "case14.txt"
-        assert main(["export-case", "--out", str(out_file)]) == 0
-        case = parse_case(out_file.read_text())
-        assert len(case.buses) == 14
-
-    def test_export_case_stdout(self, capsys):
-        assert main(["export-case"]) == 0
-        assert "baseMVA" in capsys.readouterr().out
 
     def test_write_is_byte_exact_across_slices(self, tmp_path, capsys):
         text = "é€x\n" * 300_000  # 1.2 million characters: two slices
@@ -274,6 +272,14 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--frobnicate", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["stats", "--data", "d"], ["export-case"]],
+                             ids=["stats", "export-case"])
+    def test_removed_subcommand_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sample_id", ["5000", "-3"])
     def test_render_unknown_sample_is_domain_error(self, pipeline_dir, capsys, sample_id):
@@ -341,6 +347,46 @@ class TestErrors:
         assert main(["hybrid", "--data", str(data), "--reference-topz"]) == 1
         assert "layer 0 bias shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(threshold=float("inf")), "threshold inf is not finite"),
+        (lambda doc: doc["weights"][1][0].__setitem__(2, float("nan")),
+         "weights hold a non-finite value"),
+    ], ids=["inf-threshold", "nan-weight"])
+    def test_non_finite_model_is_domain_error(self, pipeline_dir, tmp_path, capsys,
+                                              edit, message):
+        def edit_text(text):
+            doc = json.loads(text)
+            edit(doc)
+            return json.dumps(doc)  # writes Infinity and NaN, which json.loads reads
+
+        data = self._corrupted_copy(pipeline_dir, tmp_path, "model.json", edit_text)
+        assert main(["hybrid", "--data", str(data), "--reference-topz"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:40] + b"\xff" + raw[40:],
+         "not UTF-8 text (byte 40: invalid start byte)"),
+        (lambda raw: raw[:200], "JSONDecodeError"),
+        (lambda raw: b'{"config": {"paradigm": "few_shot"}}', "KeyError: 'metrics'"),
+        (lambda raw: b'{"config": {}, "metrics": []}', "KeyError: 'as_wrong'"),
+    ], ids=["non-utf8", "truncated", "keyless", "metrics-list"])
+    def test_malformed_manifest_is_domain_error(self, pipeline_dir, tmp_path, capsys,
+                                                edit, message):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_dir / "manifests", data / "manifests")
+        path = data / "manifests" / "zero_shot_z_only_reference_rule.json"
+        path.write_bytes(edit(path.read_bytes()))
+        assert main(["report", "--data", str(data)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_non_utf8_cache_entry_is_domain_error(self, pipeline_dir, tmp_path, capsys):
+        data = self._corrupted_copy(pipeline_dir, tmp_path, None, None)  # unmodified
+        shutil.copytree(pipeline_dir / "cache", data / "cache")
+        for entry in (data / "cache").rglob("*.txt"):
+            entry.write_bytes(b"\xff" + entry.read_bytes())
+        assert main(["run", "--data", str(data)]) == 1
+        assert "not UTF-8 text (byte 0: invalid start byte)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, message", [
         (["--batch", "0"], "batch must be >= 1, got 0"),
         (["--batch", "-5"], "batch must be >= 1, got -5"),
@@ -375,8 +421,7 @@ class TestErrors:
         data = self._corrupted_copy(pipeline_dir, tmp_path, "meta.json", move)
         assert main(["run", "--data", str(data)]) == 1
         assert "stats.json: n differs" in capsys.readouterr().err
-        assert main(["stats", "--data", str(data)]) == 0
-        assert "train samples: 299" in capsys.readouterr().out
+        _write_train_stats(data)
         assert main(["run", "--data", str(data)]) == 0
 
     def test_hybrid_refuses_model_trained_on_other_stats(self, pipeline_dir, tmp_path,
@@ -389,7 +434,7 @@ class TestErrors:
 
         data = self._corrupted_copy(pipeline_dir, tmp_path, "meta.json",
                                     halve_train_split)
-        assert main(["stats", "--data", str(data)]) == 0
+        _write_train_stats(data)
         assert main(["hybrid", "--data", str(data), "--reference-topz"]) == 1
         assert "trained on other stats (n=300)" in capsys.readouterr().err
 

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridsigma import detectors
+import legacy_formats
+from gridsigma import detectors, grid
 from gridsigma.errors import DatasetError, DetectorError, GridSigmaError
-from gridsigma.grid import builtin_ieee14, default_layout, parse_case, serialize_case
+from gridsigma.grid import builtin_ieee14, default_layout, parse_case
 from gridsigma.scenario import (
     FeatureStats,
     SplitSizes,
     build_dataset,
     dataset_from_files,
     dataset_to_jsonl,
-    export_load_csv,
     ingest_load_csv,
     meta_to_json,
     stats_to_json,
@@ -92,8 +92,8 @@ def _tiny_model_json() -> str:
 
 
 _MODEL_JSON = _tiny_model_json()
-_CASE_TEXT = serialize_case(builtin_ieee14())
-_LOAD_CSV = export_load_csv(synth_load_profile(4, 3, seed=2), [1, 2, 3])
+_CASE_TEXT = grid.IEEE14_CASE_TEXT
+_LOAD_CSV = legacy_formats.export_load_csv(synth_load_profile(4, 3, seed=2), [1, 2, 3])
 
 
 _TOO_BIG = [("number", 0.0, "1e400", 1)]  # a float infinity in the first number

@@ -28,7 +28,6 @@ from gridsigma.scenario import (
     dataset_blocks,
     dataset_from_files,
     dataset_to_jsonl,
-    export_load_csv,
     features_to_csv,
     ingest_load_csv,
     inject_anomaly,
@@ -95,7 +94,7 @@ class TestLoadCsv:
 
     def test_round_trip(self):
         profile = synth_load_profile(24, 4, seed=3)
-        text = export_load_csv(profile, [1, 2, 3, 4])
+        text = legacy_formats.export_load_csv(profile, [1, 2, 3, 4])
         again = ingest_load_csv(text, 4)
         assert again.hours == profile.hours
         assert np.array_equal(again.scale, profile.scale)
@@ -704,8 +703,3 @@ class TestLoaderChecks:
 
         with pytest.raises(DatasetError, match="stats.json: mean differs"):
             self._with_meta(files42, swap)
-
-    def test_without_stats_text_takes_train_stats(self, dataset42, files42):
-        jsonl, stats_text, meta_text = files42
-        ds = dataset_from_files(jsonl, None, meta_text)
-        assert stats_to_json(ds.stats) == stats_text
