@@ -1,9 +1,10 @@
 """Agent execution: HTTP chat endpoints, deterministic mocks, disk cache.
 
 The wire protocol is the OpenAI-compatible chat-completions POST. Every
-completion (mock or network) is recorded in a content-addressed cache keyed
-by digest(prompt text, model name, temperature), so re-running a batch with
-the same cache does no network work and is fully auditable.
+network completion is recorded in a content-addressed cache keyed by
+digest(prompt text, model name, temperature), so re-running a batch with the
+same cache does no network work and is fully auditable. Mock replies are a
+pure function of the prompt, so they are recomputed and never cached.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ class AgentKind:
     def __post_init__(self):
         if self.kind not in (HTTP_ENDPOINT, REFERENCE_RULE, ALWAYS_NORMAL, COIN_FLIP):
             raise AgentError(f"unknown agent kind {self.kind!r}")
-
-    def model_label(self, endpoint: EndpointConfig | None) -> str:
-        if self.kind == HTTP_ENDPOINT:
-            if endpoint is None:
-                raise AgentError("http_endpoint agent requires an endpoint config")
-            return endpoint.model_name
-        if self.kind == COIN_FLIP:
-            return f"mock:coin_flip:{self.seed}"
-        return f"mock:{self.kind}"
 
 
 def cache_key(prompt_text: str, model_name: str, temperature: float) -> str:
@@ -201,19 +193,22 @@ def complete(
     endpoint: EndpointConfig | None = None,
     cache: ResponseCache | None = None,
 ) -> str:
-    """Produce one completion, consulting and recording the cache."""
-    model = agent.model_label(endpoint)
-    temperature = endpoint.temperature if endpoint is not None else 0.0
-    key = cache_key(prompt.text, model, temperature)
+    """Produce one completion.
+
+    An HTTP completion is looked up in the cache first and recorded there
+    after; a mock agent's reply is computed every time and never touches
+    the cache.
+    """
+    if agent.kind != HTTP_ENDPOINT:
+        return _mock_complete(prompt, agent)
+    if endpoint is None:
+        raise AgentError("http_endpoint agent requires an endpoint config")
+    key = cache_key(prompt.text, endpoint.model_name, endpoint.temperature)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    if agent.kind == HTTP_ENDPOINT:
-        assert endpoint is not None  # model_label already checked
-        text = _http_complete(prompt, endpoint)
-    else:
-        text = _mock_complete(prompt, agent)
+    text = _http_complete(prompt, endpoint)
     if cache is not None:
         cache.put(key, text)
     return text
@@ -233,8 +228,6 @@ def complete_batch(
     """
     if not prompts:
         raise AgentError("empty prompt batch")
-    if cache is None:
-        cache = ResponseCache()
 
     def one(prompt: PromptBundle) -> str | AgentError:
         try:
@@ -246,6 +239,8 @@ def complete_batch(
     if agent.kind == HTTP_ENDPOINT:
         if endpoint is None:
             raise AgentError("http_endpoint agent requires an endpoint config")
+        if cache is None:
+            cache = ResponseCache()
         workers = min(endpoint.max_in_flight, len(prompts))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, prompts))
@@ -278,22 +273,27 @@ def export_finetune_dataset(
 
     The user message is the zero-shot rendering of each train sample; the
     assistant message carries the ground-truth injection label with the rule
-    verdict's explanation.
+    verdict's explanation. For a true anomaly the rule misses, the
+    explanation names its strongest injected sensor and says it stays below
+    the threshold, so no record answers "anomaly" with an all-clear.
     """
     if not train:
         raise AgentError("train split is empty")
     if config is None:
         config = PromptConfig(paradigm=ZERO_SHOT)
     lines = []
-    for sample in train:
-        bundle = promptkit.render_prompt(sample, stats, config, [], layout)
+    bundles = promptkit.render_prompts(train, stats, config, [], layout)
+    for sample, bundle in zip(train, bundles):
         agent_view = ruleoracle.reference_agent(bundle)
         if agent_view.parse_mode == promptkit.FAILED:
             raise AgentError(
                 f"could not render a gold answer for sample {sample.id}: "
                 f"{agent_view.rationale}"
             )
-        answer = f"{sample.label}\n{agent_view.rationale}"
+        rationale = agent_view.rationale
+        if sample.label == ANOMALY and agent_view.label != ANOMALY:
+            rationale = ruleoracle.missed_rationale(bundle, sample.injected)
+        answer = f"{sample.label}\n{rationale}"
         record = {
             "messages": [
                 {"role": "user", "content": bundle.text},

@@ -60,6 +60,13 @@ def top_abs_z(abs_z, m: int) -> list[int]:
     return sorted(range(len(abs_z)), key=lambda i: (-abs_z[i], i))[:m]
 
 
+def _read_abs_z(prompt: PromptBundle) -> tuple[promptkit.ValueBlockTable, np.ndarray]:
+    """The prompt's target value block and the |z| of each of its sensors;
+    raises PromptError for a block that does not parse."""
+    table = promptkit.parse_value_block(promptkit.target_value_block(prompt.text))
+    return table, _abs_z_from_table(table)
+
+
 def _abs_z_from_table(table: promptkit.ValueBlockTable) -> np.ndarray:
     """Recover |z| per sensor, inferring mean/std from values when absent."""
     cols = set(table.columns)
@@ -90,6 +97,21 @@ def rationale_for(
     return f"all measurements lie within {thr} standard deviations"
 
 
+def missed_rationale(prompt: PromptBundle, injected) -> str:
+    """Explanation of a true anomaly the rule misses on this prompt.
+
+    Names the injected sensor (a feature index) with the largest |z| as
+    reference_agent reads it from the value block, ties toward the lower
+    index, and says that it stays below the threshold. |z| is formatted as
+    in rationale_for. Meant for a prompt reference_agent answers with a
+    valid verdict, and a non-empty ``injected``.
+    """
+    table, abs_z = _read_abs_z(prompt)
+    strongest = min(injected, key=lambda i: (-abs_z[i], i))
+    thr = promptkit.format_threshold(prompt.config.threshold)
+    return f"sensor {table.names[strongest]} |z|={abs_z[strongest]:.4f} is below {thr}"
+
+
 def _invalid(problem: str, detail: str) -> AgentVerdict:
     return AgentVerdict(
         label=INVALID,
@@ -108,8 +130,7 @@ def reference_agent(prompt: PromptBundle) -> AgentVerdict:
     yields an invalid verdict with a diagnostic.
     """
     try:
-        table = promptkit.parse_value_block(promptkit.target_value_block(prompt.text))
-        abs_z = _abs_z_from_table(table)
+        table, abs_z = _read_abs_z(prompt)
     except PromptError as exc:
         return _invalid("value block could not be parsed", str(exc))
     unknown = np.flatnonzero(np.isnan(abs_z))

@@ -360,8 +360,10 @@ _JSONL_LINE = (
     '{"id":%d,"hour":%d,"label":"%s",'
     '"injected":[%s],"deltas":[%s],"features":[%s]}\n'
 )
-# One features.csv row: id, hour, label, then the features as in the JSONL line.
-_CSV_ROW = "%d,%d,%s,%s\n"
+# One features.csv row: id, hour, label, then the features as in the JSONL
+# line; the comma before them is a field of its own, left empty for a sample
+# with no features, whose row ends at its label as csv.writer writes it.
+_CSV_ROW = "%d,%d,%s%s%s\n"
 # Samples per block of dataset_blocks: bounds the text held between writes.
 _BLOCK_ROWS = 256
 
@@ -434,7 +436,8 @@ def _blocks(ds: Dataset):
                     s.id, s.hour, s.label, ",".join(map(str, s.injected)),
                     _floats_text(s.deltas), features,
                 ))
-                csv_rows.append(_CSV_ROW % (s.id, s.hour, s.label, features))
+                csv_rows.append(_CSV_ROW % (
+                    s.id, s.hour, s.label, "," if features else "", features))
             yield "".join(jsonl_lines), "".join(csv_rows)
 
 
@@ -550,6 +553,11 @@ def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Data
             raise DatasetError(
                 f"dataset line {lineno}: {len(sample.features)} features, "
                 f"layout has {len(layout)}"
+            )
+        if any(not 0 <= i < len(layout) for i in sample.injected):
+            raise DatasetError(
+                f"dataset line {lineno}: injected {list(sample.injected)} "
+                f"outside the {len(layout)} features"
             )
         samples.append(sample)
 

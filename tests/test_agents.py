@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 
@@ -125,12 +126,24 @@ class TestCache:
         assert len(stub_server.requests) == n_after_first  # zero new calls
         assert [v.raw for v in first] == [v.raw for v in second]
 
-    def test_mock_completions_recorded(self, bundles, tmp_path):
+    @pytest.mark.parametrize("agent", [
+        AgentKind(agents.REFERENCE_RULE),
+        AgentKind(agents.ALWAYS_NORMAL),
+        AgentKind(agents.COIN_FLIP, seed=7),
+    ], ids=lambda a: a.kind)
+    def test_mock_completions_never_cached(self, bundles, tmp_path, agent):
+        # A mock reply is a pure function of the prompt: it is recomputed on
+        # every call and leaves nothing in the cache directory.
         cache = ResponseCache(tmp_path / "cache")
-        agent = AgentKind(agents.REFERENCE_RULE)
-        raw = complete(bundles[0], agent, cache=cache)
-        key = cache_key(bundles[0].text, "mock:reference_rule", 0.0)
-        assert cache.get(key) == raw
+        expected = {
+            agents.REFERENCE_RULE: ruleoracle.reference_agent(bundles[0]).raw,
+            agents.ALWAYS_NORMAL: "normal\nNo measurement exceeds the rule.",
+            agents.COIN_FLIP: "normal\nCoin-flip verdict.",
+        }[agent.kind]
+        assert complete(bundles[0], agent, cache=cache) == expected
+        assert complete(bundles[0], agent, cache=cache) == expected
+        run_batch(bundles, agent, cache=cache)
+        assert not (tmp_path / "cache").exists()
 
 
 class TestHttpAgent:
@@ -272,6 +285,46 @@ class TestFinetuneExport:
             record = json.loads(line)
             answer = record["messages"][1]["content"]
             assert answer.splitlines()[0] == sample.label
+
+    def test_rationale_agrees_with_label(self, dataset42):
+        # A normal record gives the all-clear. An anomaly record names an
+        # injected sensor: one at or above the threshold where the rule fires,
+        # else the injected sensor with the largest |z| in the prompt's value
+        # block, below the threshold.
+        text = export_finetune_from_dataset(dataset42)
+        train = dataset42.split_samples("train")
+        names = dataset42.layout.names()
+        pattern = re.compile(r"sensor (\S+) \|z\|=(\d+\.\d{4}) (exceeds|is below) 3\.0")
+        missed = 0
+        for sample, line in zip(train, text.splitlines(), strict=True):
+            user, answer = (m["content"] for m in json.loads(line)["messages"])
+            label, rationale = answer.split("\n")
+            assert label == sample.label
+            if label == NORMAL:
+                assert rationale == "all measurements lie within 3.0 standard deviations"
+                continue
+            match = pattern.fullmatch(rationale)
+            assert match, rationale
+            name, shown, relation = match.groups()
+            assert name in [names[i] for i in sample.injected]
+            table = promptkit.parse_value_block(promptkit.target_value_block(user))
+            abs_z = dict(zip(table.names, table.cells["|z|"]))
+            assert shown == f"{abs_z[name]:.4f}"
+            if relation == "exceeds":
+                assert abs_z[name] >= 3.0
+            else:
+                missed += 1
+                assert abs_z[name] == max(abs_z[names[i]] for i in sample.injected) < 3.0
+        assert missed == 27
+
+    def test_user_messages_are_the_zero_shot_prompts(self, dataset42):
+        text = export_finetune_from_dataset(dataset42)
+        cfg = PromptConfig(paradigm="zero_shot")
+        train = dataset42.split_samples("train")
+        for sample, line in list(zip(train, text.splitlines()))[::50]:
+            user = json.loads(line)["messages"][0]["content"]
+            assert user == promptkit.render_prompt(
+                sample, dataset42.stats, cfg, [], dataset42.layout).text
 
     def test_empty_train_rejected(self, dataset42):
         with pytest.raises(AgentError):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import legacy_formats
-from gridsigma import cli, evalkit, scenario
+from gridsigma import agents, cli, evalkit, scenario
 from gridsigma.cli import main
 
 
@@ -187,6 +188,13 @@ class TestRunAndReport:
         assert "LLM + DL" in out
         assert (pipeline_dir / "manifests" / "hybrid_reference_rule.json").exists()
 
+    def test_mock_agents_write_no_cache(self, pipeline_dir, capsys):
+        # The fixture ran `run --agent reference`; mock replies are recomputed
+        # on every run, so neither command leaves a cache directory.
+        assert not (pipeline_dir / "cache").exists()
+        assert main(["hybrid", "--data", str(pipeline_dir), "--agent", "reference"]) == 0
+        assert not (pipeline_dir / "cache").exists()
+
     def test_hybrid_with_nonselecting_agent_falls_back(self, pipeline_dir, capsys):
         # Coin-flip replies carry no sensor names: every selection falls back
         # to full-feature scoring but the run still produces metrics.
@@ -306,7 +314,10 @@ class TestErrors:
          "stats.json: mean must hold 68"),
         ("dataset.jsonl", lambda t: t.replace('"label":"normal"', '"label":"ok"', 1),
          "label 'ok'"),
-    ], ids=["truncated-meta", "meta-key", "stats-length", "label"])
+        ("dataset.jsonl", lambda t: re.sub(r'(anomaly","injected":\[)\d+', r"\g<1>68", t,
+                                          count=1),
+         "outside the 68 features"),
+    ], ids=["truncated-meta", "meta-key", "stats-length", "label", "injected-index"])
     def test_malformed_dataset_is_domain_error(self, pipeline_dir, tmp_path, capsys,
                                                name, edit, message):
         data = self._corrupted_copy(pipeline_dir, tmp_path, name, edit)
@@ -379,13 +390,25 @@ class TestErrors:
         assert main(["report", "--data", str(data)]) == 1
         assert f"{path}: {message}" in capsys.readouterr().err
 
-    def test_non_utf8_cache_entry_is_domain_error(self, pipeline_dir, tmp_path, capsys):
+    def test_non_utf8_cache_entry_is_domain_error(self, pipeline_dir, tmp_path, capsys,
+                                                  stub_server, monkeypatch):
+        # Only HTTP replies are cached: fill the cache from the stub endpoint,
+        # corrupt every entry, and rerun against the same cache.
+        monkeypatch.setenv(agents.ENV_BASE_URL,
+                           f"http://127.0.0.1:{stub_server.server_address[1]}")
+        monkeypatch.setenv(agents.ENV_MODEL, "stub-model")
+        monkeypatch.delenv(agents.ENV_API_KEY, raising=False)
         data = self._corrupted_copy(pipeline_dir, tmp_path, None, None)  # unmodified
-        shutil.copytree(pipeline_dir / "cache", data / "cache")
-        for entry in (data / "cache").rglob("*.txt"):
+        assert main(["run", "--data", str(data), "--agent", "http"]) == 0
+        sent = len(stub_server.requests)
+        entries = list((data / "cache").rglob("*.txt"))
+        assert len(entries) == sent > 0
+        for entry in entries:
             entry.write_bytes(b"\xff" + entry.read_bytes())
-        assert main(["run", "--data", str(data)]) == 1
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--agent", "http"]) == 1
         assert "not UTF-8 text (byte 0: invalid start byte)" in capsys.readouterr().err
+        assert len(stub_server.requests) == sent
 
     @pytest.mark.parametrize("flags, message", [
         (["--batch", "0"], "batch must be >= 1, got 0"),

@@ -539,6 +539,15 @@ class TestDatasetBlocks:
         assert dataset_to_jsonl(ds) == legacy_formats.dataset_to_jsonl(ds)
         assert features_to_csv(ds) == legacy_formats.features_to_csv(ds)
 
+    def test_zero_feature_rows_end_at_the_label(self, dataset42):
+        # Two samples at one hour, so the second reuses the first's text.
+        first = replace(dataset42.samples[0], features=np.zeros(0))
+        ds = replace(dataset42, layout=FeatureLayout(()),
+                     samples=(first, replace(first, id=1)))
+        csv_text = "".join(c for _, c in dataset_blocks(ds))
+        assert csv_text == legacy_formats.features_to_csv(ds)
+        assert csv_text.splitlines()[1:] == ["0,0,normal", "1,0,normal"]
+
     def test_empty_dataset_is_the_csv_header(self, dataset42):
         ds = replace(dataset42, samples=())
         assert list(dataset_blocks(ds)) == [("", legacy_formats.features_to_csv(ds))]
