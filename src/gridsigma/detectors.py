@@ -211,8 +211,8 @@ def train_autoencoder(
         holdout = max(1, len(normals) // 10)
         val_normals = normals[-holdout:]
         normals = normals[:-holdout]
-    x_train = np.stack([zscores(s.features, stats) for s in normals])
-    x_val = np.stack([zscores(s.features, stats) for s in val_normals])
+    x_train = zscores(np.stack([s.features for s in normals]), stats)
+    x_val = zscores(np.stack([s.features for s in val_normals]), stats)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     theta = _flat(*_init_params(layer_dims, rng))
@@ -233,7 +233,9 @@ def train_autoencoder(
     n = x_train.shape[0]
     shuffled = np.empty_like(x_train)  # this epoch's rows; batches are slices
     for epoch in range(hyper.epochs):
-        np.take(x_train, rng.permutation(n), axis=0, out=shuffled)
+        # mode="clip" writes straight into out ("raise" buffers it first);
+        # every index of a permutation is in range, so the rows are the same.
+        np.take(x_train, rng.permutation(n), axis=0, out=shuffled, mode="clip")
         for start in range(0, n, hyper.batch):
             batch = shuffled[start : start + hyper.batch]
             loss, _, _ = loss_and_gradients(batch, weights, biases, out=g)
@@ -279,13 +281,20 @@ def train_autoencoder(
 
 
 def reconstruction_error(model: DetectorModel, features: np.ndarray):
-    """Per-feature squared residuals on the standardized input, plus the mean."""
+    """Per-feature squared residuals on the standardized input, plus the mean.
+
+    A NaN or infinite feature raises DetectorError: its residual would
+    compare as "normal" (NaN) or always as "anomaly" (inf).
+    """
     if len(features) != model.layer_dims[0]:
         raise DetectorError(
             f"feature length {len(features)} does not match model input "
             f"{model.layer_dims[0]}"
         )
-    x = zscores(np.asarray(features, dtype=float), model.input_stats)
+    features = np.asarray(features, dtype=float)
+    if not np.isfinite(features).all():
+        raise DetectorError("feature vector holds a non-finite value")
+    x = zscores(features, model.input_stats)
     x_hat = _forward(x[None, :], list(model.weights), list(model.biases))[-1][0]
     residuals = (x_hat - x) ** 2
     return residuals, float(residuals.mean())

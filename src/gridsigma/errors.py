@@ -40,6 +40,8 @@ class DetectorError(GridSigmaError):
     """Detector training, calibration, or inference failed."""
 
 
-def not_utf8(path, exc: UnicodeDecodeError, error=GridSigmaError) -> GridSigmaError:
-    """The domain error, naming the file, for bytes that are not UTF-8."""
-    return error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+def not_utf8(path, exc: UnicodeDecodeError, error=GridSigmaError,
+             offset: int = 0) -> GridSigmaError:
+    """The domain error, naming the file, for bytes that are not UTF-8; offset
+    is the file offset of the bytes that were decoded."""
+    return error(f"{path}: not UTF-8 text (byte {offset + exc.start}: {exc.reason})")

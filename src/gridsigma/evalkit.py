@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -147,33 +148,64 @@ class RunConfig:
         return agents.AgentKind(self.agent)
 
 
+# Bytes per read of dataset.jsonl: the loader holds one chunk and one
+# unfinished line, never the file.
+_CHUNK_BYTES = 1 << 18
+
+
 def load_dataset_dir(data_dir: "str | Path") -> Dataset:
-    """Load and check a dataset directory (see ``dataset_from_files``)."""
+    """Load and check a dataset directory (see ``dataset_from_files``).
+
+    dataset.jsonl is streamed: read in chunks that update its sha256, split
+    into lines and parsed as they arrive.
+    """
     from .scenario import dataset_from_files
 
     root = Path(data_dir)
+    path = root / "dataset.jsonl"
+    digest = hashlib.sha256()
     try:
-        jsonl_text, digest = _text_and_digest(root / "dataset.jsonl")
-        dataset = dataset_from_files(
-            jsonl_text, read_text(root / "stats.json"), read_text(root / "meta.json")
-        )
+        with path.open("rb") as fh:
+            dataset = dataset_from_files(
+                _utf8_lines(fh, path, digest),
+                read_text(root / "stats.json"),
+                read_text(root / "meta.json"),
+            )
     except FileNotFoundError as exc:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
-    return replace(dataset, jsonl_digest=digest)
+    return replace(dataset, jsonl_digest=digest.hexdigest())
 
 
-def _text_and_digest(path: Path) -> tuple[str, str]:
-    """The file's UTF-8 text and the sha256 of its bytes.
+def _utf8_lines(fh, path: Path, digest) -> Iterator[str]:
+    """The lines of the binary file fh, decoded and without their newline;
+    each chunk read updates digest.
 
-    The bytes are dropped on return, so they are not held while the text is
-    parsed.
+    Bytes are split on b"\n" before they are decoded: a newline byte never
+    falls inside a UTF-8 sequence, so a character split across two chunks
+    stays whole in its line. Bytes that are not UTF-8 raise DatasetError,
+    naming the file and the offset in it.
     """
-    raw = path.read_bytes()
+    tail = b""  # the unfinished line
+    offset = 0  # file offset of tail's first byte
+    while chunk := fh.read(_CHUNK_BYTES):
+        digest.update(chunk)
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            tail += chunk
+            continue
+        whole = tail + chunk[:cut]
+        yield from _decode(whole, path, offset)[:-1].split("\n")  # ends with \n
+        offset += len(whole)
+        tail = chunk[cut:]
+    if tail:
+        yield _decode(tail, path, offset)
+
+
+def _decode(data: bytes, path: Path, offset: int) -> str:
     try:
-        text = raw.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc, DatasetError) from None
-    return text, hashlib.sha256(raw).hexdigest()
+        raise not_utf8(path, exc, DatasetError, offset) from None
 
 
 def read_text(path: Path, error: "type[GridSigmaError]" = DatasetError) -> str:

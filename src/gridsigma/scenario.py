@@ -13,6 +13,8 @@ import json
 import logging
 import math
 import mmap
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +51,11 @@ class LoadProfile:
             raise DatasetError("load multipliers must lie in (0, 4)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     id: int
+    # build_dataset and dataset_from_files make it a read-only row view of
+    # the dataset's one (n, d) feature matrix.
     features: np.ndarray
     label: str  # normal | anomaly
     injected: tuple[int, ...]  # sorted feature indices
@@ -192,15 +196,15 @@ def compute_stats(samples: list[Sample], split: str = "train") -> FeatureStats:
 
 
 def zscores(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    """(value - mean) / max(std, 1e-12), elementwise."""
-    if len(features) != len(stats.mean):
+    """(value - mean) / max(std, 1e-12), elementwise, for one feature vector
+    or a matrix of them, one per row."""
+    features = np.asarray(features, dtype=float)
+    if features.shape[-1:] != stats.mean.shape:
         raise DatasetError(
-            f"feature length {len(features)} does not match stats length "
-            f"{len(stats.mean)}"
+            f"feature length {features.shape[-1] if features.ndim else 0} does "
+            f"not match stats length {len(stats.mean)}"
         )
-    return (np.asarray(features, dtype=float) - stats.mean) / np.maximum(
-        stats.std, STD_FLOOR
-    )
+    return (features - stats.mean) / np.maximum(stats.std, STD_FLOOR)
 
 
 def build_dataset(
@@ -244,7 +248,9 @@ def build_dataset(
         )
 
     # Solve the hours still needed in stacked chunks, until enough converged.
-    base_features = np.empty((n_normal, len(layout)))
+    # The normal rows come first in the one feature matrix, then the injected.
+    matrix = np.empty((n_total, len(layout)))
+    base_features = matrix[:n_normal]
     hours_used: list[int] = []
     hour = 0
     while len(hours_used) < n_normal and hour < profile.hours:
@@ -267,36 +273,24 @@ def build_dataset(
             f"only {len(hours_used)} of {n_normal} required hours converged"
         )
 
-    samples: list[Sample] = []
-    for i in range(n_normal):
-        samples.append(
-            Sample(
-                id=i,
-                features=base_features[i],
-                label=NORMAL,
-                injected=(),
-                deltas=(),
-                hour=hours_used[i],
-            )
-        )
+    injections = []
     for j in range(n_anomalous):
-        b = j % n_normal
         feats, injected, deltas = inject_anomaly(
-            base_features[b],
+            base_features[j % n_normal],
             np.random.SeedSequence([seed, _TAG_INJECT, j]),
             k_inject=k_inject,
             magnitude=magnitude,
         )
-        samples.append(
-            Sample(
-                id=n_normal + j,
-                features=feats,
-                label=ANOMALY,
-                injected=injected,
-                deltas=deltas,
-                hour=hours_used[b],
-            )
-        )
+        matrix[n_normal + j] = feats
+        injections.append((injected, deltas))
+    matrix.flags.writeable = False
+    # Anomaly j copies normal sample j % n_normal, so sample i keeps the hour
+    # of normal i % n_normal.
+    samples = [
+        Sample(id=i, features=matrix[i], label=ANOMALY if injected else NORMAL,
+               injected=injected, deltas=deltas, hour=hours_used[i % n_normal])
+        for i, (injected, deltas) in enumerate([((), ())] * n_normal + injections)
+    ]
 
     rng = _child_rng(seed, _TAG_SPLIT)
     normal_ids = rng.permutation(n_normal)
@@ -327,31 +321,6 @@ def build_dataset(
 
 # --------------------------------------------------------------------------
 # Persistence: JSONL samples, JSON stats/meta, CSV feature export
-
-
-def sample_from_record(rec: dict) -> Sample:
-    label = rec["label"]
-    if label not in (NORMAL, ANOMALY):
-        raise ValueError(f"label {label!r} is neither {NORMAL!r} nor {ANOMALY!r}")
-    injected = tuple(int(i) for i in rec["injected"])
-    deltas = tuple(float(d) for d in rec["deltas"])
-    features = np.asarray(rec["features"], dtype=float)
-    if (label == ANOMALY) != bool(injected):
-        raise ValueError(f"label {label!r} inconsistent with injected {injected}")
-    if len(deltas) != len(injected):
-        raise ValueError("deltas and injected lengths differ")
-    if features.ndim != 1:
-        raise ValueError("features is not a flat list")
-    if not (np.isfinite(features).all() and all(map(math.isfinite, deltas))):
-        raise ValueError("non-finite feature or delta")
-    return Sample(
-        id=int(rec["id"]),
-        features=features,
-        label=label,
-        injected=injected,
-        deltas=deltas,
-        hour=int(rec["hour"]),
-    )
 
 
 # One dataset.jsonl line: compact JSON with the keys in this order, and each
@@ -503,13 +472,19 @@ def _lines(text: str):
         start = end + 1
 
 
-def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Dataset:
-    """Parse and check a dataset's three files.
+def dataset_from_files(
+    jsonl: "str | Iterable[str]", stats_text: str, meta_text: str
+) -> Dataset:
+    """Parse and check a dataset's three files; dataset.jsonl comes as its
+    text or as its lines, without their newlines, one at a time.
 
     Line i of dataset.jsonl must hold sample id i with one finite feature per
     layout sensor; every split id must name a sample and lie in one split
     only; the stats must have one finite mean and std per layout sensor and
     equal, exactly, compute_stats over the train split.
+
+    The features go into one read-only (n, d) matrix, and each sample's
+    features are a row view of it.
     """
     try:
         meta = json.loads(meta_text)
@@ -537,30 +512,11 @@ def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Data
                 f"stats.json: {name} must hold {len(layout)} finite values"
             )
 
-    samples = []
-    for lineno, line in enumerate(_lines(jsonl_text), start=1):
-        if not line.strip():
-            continue
-        try:
-            sample = sample_from_record(json.loads(line))
-        except MALFORMED_DOCUMENT as exc:
-            raise DatasetError(f"dataset line {lineno}: {exc}") from None
-        if sample.id != len(samples):
-            raise DatasetError(
-                f"dataset line {lineno}: id {sample.id}, expected {len(samples)}"
-            )
-        if len(sample.features) != len(layout):
-            raise DatasetError(
-                f"dataset line {lineno}: {len(sample.features)} features, "
-                f"layout has {len(layout)}"
-            )
-        if any(not 0 <= i < len(layout) for i in sample.injected):
-            raise DatasetError(
-                f"dataset line {lineno}: injected {list(sample.injected)} "
-                f"outside the {len(layout)} features"
-            )
-        samples.append(sample)
-
+    samples = _parse_jsonl(
+        _lines(jsonl) if isinstance(jsonl, str) else jsonl,
+        len(layout),
+        sum(map(len, splits.values())),  # the sample count of a generated file
+    )
     seen: set = set()
     for name, ids in splits.items():
         for i in ids:
@@ -581,9 +537,89 @@ def dataset_from_files(jsonl_text: str, stats_text: str, meta_text: str) -> Data
                 f"{train_stats.n} train samples in meta.json"
             )
     return Dataset(
-        samples=tuple(samples),
+        samples=samples,
         splits=splits,
         layout=layout,
         stats=stats,
         master_seed=master_seed,
+    )
+
+
+def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int):
+    """The samples of dataset.jsonl's lines. Their features are row views of
+    one read-only matrix, allocated for the expected count of rows and grown
+    past it when needed.
+
+    Each line's features go straight into their matrix row. Its other fields
+    go into flat arrays, outside the Python object heap, and the Sample
+    objects are built only after the last line: objects kept from the loop
+    would pin heap arenas that its freed per-line floats leave behind.
+    """
+    matrix = np.empty((max(rows, 1), n_features))
+    hours = array("q")
+    anomalous = bytearray()
+    injected = array("q")  # every sample's injected indices, one after another
+    deltas = array("d")
+    ends = array("q", [0])  # sample i's indices and deltas are [ends[i], ends[i+1])
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        n = len(hours)
+        try:
+            rec = json.loads(line)
+            label = rec["label"]
+            if label not in (NORMAL, ANOMALY):
+                raise ValueError(
+                    f"label {label!r} is neither {NORMAL!r} nor {ANOMALY!r}")
+            indices = tuple(int(i) for i in rec["injected"])
+            shifts = tuple(float(d) for d in rec["deltas"])
+            features = rec["features"]
+            sample_id, hour = int(rec["id"]), int(rec["hour"])
+            if (label == ANOMALY) != bool(indices):
+                raise ValueError(
+                    f"label {label!r} inconsistent with injected {indices}")
+            if len(shifts) != len(indices):
+                raise ValueError("deltas and injected lengths differ")
+            if type(features) is not list:
+                raise ValueError("features is not a flat list")
+            if not (all(map(math.isfinite, features))
+                    and all(map(math.isfinite, shifts))):
+                raise ValueError("non-finite feature or delta")
+            if sample_id != n:
+                raise DatasetError(
+                    f"dataset line {lineno}: id {sample_id}, expected {n}")
+            if len(features) != n_features:
+                raise DatasetError(
+                    f"dataset line {lineno}: {len(features)} features, "
+                    f"layout has {n_features}"
+                )
+            if any(not 0 <= i < n_features for i in indices):
+                raise DatasetError(
+                    f"dataset line {lineno}: injected {list(indices)} "
+                    f"outside the {n_features} features"
+                )
+            if n == len(matrix):
+                # No view of the matrix exists yet, so it may move.
+                matrix.resize((2 * n, n_features), refcheck=False)
+            matrix[n] = features
+            hours.append(hour)  # OverflowError beyond int64
+        except MALFORMED_DOCUMENT as exc:
+            raise DatasetError(f"dataset line {lineno}: {exc}") from None
+        anomalous.append(label == ANOMALY)
+        injected.extend(indices)
+        deltas.extend(shifts)
+        ends.append(len(injected))
+    n = len(hours)
+    matrix.resize((n, n_features), refcheck=False)
+    matrix.flags.writeable = False
+    return tuple(
+        Sample(
+            id=i,
+            features=matrix[i],
+            label=ANOMALY if anomalous[i] else NORMAL,
+            injected=tuple(injected[ends[i] : ends[i + 1]]),
+            deltas=tuple(deltas[ends[i] : ends[i + 1]]),
+            hour=hours[i],
+        )
+        for i in range(n)
     )

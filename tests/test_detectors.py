@@ -420,6 +420,36 @@ class TestDetect:
         assert flagged / total >= 0.9
 
 
+class TestNonFiniteInput:
+    """Unrefused, a NaN feature scores as "normal" and an infinite one as
+    "anomaly" whatever the threshold."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def bad_features(self, request, dataset42):
+        features = dataset42.split_samples("test")[0].features.copy()
+        features[5] = request.param
+        return features
+
+    def test_reconstruction_error_refuses(self, model42, bad_features):
+        with pytest.raises(DetectorError, match="non-finite"):
+            reconstruction_error(model42, bad_features)
+
+    def test_detect_refuses(self, model42, bad_features):
+        with pytest.raises(DetectorError, match="non-finite"):
+            detect(model42, bad_features)
+
+    @pytest.mark.parametrize("selection", [
+        FeatureSelection(sample_id=0, ranked=(), source=SOURCE_FULL),
+        FeatureSelection(sample_id=0, ranked=(1, 2), source=SOURCE_REFERENCE),
+        FeatureSelection(sample_id=0, ranked=(5,), source=SOURCE_REFERENCE),
+    ], ids=["full", "other-sensors", "that-sensor"])
+    def test_hybrid_refuses(self, model42, bad_features, selection):
+        with pytest.raises(DetectorError, match="non-finite"):
+            hybrid_score(model42, selection, bad_features)
+        with pytest.raises(DetectorError, match="non-finite"):
+            hybrid_detect(model42, selection, 0.5, bad_features)
+
+
 class TestStandardizationConsistency:
     def test_power_of_two_rescale_keeps_decisions(self, model42, dataset42):
         # x' = 4x with stats recomputed in the same units: standardized values

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 
 from gridsigma import agents, evalkit, promptkit
 from gridsigma.detectors import SOURCE_FULL, SOURCE_LLM, reference_selector
-from gridsigma.errors import GridSigmaError
+from gridsigma.errors import DatasetError, GridSigmaError
+from gridsigma.grid import builtin_ieee14, default_layout
 from gridsigma.evalkit import (
     AS_WRONG,
     EXCLUDED,
@@ -23,7 +27,17 @@ from gridsigma.evalkit import (
     run_experiment,
     run_hybrid_experiment,
 )
-from gridsigma.scenario import ANOMALY, NORMAL, zscores
+from gridsigma.scenario import (
+    ANOMALY,
+    NORMAL,
+    SplitSizes,
+    build_dataset,
+    dataset_to_jsonl,
+    meta_to_json,
+    stats_to_json,
+    synth_load_profile,
+    zscores,
+)
 from gridsigma.ruleoracle import three_sigma_label
 
 from http_stub import endpoint_for
@@ -339,3 +353,124 @@ class TestAblationTable:
         table = ablation_table(rows, fmt="md")
         assert table.startswith("| Configuration")
         assert "| Zero-shot" in table
+
+
+def _write_dataset(data, jsonl: bytes, stats_text: str, meta_text: str):
+    data.mkdir(parents=True, exist_ok=True)
+    (data / "dataset.jsonl").write_bytes(jsonl)
+    (data / "stats.json").write_text(stats_text, encoding="utf-8")
+    (data / "meta.json").write_text(meta_text, encoding="utf-8")
+    return data
+
+
+@pytest.fixture(scope="module")
+def tiny_files():
+    """A 6-sample dataset and its three files: dataset.jsonl as bytes."""
+    case = builtin_ieee14()
+    ds = build_dataset(case, synth_load_profile(3, len(case.buses), seed=1),
+                       default_layout(case),
+                       sizes=SplitSizes(train=2, validation=2, test=2), seed=1)
+    return ds, dataset_to_jsonl(ds).encode(), stats_to_json(ds.stats), meta_to_json(ds)
+
+
+def _same_samples(loaded, built):
+    assert len(loaded.samples) == len(built.samples)
+    for a, b in zip(loaded.samples, built.samples):
+        assert (a.id, a.hour, a.label, a.injected, a.deltas) == (
+            b.id, b.hour, b.label, b.injected, b.deltas)
+        assert a.features.tobytes() == b.features.tobytes()
+
+
+class TestStreamedLoader:
+    """load_dataset_dir with dataset.jsonl read a few bytes at a time, so
+    lines and characters fall across chunk boundaries."""
+
+    @pytest.fixture(autouse=True, params=[1, 5, 7])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(evalkit, "_CHUNK_BYTES", request.param)
+
+    def test_multibyte_character_across_chunks(self, tiny_files, tmp_path):
+        ds, jsonl, stats_text, meta_text = tiny_files
+        # Keys the loader does not read may hold any text: é, € and an emoji
+        # take 2, 3 and 4 bytes, so the small chunks split each of them.
+        jsonl = jsonl.replace(b'{"id":1,', '{"note":"é€\U0001F600","id":1,'.encode(), 1)
+        assert "€".encode() in jsonl
+        data = _write_dataset(tmp_path / "d", jsonl, stats_text, meta_text)
+        loaded = evalkit.load_dataset_dir(data)
+        _same_samples(loaded, ds)
+        assert loaded.jsonl_digest == hashlib.sha256(jsonl).hexdigest()
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.rstrip(b"\n"),
+        lambda raw: b"\n" + raw.replace(b"\n", b"\n\n", 3) + b"\n  \n",
+        lambda raw: raw.replace(b"\n", b"\r\n"),
+    ], ids=["no-final-newline", "blank-lines", "crlf"])
+    def test_line_endings(self, tiny_files, tmp_path, edit):
+        ds, jsonl, stats_text, meta_text = tiny_files
+        jsonl = edit(jsonl)
+        data = _write_dataset(tmp_path / "d", jsonl, stats_text, meta_text)
+        loaded = evalkit.load_dataset_dir(data)
+        _same_samples(loaded, ds)
+        assert loaded.jsonl_digest == hashlib.sha256(jsonl).hexdigest()
+
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0], ids=["first", "middle", "last"])
+    def test_non_utf8_byte_gives_file_offset(self, tiny_files, tmp_path, where):
+        _, jsonl, stats_text, meta_text = tiny_files
+        # Inside a line; "last" makes it the last byte of a file that does
+        # not end in a newline.
+        at = int(where * (len(jsonl) - 2)) + 1
+        jsonl = jsonl[:at] + b"\xff" + jsonl[at:]
+        data = _write_dataset(tmp_path / "d", jsonl.rstrip(b"\n"), stats_text,
+                              meta_text)
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{data / 'dataset.jsonl'}: not UTF-8 text "
+                f"(byte {at}: invalid start byte)")):
+            evalkit.load_dataset_dir(data)
+
+    def test_truncated_character_at_end_gives_file_offset(self, tiny_files, tmp_path):
+        _, jsonl, stats_text, meta_text = tiny_files
+        data = _write_dataset(tmp_path / "d", jsonl + "é".encode()[:1], stats_text,
+                              meta_text)
+        with pytest.raises(DatasetError, match=re.escape(
+                f"not UTF-8 text (byte {len(jsonl)}: unexpected end of data)")):
+            evalkit.load_dataset_dir(data)
+
+
+@pytest.fixture(scope="module")
+def dir42(dataset42, tmp_path_factory):
+    """The seed-42 dataset's files, as `generate` writes them."""
+    return _write_dataset(tmp_path_factory.mktemp("d42"),
+                          dataset_to_jsonl(dataset42).encode(),
+                          stats_to_json(dataset42.stats), meta_to_json(dataset42))
+
+
+class TestLoadedDataset:
+    def test_digest_is_that_of_the_file(self, dir42):
+        raw = (dir42 / "dataset.jsonl").read_bytes()
+        assert len(raw) > 4 * evalkit._CHUNK_BYTES  # read in several chunks
+        loaded = evalkit.load_dataset_dir(dir42)
+        assert loaded.jsonl_digest == hashlib.sha256(raw).hexdigest()
+
+    def test_features_bit_equal_and_read_only(self, dir42, dataset42):
+        loaded = evalkit.load_dataset_dir(dir42)
+        _same_samples(loaded, dataset42)
+        for ds in (loaded, dataset42):
+            first, last = ds.samples[0].features, ds.samples[-1].features
+            # Row views of one (n, d) matrix.
+            assert first.base is last.base is not None
+            assert first.base.shape == (len(ds.samples), len(ds.layout))
+            with pytest.raises(ValueError, match="read-only"):
+                last[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                first.base[0, 0] = 1.0
+
+    def test_traced_peak_stays_below_one_and_a_half_files(self, dir42):
+        size = (dir42 / "dataset.jsonl").stat().st_size
+        tracemalloc.start()
+        try:
+            evalkit.load_dataset_dir(dir42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Holding the file's bytes and its decoded text took 2.35 files.
+        assert peak < 1.5 * size

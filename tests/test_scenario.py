@@ -608,6 +608,15 @@ class TestLoaderChecks:
         edit(meta)
         return dataset_from_files(jsonl, stats_text, json.dumps(meta))
 
+    def test_samples_outside_the_splits_load(self, files42, dataset42):
+        # The matrix is allocated for the 1400 split ids and grows to 1600 rows.
+        ds = self._with_meta(files42, lambda meta: meta["splits"].update(test=[]))
+        assert len(ds.samples) == 1600
+        assert ds.samples[0].features.base.shape == (1600, 68)
+        for a, b in zip(ds.samples, dataset42.samples):
+            assert a.features.tobytes() == b.features.tobytes()
+        assert dataset_to_jsonl(ds) == files42[0]
+
     @pytest.mark.parametrize("bad_id", [99999, -1, 1600, 2.0, "3"])
     def test_split_id_out_of_range_rejected(self, files42, bad_id):
         def edit(meta):
