@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 from . import agents, detectors, evalkit, grid, promptkit, scenario
-from .errors import MALFORMED_DOCUMENT, DatasetError, DetectorError, GridSigmaError
+from .errors import (
+    MALFORMED_DOCUMENT, AgentError, DatasetError, DetectorError, GridSigmaError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -190,23 +192,27 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    data = Path(args.data)
-    run = evalkit.RunConfig(
-        paradigm=_RUN_PARADIGMS[args.paradigm],
-        variant=args.variant,
-        agent=_AGENT_CHOICES[args.agent],
-        data_dir=str(data),
-        example_seed=args.seed,
-        coin_seed=args.seed,
+def _run_config(args, prompt: promptkit.PromptConfig) -> evalkit.RunConfig:
+    # --seed seeds both the examples and a coin flip; every manifest records it.
+    return evalkit.RunConfig(
+        prompt=prompt,
+        agent=agents.AgentKind(_AGENT_CHOICES[args.agent], seed=args.seed),
         invalid_policy=args.invalid_policy,
-        k_examples=args.k,
         endpoint=_endpoint_for(args.agent),
     )
+
+
+def _cmd_run(args) -> int:
+    data = Path(args.data)
+    run = _run_config(args, promptkit.PromptConfig(
+        paradigm=_RUN_PARADIGMS[args.paradigm], variant=args.variant,
+        k_examples=args.k, example_seed=args.seed,
+    ))
     report, manifest = evalkit.run_experiment(
-        run, cache=agents.ResponseCache(data / "cache"), out_dir=data / "manifests"
+        run, evalkit.load_dataset_dir(data),
+        cache=agents.ResponseCache(data / "cache"), out_dir=data / "manifests",
     )
-    _print_report(report, evalkit.PARADIGM_LABELS[run.paradigm], args.format)
+    _print_report(report, evalkit.PARADIGM_LABELS[run.prompt.paradigm], args.format)
     print(f"wrote {manifest['path']}")
     return 0
 
@@ -247,21 +253,13 @@ def _cmd_train_dl(args) -> int:
 
 def _cmd_hybrid(args) -> int:
     data = Path(args.data)
-    run = evalkit.RunConfig(
-        paradigm=promptkit.HYBRID_SELECT,
-        variant=promptkit.VARIANT_Z_ONLY,
-        agent=_AGENT_CHOICES[args.agent],
-        data_dir=str(data),
-        example_seed=args.seed,
-        coin_seed=args.seed,
-        invalid_policy=args.invalid_policy,
-        m_select=args.m,
-        endpoint=_endpoint_for(args.agent),
-    )
+    run = _run_config(args, promptkit.PromptConfig(
+        paradigm=promptkit.HYBRID_SELECT, example_seed=args.seed, m_select=args.m,
+    ))
     model = _load_model(data)
-    cache = agents.ResponseCache(data / "cache")
     report, manifest = evalkit.run_hybrid_experiment(
-        run, model, cache=cache, out_dir=data / "manifests",
+        run, model, evalkit.load_dataset_dir(data),
+        cache=agents.ResponseCache(data / "cache"), out_dir=data / "manifests",
         use_reference_selector=args.reference_topz,
     )
     _print_report(report, "LLM + DL", args.format)
@@ -279,66 +277,17 @@ def _cmd_export_finetune(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = Path(args.data)
-    manifest_dir = data / "manifests"
+    manifest_dir = Path(args.data) / "manifests"
     if not manifest_dir.is_dir():
         raise GridSigmaError(f"no manifests under {manifest_dir}; run experiments first")
-    runs = {}  # manifest name -> (config, report)
-    zero_shot = []
+    runs = []
     for path in sorted(manifest_dir.glob("*.json")):
         try:
-            doc = json.loads(evalkit.read_text(path))
-            cfg, report = dict(doc["config"]), evalkit.report_from_manifest(doc)
-            if cfg.get("paradigm") == promptkit.ZERO_SHOT and "variant" in cfg:
-                zero_shot.append((evalkit.VARIANT_LABELS[cfg["variant"]], report))
-        except MALFORMED_DOCUMENT as exc:
+            runs.append(evalkit.manifest_run(json.loads(evalkit.read_text(path))))
+        except (*MALFORMED_DOCUMENT, AgentError) as exc:
             raise DatasetError(f"{path}: {type(exc).__name__}: {exc}") from None
-        runs[path.stem] = (cfg, report)
-
-    sections: list[tuple[str, str]] = []
-    if zero_shot:
-        sections.append(
-            ("Zero-shot ablation", evalkit.ablation_table(zero_shot, fmt=args.format))
-        )
-
-    paradigm_rows = []
-    for cfg, report in runs.values():
-        paradigm = cfg.get("paradigm")
-        if paradigm in (promptkit.FEW_SHOT, promptkit.ICL, promptkit.HYBRID_SELECT):
-            paradigm_rows.append((evalkit.PARADIGM_LABELS[paradigm], report))
-    zs_best = [r for label, r in zero_shot if label == "Z_score"]
-    if zs_best:
-        paradigm_rows.append(("Zero-shot", zs_best[0]))
-    if paradigm_rows:
-        seen = set()
-        unique_rows = []
-        for label, rep in paradigm_rows:
-            if label not in seen:
-                seen.add(label)
-                unique_rows.append((label, rep))
-        sections.append(
-            ("Prompting paradigms",
-             evalkit.ablation_table(unique_rows, fmt=args.format))
-        )
-
-    dl = runs.get("dl_detector")
-    hybrid = next(
-        (run for name, run in runs.items() if name.startswith("hybrid_")), None
-    )
-    if dl and hybrid:
-        rows = [("Traditional DL", dl[1]), ("LLM + DL", hybrid[1])]
-        sections.append(
-            ("Traditional vs hybrid",
-             evalkit.ablation_table(rows, fmt=args.format, with_lift=True))
-        )
-
-    if not sections:
-        raise GridSigmaError("no reportable manifests found")
-    chunks = []
-    for title, table in sections:
-        chunks.append(f"## {title}\n{table}" if args.format != "json" else table)
-    output = "\n".join(chunks)
-    print(output, end="" if output.endswith("\n") else "\n")
+    output = evalkit.build_report(runs, args.format)
+    print(output, end="")
     if args.out:
         ext = {"text": "txt", "md": "md", "json": "json"}[args.format]
         _write(Path(args.out) / f"report.{ext}", output)

@@ -120,32 +120,18 @@ def lift(new: float, old: float) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    paradigm: str = promptkit.ZERO_SHOT
-    variant: str = promptkit.VARIANT_Z_ONLY
-    agent: str = agents.REFERENCE_RULE  # agent kind name
-    data_dir: str = "data"
-    example_seed: int = 7
-    coin_seed: int = 7
+    """One run's identity: what the prompts are and which agent answers them."""
+
+    prompt: PromptConfig = PromptConfig()
+    agent: agents.AgentKind = agents.AgentKind(agents.REFERENCE_RULE)
     invalid_policy: str = AS_WRONG
-    k_examples: int = -1  # -1 = paradigm default
-    m_select: int = 8
-    decimals: int = 4
     endpoint: "agents.EndpointConfig | None" = None
 
-    def prompt_config(self) -> PromptConfig:
-        return PromptConfig(
-            paradigm=self.paradigm,
-            variant=self.variant,
-            k_examples=self.k_examples,
-            example_seed=self.example_seed,
-            decimals=self.decimals,
-            m_select=self.m_select,
-        )
 
-    def agent_kind(self) -> agents.AgentKind:
-        if self.agent == agents.COIN_FLIP:
-            return agents.AgentKind(self.agent, seed=self.coin_seed)
-        return agents.AgentKind(self.agent)
+def agent_label(agent: agents.AgentKind) -> str:
+    """The agent kind, plus the seed for a coin flip: it names manifests and
+    report rows."""
+    return f"{agent.kind}{agent.seed}" if agent.kind == agents.COIN_FLIP else agent.kind
 
 
 # Bytes per read of dataset.jsonl: the loader holds one chunk and one
@@ -218,16 +204,17 @@ def read_text(path: Path, error: "type[GridSigmaError]" = DatasetError) -> str:
 
 
 def _config_doc(run: RunConfig) -> dict:
+    prompt = run.prompt
     return {
-        "paradigm": run.paradigm,
-        "variant": run.variant,
-        "agent": run.agent,
-        "example_seed": run.example_seed,
-        "coin_seed": run.coin_seed,
+        "paradigm": prompt.paradigm,
+        "variant": prompt.variant,
+        "agent": run.agent.kind,
+        "example_seed": prompt.example_seed,
+        "coin_seed": run.agent.seed,
         "invalid_policy": run.invalid_policy,
-        "k_examples": run.k_examples,
-        "m_select": run.m_select,
-        "decimals": run.decimals,
+        "k_examples": prompt.k_examples,
+        "m_select": prompt.m_select,
+        "decimals": prompt.decimals,
         "model": run.endpoint.model_name if run.endpoint else None,
     }
 
@@ -289,7 +276,7 @@ def _score_and_persist(
 
 def run_experiment(
     run: RunConfig,
-    dataset: Dataset | None = None,
+    dataset: Dataset,
     cache: "agents.ResponseCache | None" = None,
     out_dir: "str | Path | None" = None,
 ) -> tuple[MetricsReport, dict]:
@@ -299,12 +286,8 @@ def run_experiment(
     run manifest (also written to out_dir when given). Examples come from
     the train split only; any example ids are excluded from the targets.
     """
-    if dataset is None:
-        dataset = load_dataset_dir(run.data_dir)
-    cfg = run.prompt_config()
-    agent = run.agent_kind()
     examples = promptkit.select_examples(
-        dataset.split_samples("train"), cfg, dataset.stats
+        dataset.split_samples("train"), run.prompt, dataset.stats
     )
     example_ids = {s.id for s in examples}
     targets = [
@@ -313,9 +296,9 @@ def run_experiment(
     if not targets:
         raise DatasetError("test split is empty")
     bundles = promptkit.render_prompts(
-        targets, dataset.stats, cfg, examples, dataset.layout
+        targets, dataset.stats, run.prompt, examples, dataset.layout
     )
-    verdicts = agents.run_batch(bundles, agent, run.endpoint, cache)
+    verdicts = agents.run_batch(bundles, run.agent, run.endpoint, cache)
     preds = [v.label for v in verdicts]
     if all(p == promptkit.INVALID for p in preds):
         logger.warning("all %d verdicts were invalid", len(preds))
@@ -350,10 +333,12 @@ def _dataset_digest_of(dataset: Dataset) -> str:
 
 
 def manifest_name(run: RunConfig) -> str:
-    agent = run.agent
-    if agent == agents.COIN_FLIP:
-        agent = f"{agent}{run.coin_seed}"
-    return f"{run.paradigm}_{run.variant}_{agent}.json"
+    """<paradigm>_<variant>_<agent label>.json, with _k<k> before the suffix
+    when k differs from the paradigm default."""
+    prompt = run.prompt
+    k = prompt.k_examples
+    k_part = "" if k == PromptConfig(paradigm=prompt.paradigm).k_examples else f"_k{k}"
+    return f"{prompt.paradigm}_{prompt.variant}_{agent_label(run.agent)}{k_part}.json"
 
 
 def write_manifest(manifest: dict, path: "str | Path") -> None:
@@ -367,7 +352,7 @@ def write_manifest(manifest: dict, path: "str | Path") -> None:
 def run_hybrid_experiment(
     run: RunConfig,
     model: detectors.DetectorModel,
-    dataset: Dataset | None = None,
+    dataset: Dataset,
     cache: "agents.ResponseCache | None" = None,
     out_dir: "str | Path | None" = None,
     use_reference_selector: bool = False,
@@ -379,10 +364,14 @@ def run_hybrid_experiment(
     reference selector directly when use_reference_selector is set). An
     agent reply that failed or names no known sensor scores all sensors
     (source 'full'), with a warning in the run log. A model whose input
-    stats are not exactly the dataset's raises DatasetError.
+    stats are not exactly the dataset's raises DatasetError. The selection
+    prompt config renders the prompts and is the one the manifest records.
     """
-    if dataset is None:
-        dataset = load_dataset_dir(run.data_dir)
+    run = replace(run, prompt=replace(
+        run.prompt, paradigm=promptkit.HYBRID_SELECT,
+        variant=promptkit.VARIANT_Z_ONLY, decimals=SELECTION_DECIMALS,
+    ))
+    m = run.prompt.m_select
     if model.threshold is None:
         raise GridSigmaError("hybrid needs a calibrated detector model")
     trained, current = model.input_stats, dataset.stats
@@ -393,32 +382,26 @@ def run_hybrid_experiment(
             f"dataset's stats.json (n={current.n}); rerun train-dl"
         )
     tau_h = detectors.calibrate_hybrid_threshold(
-        model, dataset.split_samples("validation"), dataset.stats, m=run.m_select
+        model, dataset.split_samples("validation"), dataset.stats, m=m
     )
     targets = dataset.split_samples("test")
     if use_reference_selector:
         selections = [
             detectors.reference_selector(
-                zscores(s.features, dataset.stats), run.m_select, sample_id=s.id
+                zscores(s.features, dataset.stats), m, sample_id=s.id
             )
             for s in targets
         ]
     else:
-        config = PromptConfig(
-            paradigm=promptkit.HYBRID_SELECT,
-            variant=promptkit.VARIANT_Z_ONLY,
-            m_select=run.m_select,
-            decimals=SELECTION_DECIMALS,
-        )
         bundles = promptkit.render_prompts(
-            targets, dataset.stats, config, [], dataset.layout
+            targets, dataset.stats, run.prompt, [], dataset.layout
         )
-        replies = agents.complete_batch(bundles, run.agent_kind(), run.endpoint, cache)
+        replies = agents.complete_batch(bundles, run.agent, run.endpoint, cache)
         selections = []
         for s, reply in zip(targets, replies):
             failed = isinstance(reply, AgentError)
             ranked = () if failed else promptkit.parse_selection(
-                reply, dataset.layout, run.m_select
+                reply, dataset.layout, m
             )
             if not ranked:
                 logger.warning("selection for sample %d fell back to full: %s", s.id,
@@ -429,7 +412,7 @@ def run_hybrid_experiment(
         detectors.hybrid_detect(model, sel, tau_h, s.features)
         for s, sel in zip(targets, selections)
     ]
-    selector = "reference_topz" if use_reference_selector else run.agent
+    selector = "reference_topz" if use_reference_selector else agent_label(run.agent)
     reports, manifest = _score_and_persist(
         {**_config_doc(run), "selector": selector, "tau_hybrid": tau_h},
         dataset,
@@ -484,29 +467,57 @@ PARADIGM_LABELS = {
     promptkit.HYBRID_SELECT: "Hybrid",
 }
 
-_ROW_ORDER = [
-    "Value",
-    "Mean-Std-Value",
-    "Mean-Std-Value-Z",
-    "Z_score",
-    "Zero-shot",
-    "Few-shot",
-    "ICL",
-    "Fine-tuned",
-    "Hybrid",
-    "Traditional DL",
-    "LLM + DL",
-]
+# Report sections, and the rows of the traditional-vs-hybrid comparison.
+_ABLATION = "Zero-shot ablation"
+_PARADIGMS = "Prompting paradigms"
+_VERSUS = "Traditional vs hybrid"
+_DETECTOR_ROW = "Traditional DL"
+_HYBRID_ROW = "LLM + DL"
+
+_ROW_ORDER = [*VARIANT_LABELS.values(), "Zero-shot", "Few-shot", "ICL", "Fine-tuned",
+              "Hybrid", _DETECTOR_ROW, _HYBRID_ROW]
 
 _COLUMNS = ["Configuration", "Accuracy", "Recall", "Precision", "F1-score"]
+_METRICS = ("accuracy", "recall", "precision", "f1")
 
 
 def _pct(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.1f}%"
 
 
-def _metric_row(report: MetricsReport) -> list[float | None]:
-    return [report.accuracy, report.recall, report.precision, report.f1]
+def _table_doc(
+    reports: list[tuple[str, MetricsReport]], with_lift: bool = False
+) -> dict:
+    """{columns, rows[, lift]}: a row of {configuration, accuracy, recall,
+    precision, f1} per report.
+
+    Rows follow the canonical order when their labels, before any " (...)"
+    suffix, are known. With with_lift, a relative-delta row (last vs first)
+    is added, as in the traditional-vs-hybrid comparison.
+    """
+    labels = [label for label, _ in reports]
+    if len(set(labels)) != len(labels):
+        raise GridSigmaError("duplicate configuration rows")
+
+    def order_key(item):
+        label = item[0].partition(" (")[0]
+        return _ROW_ORDER.index(label) if label in _ROW_ORDER else len(_ROW_ORDER)
+
+    rows = [
+        {"configuration": label, **{key: getattr(rep, key) for key in _METRICS}}
+        for label, rep in sorted(reports, key=order_key)
+    ]
+    doc = {"columns": _COLUMNS, "rows": rows}
+    if with_lift:
+        if len(rows) < 2:
+            raise GridSigmaError("lift row needs at least two reports")
+        old, new = rows[0], rows[-1]
+        doc["lift"] = {"configuration": "Performance lift", **{
+            key: None if (new[key] is None or old[key] in (None, 0))
+            else lift(new[key], old[key])
+            for key in _METRICS
+        }}
+    return doc
 
 
 def ablation_table(
@@ -514,59 +525,20 @@ def ablation_table(
     fmt: str = "text",
     with_lift: bool = False,
 ) -> str:
-    """Rows of {configuration, accuracy, recall, precision, f1}.
-
-    Rows follow the canonical order when their labels are known. With
-    with_lift, a relative-delta row (last vs first) is appended, as in the
-    traditional-vs-hybrid comparison. fmt: text | md | json.
-    """
-    labels = [label for label, _ in reports]
-    if len(set(labels)) != len(labels):
-        raise GridSigmaError("duplicate configuration rows")
-
-    def order_key(item):
-        label = item[0]
-        return (_ROW_ORDER.index(label) if label in _ROW_ORDER else len(_ROW_ORDER),)
-
-    ordered = sorted(reports, key=order_key)
-    rows: list[tuple[str, list[float | None]]] = [
-        (label, _metric_row(rep)) for label, rep in ordered
-    ]
-    lift_row: list[float | None] | None = None
-    if with_lift:
-        if len(rows) < 2:
-            raise GridSigmaError("lift row needs at least two reports")
-        old, new = rows[0][1], rows[-1][1]
-        lift_row = [
-            None if (a is None or b in (None, 0)) else lift(a, b)
-            for a, b in zip(new, old)
-        ]
-
+    """The table of ``_table_doc`` rendered as fmt: text | md | json."""
+    doc = _table_doc(reports, with_lift)
     if fmt == "json":
-        doc = {
-            "columns": _COLUMNS,
-            "rows": [
-                {"configuration": label, "accuracy": m[0], "recall": m[1],
-                 "precision": m[2], "f1": m[3]}
-                for label, m in rows
-            ],
-        }
-        if lift_row is not None:
-            doc["lift"] = {
-                "configuration": "Performance lift",
-                "accuracy": lift_row[0],
-                "recall": lift_row[1],
-                "precision": lift_row[2],
-                "f1": lift_row[3],
-            }
         return json.dumps(doc, indent=2) + "\n"
 
-    cells = [[label] + [_pct(v) for v in m] for label, m in rows]
-    if lift_row is not None:
-        cells.append(
-            ["Performance lift"]
-            + ["n/a" if v is None else f"{100.0 * v:.2f}%" for v in lift_row]
-        )
+    cells = [
+        [row["configuration"]] + [_pct(row[key]) for key in _METRICS]
+        for row in doc["rows"]
+    ]
+    if "lift" in doc:
+        cells.append(["Performance lift"] + [
+            "n/a" if doc["lift"][key] is None else f"{100.0 * doc['lift'][key]:.2f}%"
+            for key in _METRICS
+        ])
     widths = [
         max(len(_COLUMNS[c]), max(len(row[c]) for row in cells))
         for c in range(len(_COLUMNS))
@@ -593,18 +565,90 @@ def ablation_table(
     return "\n".join([head.rstrip(), rule] + body) + "\n"
 
 
-def report_from_manifest(doc: dict, policy: str = AS_WRONG) -> MetricsReport:
-    """The manifest's metrics under ``policy``, else under the first policy it
-    holds. A malformed document raises one of errors.MALFORMED_DOCUMENT."""
+@dataclass(frozen=True)
+class ReportRun:
+    """One stored run as the report reads it."""
+
+    labels: dict[str, str]  # section title -> the run's row label there
+    identity: tuple[str, ...]  # what tells runs that share a label apart
+    report: MetricsReport
+
+
+def manifest_run(doc: dict) -> ReportRun:
+    """A run manifest's rows, from its config, and its metrics under as_wrong,
+    else under the first policy it holds.
+
+    A malformed document raises one of errors.MALFORMED_DOCUMENT, or
+    AgentError for an unknown agent kind.
+    """
     by_policy = dict(doc["metrics"])
-    m = by_policy.get(policy) or by_policy[next(iter(by_policy), policy)]
-    counts = ConfusionCounts(**m["counts"])
-    return MetricsReport(
-        accuracy=m["accuracy"],
-        recall=m["recall"],
-        precision=m["precision"],
-        f1=m["f1"],
-        counts=counts,
+    m = by_policy.get(AS_WRONG) or by_policy[next(iter(by_policy), AS_WRONG)]
+    report = MetricsReport(
+        **{key: m[key] for key in _METRICS}, counts=ConfusionCounts(**m["counts"]),
         invalid_count=m.get("invalid_count", 0),
-        invalid_policy=policy,
     )
+    cfg = dict(doc["config"])
+    if "detector" in cfg:
+        return ReportRun({_VERSUS: _DETECTOR_ROW}, (), report)
+    paradigm, variant = cfg["paradigm"], VARIANT_LABELS[cfg["variant"]]
+    labels = {}
+    if paradigm == promptkit.ZERO_SHOT:
+        labels[_ABLATION] = variant
+    if paradigm != promptkit.ZERO_SHOT or cfg["variant"] == promptkit.VARIANT_Z_ONLY:
+        labels[_PARADIGMS] = PARADIGM_LABELS[paradigm]
+    if paradigm == promptkit.HYBRID_SELECT:
+        labels[_VERSUS] = _HYBRID_ROW
+    agent = str(cfg.get("selector") or agent_label(
+        agents.AgentKind(cfg["agent"], cfg["coin_seed"])
+    ))
+    model = f"model {cfg['model']}" if cfg["model"] else ""
+    return ReportRun(labels, (variant, agent, model, f"k={cfg['k_examples']}"), report)
+
+
+def _labelled(
+    rows: list[tuple[str, tuple[str, ...], MetricsReport]],
+) -> list[tuple[str, MetricsReport]]:
+    """(label, identity, report) rows as (label, report). Rows that share a
+    label get a " (...)" suffix of the identity parts that differ among them."""
+    groups: dict[str, list[tuple[str, ...]]] = {}
+    for label, identity, _ in rows:
+        groups.setdefault(label, []).append(identity)
+    out = []
+    for label, identity, report in rows:
+        group = groups[label]
+        if len(group) > 1:
+            parts = [part for i, part in enumerate(identity)
+                     if part and len({other[i] for other in group}) > 1]
+            label = f"{label} ({', '.join(parts)})"
+        out.append((label, report))
+    return out
+
+
+def build_report(runs: list[ReportRun], fmt: str = "text") -> str:
+    """The report on stored runs, as fmt: text | md | json.
+
+    Sections: the zero-shot ablation, the prompting paradigms, and one
+    traditional-vs-hybrid table with its lift row per hybrid run. Every run
+    has a row in each section it belongs to. json is one document,
+    {"sections": [{"title", "columns", "rows"[, "lift"]}]}.
+    """
+    rows: dict[str, list] = {_ABLATION: [], _PARADIGMS: [], _VERSUS: []}
+    for run in runs:
+        for title, label in run.labels.items():
+            rows[title].append((label, run.identity, run.report))
+    tables = [(title, _labelled(rows[title]), False)
+              for title in (_ABLATION, _PARADIGMS) if rows[title]]
+    detector = [(label, rep) for label, _, rep in rows[_VERSUS] if label == _DETECTOR_ROW]
+    hybrids = [(_VERSUS, identity, rep)
+               for label, identity, rep in rows[_VERSUS] if label == _HYBRID_ROW]
+    if detector:
+        tables += [(title, detector + [(_HYBRID_ROW, rep)], True)
+                   for title, rep in _labelled(hybrids)]
+    if not tables:
+        raise GridSigmaError("no reportable manifests found")
+    if fmt == "json":
+        sections = [{"title": title, **_table_doc(reports, with_lift)}
+                    for title, reports, with_lift in tables]
+        return json.dumps({"sections": sections}, indent=2) + "\n"
+    return "\n".join(f"## {title}\n{ablation_table(reports, fmt, with_lift)}"
+                     for title, reports, with_lift in tables)

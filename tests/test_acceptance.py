@@ -71,8 +71,8 @@ def test_criterion_2_oracle_brute_force_equivalence():
 def test_criterion_3_end_to_end_rule_fidelity(dataset42, variant):
     start = time.perf_counter()
     run = evalkit.RunConfig(
-        paradigm="zero_shot", variant=variant,
-        agent=agents.REFERENCE_RULE, data_dir="unused",
+        prompt=PromptConfig(paradigm="zero_shot", variant=variant),
+        agent=agents.AgentKind(agents.REFERENCE_RULE),
     )
     _, manifest = evalkit.run_experiment(run, dataset=dataset42)
     test_split = dataset42.split_samples("test")
@@ -124,8 +124,8 @@ def test_criterion_6_hybrid_dominance(dataset42, model42):
     start = time.perf_counter()
     standalone, _ = evalkit.run_detector_experiment(model42, dataset42)
     run = evalkit.RunConfig(
-        paradigm="hybrid_select", agent=agents.REFERENCE_RULE,
-        data_dir="unused", m_select=8,
+        prompt=PromptConfig(paradigm="hybrid_select", m_select=8),
+        agent=agents.AgentKind(agents.REFERENCE_RULE),
     )
     hybrid, _ = evalkit.run_hybrid_experiment(
         run, model42, dataset=dataset42, use_reference_selector=True

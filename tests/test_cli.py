@@ -202,7 +202,7 @@ class TestRunAndReport:
         assert main(["hybrid", "--data", str(pipeline_dir), "--agent",
                      "coin-flip", "--seed", "3"]) == 0
         doc = json.loads(
-            (pipeline_dir / "manifests" / "hybrid_coin_flip.json").read_text()
+            (pipeline_dir / "manifests" / "hybrid_coin_flip3.json").read_text()
         )
         assert all(s["selection_source"] == "full" for s in doc["samples"])
 
@@ -246,6 +246,202 @@ class TestRunAndReport:
         assert main(["generate", "--samples", "80", "--seed", "3",
                      "--out", str(data)]) == 0
         assert main(["report", "--data", str(data)]) == 1
+
+
+# The paper's published rows: (paradigm, variant, (accuracy, recall,
+# precision, f1)), the detector's with no paradigm.
+_PAPER_ROWS = [
+    ("zero_shot", "value", (0.525, 0.120, 0.632, 0.202)),
+    ("zero_shot", "mean_std_value", (0.522, 0.565, 0.521, 0.542)),
+    ("zero_shot", "mean_std_value_z", (0.605, 0.795, 0.576, 0.668)),
+    ("zero_shot", "z_only", (0.785, 0.645, 0.896, 0.750)),
+    ("few_shot", "z_only", (0.775, 0.880, 0.727, 0.796)),
+    ("icl", "z_only", (0.815, 0.865, 0.786, 0.824)),
+    ("hybrid_select", "z_only", (0.973, 0.965, 0.980, 0.972)),
+    (None, None, (0.870, 0.980, 0.803, 0.883)),
+]
+
+
+def _write_paper_manifests(data):
+    """Hand-written manifests, one per paper row, with the configs the
+    commands record; no two share a report label."""
+    for paradigm, variant, (accuracy, recall, precision, f1) in _PAPER_ROWS:
+        name = f"{paradigm}_{variant}_reference_rule.json"
+        config = {"paradigm": paradigm, "variant": variant, "agent": "reference_rule",
+                  "coin_seed": 7, "example_seed": 7, "invalid_policy": "as_wrong",
+                  "k_examples": {"few_shot": 2, "icl": 10}.get(paradigm, 0),
+                  "m_select": 8, "decimals": 4, "model": None}
+        if paradigm == "hybrid_select":
+            name = "hybrid_reference_topz.json"
+            config.update(selector="reference_topz", tau_hybrid=0.5, decimals=6)
+        elif paradigm is None:
+            name = "dl_detector.json"
+            config = {"detector": "autoencoder", "threshold": 0.5, "train_seed": 42}
+        metrics = {"accuracy": accuracy, "recall": recall, "precision": precision,
+                   "f1": f1, "counts": {"tp": 1, "fp": 1, "fn": 1, "tn": 1},
+                   "invalid_count": 0}
+        evalkit.write_manifest({"config": config, "metrics": {"as_wrong": metrics}},
+                               data / "manifests" / name)
+
+
+_PAPER_REPORT_TEXT = """\
+## Zero-shot ablation
+Configuration     Accuracy  Recall  Precision  F1-score
+-------------------------------------------------------
+Value             52.5%     12.0%   63.2%      20.2%
+Mean-Std-Value    52.2%     56.5%   52.1%      54.2%
+Mean-Std-Value-Z  60.5%     79.5%   57.6%      66.8%
+Z_score           78.5%     64.5%   89.6%      75.0%
+
+## Prompting paradigms
+Configuration  Accuracy  Recall  Precision  F1-score
+----------------------------------------------------
+Zero-shot      78.5%     64.5%   89.6%      75.0%
+Few-shot       77.5%     88.0%   72.7%      79.6%
+ICL            81.5%     86.5%   78.6%      82.4%
+Hybrid         97.3%     96.5%   98.0%      97.2%
+
+## Traditional vs hybrid
+Configuration     Accuracy  Recall  Precision  F1-score
+-------------------------------------------------------
+Traditional DL    87.0%     98.0%   80.3%      88.3%
+LLM + DL          97.3%     96.5%   98.0%      97.2%
+Performance lift  11.84%    -1.53%  22.04%     10.08%
+"""
+
+_PAPER_REPORT_MD = """\
+## Zero-shot ablation
+| Configuration    | Accuracy | Recall | Precision | F1-score |
+|------------------|----------|--------|-----------|----------|
+| Value            | 52.5%    | 12.0%  | 63.2%     | 20.2%    |
+| Mean-Std-Value   | 52.2%    | 56.5%  | 52.1%     | 54.2%    |
+| Mean-Std-Value-Z | 60.5%    | 79.5%  | 57.6%     | 66.8%    |
+| Z_score          | 78.5%    | 64.5%  | 89.6%     | 75.0%    |
+
+## Prompting paradigms
+| Configuration | Accuracy | Recall | Precision | F1-score |
+|---------------|----------|--------|-----------|----------|
+| Zero-shot     | 78.5%    | 64.5%  | 89.6%     | 75.0%    |
+| Few-shot      | 77.5%    | 88.0%  | 72.7%     | 79.6%    |
+| ICL           | 81.5%    | 86.5%  | 78.6%     | 82.4%    |
+| Hybrid        | 97.3%    | 96.5%  | 98.0%     | 97.2%    |
+
+## Traditional vs hybrid
+| Configuration    | Accuracy | Recall | Precision | F1-score |
+|------------------|----------|--------|-----------|----------|
+| Traditional DL   | 87.0%    | 98.0%  | 80.3%     | 88.3%    |
+| LLM + DL         | 97.3%    | 96.5%  | 98.0%     | 97.2%    |
+| Performance lift | 11.84%   | -1.53% | 22.04%    | 10.08%   |
+"""
+
+
+@pytest.fixture()
+def run_dir(pipeline_dir, tmp_path):
+    """The shared pipeline's dataset, model and detector manifest, with no
+    other manifest."""
+    data = tmp_path / "data"
+    (data / "manifests").mkdir(parents=True)
+    for name in ("dataset.jsonl", "stats.json", "meta.json", "model.json",
+                 "manifests/dl_detector.json"):
+        shutil.copy(pipeline_dir / name, data / name)
+    return data
+
+
+def _report_doc(data, capsys) -> dict:
+    """`report --format json --out data/reports`, parsed from the written file."""
+    assert main(["report", "--data", str(data), "--format", "json",
+                 "--out", str(data / "reports")]) == 0
+    capsys.readouterr()
+    return json.loads((data / "reports" / "report.json").read_text(encoding="utf-8"))
+
+
+def _section(doc: dict, title: str) -> list[str]:
+    """The row labels of the report section with that title."""
+    [section] = [s for s in doc["sections"] if s["title"] == title]
+    return [row["configuration"] for row in section["rows"]]
+
+
+class TestReportRows:
+    def test_unique_labels_keep_the_paper_layout(self, tmp_path, capsys):
+        # With no two runs sharing a label, rows carry no suffix and the
+        # text and md reports keep their established bytes.
+        _write_paper_manifests(tmp_path)
+        for fmt, want in (("text", _PAPER_REPORT_TEXT), ("md", _PAPER_REPORT_MD)):
+            assert main(["report", "--data", str(tmp_path), "--format", fmt,
+                         "--out", str(tmp_path / "reports")]) == 0
+            assert capsys.readouterr().out.startswith(want)
+            ext = {"text": "txt", "md": "md"}[fmt]
+            assert (tmp_path / "reports" / f"report.{ext}").read_text() == want
+
+    def test_json_report_is_one_document(self, tmp_path, capsys):
+        _write_paper_manifests(tmp_path)
+        doc = _report_doc(tmp_path, capsys)
+        assert [s["title"] for s in doc["sections"]] == [
+            "Zero-shot ablation", "Prompting paradigms", "Traditional vs hybrid"]
+        assert _section(doc, "Zero-shot ablation") == [
+            "Value", "Mean-Std-Value", "Mean-Std-Value-Z", "Z_score"]
+        assert _section(doc, "Prompting paradigms") == [
+            "Zero-shot", "Few-shot", "ICL", "Hybrid"]
+        versus = doc["sections"][2]
+        assert versus["columns"][0] == "Configuration"
+        assert abs(versus["lift"]["f1"] * 100 - 10.08) <= 0.1
+        assert all("lift" not in s for s in doc["sections"][:2])
+
+    def test_two_agents_on_one_variant(self, run_dir, capsys):
+        for agent in ("reference", "coin-flip"):
+            assert main(["run", "--data", str(run_dir), "--paradigm", "zero-shot",
+                         "--variant", "z_only", "--agent", agent]) == 0
+        doc = _report_doc(run_dir, capsys)
+        assert _section(doc, "Zero-shot ablation") == [
+            "Z_score (coin_flip7)", "Z_score (reference_rule)"]
+        assert _section(doc, "Prompting paradigms") == [
+            "Zero-shot (coin_flip7)", "Zero-shot (reference_rule)"]
+
+    def test_each_hybrid_run_gets_its_own_lift_table(self, run_dir, capsys):
+        for flags in (["--reference-topz"], ["--agent", "reference"],
+                      ["--agent", "coin-flip"]):
+            assert main(["hybrid", "--data", str(run_dir), *flags]) == 0
+        doc = _report_doc(run_dir, capsys)
+        selectors = ["coin_flip7", "reference_rule", "reference_topz"]
+        assert _section(doc, "Prompting paradigms") == [
+            f"Hybrid ({s})" for s in selectors]
+        manifests = run_dir / "manifests"
+        dl = json.loads((manifests / "dl_detector.json").read_text())
+        for selector, section in zip(selectors, doc["sections"][1:], strict=True):
+            assert section["title"] == f"Traditional vs hybrid ({selector})"
+            detector, hybrid = section["rows"]
+            assert detector["configuration"] == "Traditional DL"
+            assert detector["f1"] == dl["metrics"]["as_wrong"]["f1"]
+            run = json.loads((manifests / f"hybrid_{selector}.json").read_text())
+            assert hybrid["f1"] == run["metrics"]["as_wrong"]["f1"]
+            assert section["lift"]["f1"] == pytest.approx(
+                evalkit.lift(hybrid["f1"], detector["f1"]))
+
+    def test_icl_at_two_example_counts(self, run_dir, capsys):
+        for k in ("5", "10"):
+            assert main(["run", "--data", str(run_dir), "--paradigm", "icl",
+                         "--variant", "z_only", "--k", k]) == 0
+        manifests = run_dir / "manifests"
+        assert (manifests / "icl_z_only_reference_rule.json").exists()
+        k5 = json.loads((manifests / "icl_z_only_reference_rule_k5.json").read_text())
+        assert len(k5["example_ids"]) == 5
+        doc = _report_doc(run_dir, capsys)
+        assert _section(doc, "Prompting paradigms") == ["ICL (k=10)", "ICL (k=5)"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("agent", "oracle", "AgentError: unknown agent kind 'oracle'"),
+        ("variant", "z", "KeyError: 'z'"),
+        ("variant", ["z_only"], "TypeError: unhashable type: 'list'"),
+        ("paradigm", "hybrid", "KeyError: 'hybrid'"),
+    ])
+    def test_bad_config_is_domain_error(self, tmp_path, capsys, key, value, message):
+        _write_paper_manifests(tmp_path)
+        path = tmp_path / "manifests" / "few_shot_z_only_reference_rule.json"
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--data", str(tmp_path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
 
 
 class TestOtherCommands:

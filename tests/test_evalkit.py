@@ -155,8 +155,10 @@ class TestF1From:
 
 class TestRunExperiment:
     def test_reference_rule_matches_oracle_rate(self, dataset42):
-        run = RunConfig(paradigm="zero_shot", variant="z_only",
-                        agent=agents.REFERENCE_RULE, data_dir="unused")
+        run = RunConfig(
+            prompt=promptkit.PromptConfig(paradigm="zero_shot", variant="z_only"),
+            agent=agents.AgentKind(agents.REFERENCE_RULE),
+        )
         report, manifest = run_experiment(run, dataset=dataset42)
         test = dataset42.split_samples("test")
         oracle_rate = np.mean(
@@ -172,22 +174,28 @@ class TestRunExperiment:
             assert entry["label"] == direct.label
 
     def test_always_normal_degenerate(self, dataset42):
-        run = RunConfig(paradigm="zero_shot", variant="z_only",
-                        agent=agents.ALWAYS_NORMAL, data_dir="unused")
+        run = RunConfig(
+            prompt=promptkit.PromptConfig(paradigm="zero_shot", variant="z_only"),
+            agent=agents.AgentKind(agents.ALWAYS_NORMAL),
+        )
         report, _ = run_experiment(run, dataset=dataset42)
         assert report.recall == 0.0
         assert report.accuracy == 0.5
 
     def test_coin_flip_deterministic(self, dataset42):
-        run = RunConfig(paradigm="few_shot", variant="z_only",
-                        agent=agents.COIN_FLIP, coin_seed=3, data_dir="unused")
+        run = RunConfig(
+            prompt=promptkit.PromptConfig(paradigm="few_shot", variant="z_only"),
+            agent=agents.AgentKind(agents.COIN_FLIP, seed=3),
+        )
         a, _ = run_experiment(run, dataset=dataset42)
         b, _ = run_experiment(run, dataset=dataset42)
         assert a == b
 
     def test_examples_excluded_and_recorded(self, dataset42):
-        run = RunConfig(paradigm="icl", variant="z_only",
-                        agent=agents.REFERENCE_RULE, data_dir="unused")
+        run = RunConfig(
+            prompt=promptkit.PromptConfig(paradigm="icl", variant="z_only"),
+            agent=agents.AgentKind(agents.REFERENCE_RULE),
+        )
         report, manifest = run_experiment(run, dataset=dataset42)
         assert len(manifest["example_ids"]) == 10
         target_ids = {e["id"] for e in manifest["samples"]}
@@ -195,8 +203,10 @@ class TestRunExperiment:
         assert report.counts.total == len(manifest["samples"])
 
     def test_manifest_written_and_stable(self, dataset42, tmp_path):
-        run = RunConfig(paradigm="zero_shot", variant="value",
-                        agent=agents.ALWAYS_NORMAL, data_dir="unused")
+        run = RunConfig(
+            prompt=promptkit.PromptConfig(paradigm="zero_shot", variant="value"),
+            agent=agents.AgentKind(agents.ALWAYS_NORMAL),
+        )
         _, m1 = run_experiment(run, dataset=dataset42, out_dir=tmp_path / "a")
         _, m2 = run_experiment(run, dataset=dataset42, out_dir=tmp_path / "b")
         a = (tmp_path / "a" / evalkit.manifest_name(run)).read_bytes()
@@ -207,11 +217,51 @@ class TestRunExperiment:
         assert doc["dataset_digest"]
 
 
+class TestRunIdentity:
+    @pytest.mark.parametrize("paradigm, k", [("zero_shot", 0), ("few_shot", 2),
+                                             ("icl", 10)])
+    def test_manifest_records_the_resolved_k(self, dataset42, paradigm, k):
+        run = RunConfig(prompt=promptkit.PromptConfig(paradigm=paradigm))
+        _, manifest = run_experiment(run, dataset42)
+        assert manifest["config"]["k_examples"] == k
+        assert manifest["config"]["decimals"] == 4
+
+    @pytest.mark.parametrize("use_reference_selector", [False, True])
+    def test_hybrid_manifest_records_the_selection_prompt(
+            self, dataset42, model42, use_reference_selector):
+        head = replace(dataset42, splits={**dataset42.splits,
+                                          "test": dataset42.splits["test"][:10]})
+        run = RunConfig(prompt=promptkit.PromptConfig(paradigm=promptkit.HYBRID_SELECT,
+                                                      m_select=5))
+        _, manifest = run_hybrid_experiment(
+            run, model42, head, use_reference_selector=use_reference_selector)
+        config = manifest["config"]
+        assert config["decimals"] == evalkit.SELECTION_DECIMALS == 6
+        assert (config["paradigm"], config["variant"]) == ("hybrid_select", "z_only")
+        assert (config["k_examples"], config["m_select"]) == (0, 5)
+
+    @pytest.mark.parametrize("paradigm, k, agent, name", [
+        ("icl", -1, agents.AgentKind(agents.REFERENCE_RULE),
+         "icl_z_only_reference_rule.json"),
+        ("icl", 10, agents.AgentKind(agents.REFERENCE_RULE),
+         "icl_z_only_reference_rule.json"),
+        ("icl", 5, agents.AgentKind(agents.REFERENCE_RULE),
+         "icl_z_only_reference_rule_k5.json"),
+        ("few_shot", -1, agents.AgentKind(agents.COIN_FLIP, seed=3),
+         "few_shot_z_only_coin_flip3.json"),
+        ("zero_shot", 0, agents.AgentKind(agents.ALWAYS_NORMAL, seed=3),
+         "zero_shot_z_only_always_normal.json"),
+    ])
+    def test_manifest_name(self, paradigm, k, agent, name):
+        prompt = promptkit.PromptConfig(paradigm=paradigm, k_examples=k)
+        assert evalkit.manifest_name(RunConfig(prompt=prompt, agent=agent)) == name
+
+
 def _hybrid_records(dataset, model, n, agent=agents.REFERENCE_RULE, endpoint=None):
     """Targets and manifest records of a hybrid run on the first n test samples."""
     head = replace(dataset, splits={**dataset.splits, "test": dataset.splits["test"][:n]})
-    run = RunConfig(paradigm=promptkit.HYBRID_SELECT, agent=agent,
-                    data_dir="unused", endpoint=endpoint)
+    run = RunConfig(prompt=promptkit.PromptConfig(paradigm=promptkit.HYBRID_SELECT),
+                    agent=agents.AgentKind(agent), endpoint=endpoint)
     _, manifest = run_hybrid_experiment(run, model, dataset=head)
     return head.split_samples("test"), manifest["samples"]
 
