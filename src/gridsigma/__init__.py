@@ -64,13 +64,11 @@ from .agents import (
 )
 from .detectors import (
     DetectorModel,
-    FeatureSelection,
     Hyper,
     calibrate_threshold,
     detect,
-    hybrid_detect,
+    hybrid_scores,
     reconstruction_error,
-    reference_selector,
     train_autoencoder,
 )
 from .evalkit import (

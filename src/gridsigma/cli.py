@@ -236,10 +236,8 @@ def _cmd_train_dl(args) -> int:
     hyper = detectors.Hyper(
         lr=args.lr, batch=args.batch, epochs=args.epochs, patience=args.patience
     )
-    dims = (len(ds.layout), 32, 8, 32, len(ds.layout))
     model = detectors.train_autoencoder(
-        train_normals, hyper, seed=args.seed, val_normals=val_normals,
-        layer_dims=dims, stats=ds.stats,
+        train_normals, hyper, seed=args.seed, val_normals=val_normals, stats=ds.stats,
     )
     model = detectors.calibrate(model, ds.split_samples("validation"))
     _write(data / "model.json", detectors.model_to_json(model))

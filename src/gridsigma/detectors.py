@@ -18,6 +18,7 @@ from .errors import MALFORMED_DOCUMENT, DetectorError
 from .ruleoracle import top_abs_z
 from .scenario import (
     ANOMALY,
+    NORMAL,
     FeatureStats,
     Sample,
     compute_stats,
@@ -25,12 +26,6 @@ from .scenario import (
     stats_to_dict,
     zscores,
 )
-
-SOURCE_LLM = "llm"
-SOURCE_REFERENCE = "reference_topz"
-SOURCE_FULL = "full"
-
-DEFAULT_DIMS = (68, 32, 8, 32, 68)
 
 
 @dataclass(frozen=True)
@@ -88,13 +83,6 @@ class DetectorModel:
                 raise DetectorError(f"{name} hold a non-finite value")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise DetectorError(f"threshold {self.threshold} is not finite")
-
-
-@dataclass(frozen=True)
-class FeatureSelection:
-    sample_id: int
-    ranked: tuple[int, ...]
-    source: str  # llm | reference_topz | full
 
 
 def _init_params(dims: tuple[int, ...], rng: np.random.Generator):
@@ -181,7 +169,7 @@ def train_autoencoder(
     hyper: Hyper = Hyper(),
     seed: int = 42,
     val_normals: "list[Sample] | None" = None,
-    layer_dims: tuple[int, ...] = DEFAULT_DIMS,
+    layer_dims: "tuple[int, ...] | None" = None,
     stats: "FeatureStats | None" = None,
 ) -> DetectorModel:
     """Fit the autoencoder on normal samples only.
@@ -191,10 +179,14 @@ def train_autoencoder(
     over the training normals. Early stopping watches the mean loss on
     held-out normals (val_normals, or a deterministic 10% tail of the input
     when not given) with the configured patience, keeping the best weights.
-    Deterministic in seed.
+    The layers are (d, 32, 8, 32, d) for d features unless layer_dims is
+    given. Deterministic in seed.
     """
     if len(normals) < 100:
         raise DetectorError(f"need at least 100 normal samples, got {len(normals)}")
+    if layer_dims is None:
+        d = len(normals[0].features)
+        layer_dims = (d, 32, 8, 32, d)
     if layer_dims[0] != layer_dims[-1]:
         raise DetectorError("autoencoder input and output dims must match")
     if len(normals[0].features) != layer_dims[0]:
@@ -280,24 +272,26 @@ def train_autoencoder(
     )
 
 
-def reconstruction_error(model: DetectorModel, features: np.ndarray):
-    """Per-feature squared residuals on the standardized input, plus the mean.
+def reconstruction_error(model: DetectorModel, features: np.ndarray) -> np.ndarray:
+    """Squared residuals on the standardized input of an (n, d) feature
+    matrix, one row per sample, from one forward pass.
 
     A NaN or infinite feature raises DetectorError: its residual would
     compare as "normal" (NaN) or always as "anomaly" (inf).
     """
-    if len(features) != model.layer_dims[0]:
-        raise DetectorError(
-            f"feature length {len(features)} does not match model input "
-            f"{model.layer_dims[0]}"
-        )
     features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != model.layer_dims[0]:
+        raise DetectorError(
+            f"features of shape {features.shape} are not rows of the model's "
+            f"{model.layer_dims[0]} inputs"
+        )
     if not np.isfinite(features).all():
-        raise DetectorError("feature vector holds a non-finite value")
+        raise DetectorError("feature matrix holds a non-finite value")
     x = zscores(features, model.input_stats)
-    x_hat = _forward(x[None, :], list(model.weights), list(model.biases))[-1][0]
-    residuals = (x_hat - x) ** 2
-    return residuals, float(residuals.mean())
+    residuals = _forward(x, model.weights, model.biases)[-1]
+    residuals -= x
+    residuals *= residuals
+    return residuals
 
 
 def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -326,62 +320,53 @@ def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
     return float(taus[np.argmax(f1)])  # argmax keeps the first, smallest tau
 
 
+def _validation_matrix(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """The samples' (n, d) feature matrix and whether each is an anomaly;
+    raises DetectorError unless both labels are present."""
+    truth = np.array([s.label == ANOMALY for s in samples])
+    if truth.all() or not truth.any():
+        raise DetectorError("validation split must contain both labels")
+    return np.stack([s.features for s in samples]), truth
+
+
 def calibrate_threshold(model: DetectorModel, validation: list[Sample]) -> float:
     """Threshold maximizing F1 of (score >= tau) on the validation split.
 
     Ties go to the smaller tau. Requires both labels present.
     """
-    labels = {s.label for s in validation}
-    if len(labels) < 2:
-        raise DetectorError("validation split must contain both labels")
-    scores = np.array([reconstruction_error(model, s.features)[1] for s in validation])
-    truth = np.array([s.label == ANOMALY for s in validation])
-    return _best_f1_threshold(scores, truth)
+    features, truth = _validation_matrix(validation)
+    return _best_f1_threshold(reconstruction_error(model, features).mean(axis=1), truth)
 
 
 def calibrate(model: DetectorModel, validation: list[Sample]) -> DetectorModel:
     return replace(model, threshold=calibrate_threshold(model, validation))
 
 
-def detect(model: DetectorModel, features: np.ndarray) -> str:
-    """'anomaly' iff the mean squared residual reaches the calibrated cutoff."""
+def detect(model: DetectorModel, features: np.ndarray) -> list[str]:
+    """Per row of an (n, d) feature matrix: 'anomaly' iff its mean squared
+    residual reaches the calibrated cutoff."""
     if model.threshold is None:
         raise DetectorError("model is not calibrated (threshold unset)")
-    _, total = reconstruction_error(model, features)
-    return ANOMALY if total >= model.threshold else "normal"
+    scores = reconstruction_error(model, features).mean(axis=1)
+    return [ANOMALY if score >= model.threshold else NORMAL for score in scores]
 
 
 # --------------------------------------------------------------------------
-# Feature selection and hybrid scoring
+# Hybrid scoring
 
 
-def reference_selector(z: np.ndarray, m: int, sample_id: int = -1) -> FeatureSelection:
-    """Indices of the m largest |z|, descending; ties break toward lower index."""
-    if m < 1:
-        raise DetectorError("m must be >= 1")
-    ranked = top_abs_z(np.abs(np.asarray(z, dtype=float)), m)
-    return FeatureSelection(
-        sample_id=sample_id, ranked=tuple(ranked), source=SOURCE_REFERENCE
-    )
-
-
-def hybrid_score(model: DetectorModel, selection: FeatureSelection, features) -> float:
-    """Mean squared residual over the selected sensors (all when source=full)."""
-    residuals, total = reconstruction_error(model, features)
-    if selection.source == SOURCE_FULL:
-        return total
-    if not selection.ranked:
-        raise DetectorError("selection has no ranked sensors and is not 'full'")
-    return float(residuals[list(selection.ranked)].mean())
-
-
-def hybrid_detect(
-    model: DetectorModel,
-    selection: FeatureSelection,
-    tau_h: float,
-    features: np.ndarray,
-) -> str:
-    return ANOMALY if hybrid_score(model, selection, features) >= tau_h else "normal"
+def hybrid_scores(model: DetectorModel, features: np.ndarray, selections) -> np.ndarray:
+    """Per row of an (n, d) feature matrix, the mean squared residual over
+    that row's selected sensors (a sequence of indices; empty selects all)."""
+    residuals = reconstruction_error(model, features)
+    if len(selections) != len(residuals):
+        raise DetectorError(
+            f"{len(selections)} selections for {len(residuals)} feature rows"
+        )
+    mask = np.zeros(residuals.shape, dtype=bool)
+    for row, selected in zip(mask, selections):
+        row[list(selected) or slice(None)] = True
+    return np.where(mask, residuals, 0.0).sum(axis=1) / mask.sum(axis=1)
 
 
 def calibrate_hybrid_threshold(
@@ -390,17 +375,11 @@ def calibrate_hybrid_threshold(
     stats: FeatureStats,
     m: int = 8,
 ) -> float:
-    """Hybrid cutoff fitted on validation scores under the reference selector."""
-    labels = {s.label for s in validation}
-    if len(labels) < 2:
-        raise DetectorError("validation split must contain both labels")
-    scores = []
-    truth = []
-    for s in validation:
-        sel = reference_selector(zscores(s.features, stats), m, sample_id=s.id)
-        scores.append(hybrid_score(model, sel, s.features))
-        truth.append(s.label == ANOMALY)
-    return _best_f1_threshold(np.asarray(scores), np.asarray(truth))
+    """Hybrid cutoff fitted on validation scores, each sample scored over its
+    m largest |z| (the reference selection)."""
+    features, truth = _validation_matrix(validation)
+    selections = top_abs_z(np.abs(zscores(features, stats)), m)
+    return _best_f1_threshold(hybrid_scores(model, features, selections), truth)
 
 
 # --------------------------------------------------------------------------

@@ -14,10 +14,14 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
+from urllib.parse import quote
+
+import numpy as np
 
 from .errors import AgentError, DatasetError, GridSigmaError, not_utf8
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
+from .ruleoracle import top_abs_z
 from .scenario import ANOMALY, NORMAL, Dataset, Sample, zscores
 
 logger = logging.getLogger(__name__)
@@ -27,6 +31,11 @@ EXCLUDED = "excluded"
 INVALID_POLICIES = (AS_WRONG, EXCLUDED)
 
 SELECTION_DECIMALS = 6  # so table rounding cannot reorder the |z| ranking
+
+# Where a hybrid sample's selection came from, as its manifest record says.
+SOURCE_LLM = "llm"
+SOURCE_REFERENCE = "reference_topz"
+SOURCE_FULL = "full"  # no usable reply: every sensor is scored
 
 
 @dataclass(frozen=True)
@@ -332,13 +341,22 @@ def _dataset_digest_of(dataset: Dataset) -> str:
     return digest.hexdigest()
 
 
+def _file_label(run: RunConfig) -> str:
+    """The agent label, and for an http agent its model, escaped for a file
+    name, so runs against two models keep two manifests."""
+    label = agent_label(run.agent)
+    if run.agent.kind == agents.HTTP_ENDPOINT:
+        label += "_" + quote(run.endpoint.model_name, safe="")
+    return label
+
+
 def manifest_name(run: RunConfig) -> str:
-    """<paradigm>_<variant>_<agent label>.json, with _k<k> before the suffix
-    when k differs from the paradigm default."""
+    """<paradigm>_<variant>_<agent label>.json (see ``_file_label``), with
+    _k<k> before the suffix when k differs from the paradigm default."""
     prompt = run.prompt
     k = prompt.k_examples
     k_part = "" if k == PromptConfig(paradigm=prompt.paradigm).k_examples else f"_k{k}"
-    return f"{prompt.paradigm}_{prompt.variant}_{agent_label(run.agent)}{k_part}.json"
+    return f"{prompt.paradigm}_{prompt.variant}_{_file_label(run)}{k_part}.json"
 
 
 def write_manifest(manifest: dict, path: "str | Path") -> None:
@@ -384,15 +402,13 @@ def run_hybrid_experiment(
     tau_h = detectors.calibrate_hybrid_threshold(
         model, dataset.split_samples("validation"), dataset.stats, m=m
     )
-    targets = dataset.split_samples("test")
+    targets, features = _test_split(dataset)
     if use_reference_selector:
-        selections = [
-            detectors.reference_selector(
-                zscores(s.features, dataset.stats), m, sample_id=s.id
-            )
-            for s in targets
-        ]
+        selector = file_label = SOURCE_REFERENCE
+        selections = top_abs_z(np.abs(zscores(features, dataset.stats)), m).tolist()
+        sources = [SOURCE_REFERENCE] * len(targets)
     else:
+        selector, file_label = agent_label(run.agent), _file_label(run)
         bundles = promptkit.render_prompts(
             targets, dataset.stats, run.prompt, [], dataset.layout
         )
@@ -406,27 +422,31 @@ def run_hybrid_experiment(
             if not ranked:
                 logger.warning("selection for sample %d fell back to full: %s", s.id,
                                reply if failed else "no known sensor named")
-            source = detectors.SOURCE_LLM if ranked else detectors.SOURCE_FULL
-            selections.append(detectors.FeatureSelection(s.id, ranked, source))
-    preds = [
-        detectors.hybrid_detect(model, sel, tau_h, s.features)
-        for s, sel in zip(targets, selections)
-    ]
-    selector = "reference_topz" if use_reference_selector else agent_label(run.agent)
+            selections.append(ranked)
+        sources = [SOURCE_LLM if ranked else SOURCE_FULL for ranked in selections]
+    scores = detectors.hybrid_scores(model, features, selections)
     reports, manifest = _score_and_persist(
         {**_config_doc(run), "selector": selector, "tau_hybrid": tau_h},
         dataset,
         targets,
-        preds,
+        [ANOMALY if score >= tau_h else NORMAL for score in scores],
         [
-            {"selection": list(sel.ranked), "selection_source": sel.source}
-            for sel in selections
+            {"selection": list(ranked), "selection_source": source}
+            for ranked, source in zip(selections, sources)
         ],
         (run.invalid_policy,),
         out_dir,
-        f"hybrid_{selector}.json",
+        f"hybrid_{file_label}.json",
     )
     return reports[run.invalid_policy], manifest
+
+
+def _test_split(dataset: Dataset) -> tuple[list[Sample], np.ndarray]:
+    """The test samples and their (n, d) feature matrix."""
+    targets = dataset.split_samples("test")
+    if not targets:
+        raise DatasetError("test split is empty")
+    return targets, np.stack([s.features for s in targets])
 
 
 def run_detector_experiment(
@@ -435,13 +455,13 @@ def run_detector_experiment(
     out_dir: "str | Path | None" = None,
 ) -> tuple[MetricsReport, dict]:
     """Standalone detector scored on the test split."""
-    targets = dataset.split_samples("test")
+    targets, features = _test_split(dataset)
     reports, manifest = _score_and_persist(
         {"detector": "autoencoder", "threshold": model.threshold,
          "train_seed": model.train_seed},
         dataset,
         targets,
-        [detectors.detect(model, s.features) for s in targets],
+        detectors.detect(model, features),
         [{}] * len(targets),
         (AS_WRONG,),
         out_dir,

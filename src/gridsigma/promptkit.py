@@ -83,6 +83,8 @@ class PromptConfig:
             raise PromptError(f"few_shot requires k_examples = 2, got {k}")
         if self.paradigm == ICL and k not in (10, 5):
             raise PromptError(f"icl requires k_examples in (10, 5), got {k}")
+        if self.m_select < 1:
+            raise PromptError(f"m_select must be >= 1, got {self.m_select}")
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,10 @@ def three_sigma_label(z, threshold: float = DEFAULT_THRESHOLD) -> RuleVerdict:
     )
 
 
-def top_abs_z(abs_z, m: int) -> list[int]:
-    """Indices of the m largest |z|, descending; ties break toward lower index."""
-    return sorted(range(len(abs_z)), key=lambda i: (-abs_z[i], i))[:m]
+def top_abs_z(abs_z, m: int) -> np.ndarray:
+    """Indices of the m largest |z| along the last axis, descending; ties
+    break toward lower index. One row of indices per row of a matrix."""
+    return np.argsort(-np.asarray(abs_z, dtype=float), axis=-1, kind="stable")[..., :m]
 
 
 def _read_abs_z(prompt: PromptBundle) -> tuple[promptkit.ValueBlockTable, np.ndarray]:

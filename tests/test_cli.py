@@ -428,6 +428,28 @@ class TestReportRows:
         doc = _report_doc(run_dir, capsys)
         assert _section(doc, "Prompting paradigms") == ["ICL (k=10)", "ICL (k=5)"]
 
+    def test_http_runs_against_two_models(self, run_dir, capsys, stub_server,
+                                          monkeypatch):
+        # Each model keeps its own manifests; the model is escaped for a file name.
+        monkeypatch.setenv(agents.ENV_BASE_URL,
+                           f"http://127.0.0.1:{stub_server.server_address[1]}")
+        for model in ("model-a", "org/model-b"):
+            monkeypatch.setenv(agents.ENV_MODEL, model)
+            assert main(["run", "--data", str(run_dir), "--agent", "http"]) == 0
+            assert main(["hybrid", "--data", str(run_dir), "--agent", "http"]) == 0
+        manifests = run_dir / "manifests"
+        for name in ("zero_shot_z_only_http_endpoint_model-a.json",
+                     "zero_shot_z_only_http_endpoint_org%2Fmodel-b.json",
+                     "hybrid_http_endpoint_model-a.json",
+                     "hybrid_http_endpoint_org%2Fmodel-b.json"):
+            assert (manifests / name).exists()
+        doc = _report_doc(run_dir, capsys)
+        assert _section(doc, "Zero-shot ablation") == [
+            "Z_score (model model-a)", "Z_score (model org/model-b)"]
+        assert _section(doc, "Prompting paradigms") == [
+            "Zero-shot (model model-a)", "Zero-shot (model org/model-b)",
+            "Hybrid (model model-a)", "Hybrid (model org/model-b)"]
+
     @pytest.mark.parametrize("key, value, message", [
         ("agent", "oracle", "AgentError: unknown agent kind 'oracle'"),
         ("variant", "z", "KeyError: 'z'"),
@@ -490,6 +512,14 @@ class TestErrors:
     def test_render_unknown_sample_is_domain_error(self, pipeline_dir, capsys, sample_id):
         assert main(["render", "--data", str(pipeline_dir), "--sample", sample_id]) == 1
         assert f"no sample with id {sample_id}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "--sample", "1", "--paradigm", "hybrid", "--m", "-3"],
+        ["hybrid", "--m", "0"],
+    ], ids=["render", "hybrid"])
+    def test_selection_size_below_one_is_domain_error(self, pipeline_dir, capsys, argv):
+        assert main([argv[0], "--data", str(pipeline_dir), *argv[1:]]) == 1
+        assert f"m_select must be >= 1, got {argv[-1]}" in capsys.readouterr().err
 
     def test_missing_dataset_is_domain_error(self, tmp_path, capsys):
         assert main(["run", "--data", str(tmp_path / "nope")]) == 1
@@ -586,6 +616,19 @@ class TestErrors:
         path.write_bytes(edit(path.read_bytes()))
         assert main(["report", "--data", str(data)]) == 1
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["train-dl"], ["hybrid", "--reference-topz"]],
+                             ids=["train-dl", "hybrid"])
+    def test_empty_test_split_is_domain_error(self, pipeline_dir, tmp_path, capsys,
+                                              argv):
+        def no_test_split(text):
+            meta = json.loads(text)
+            meta["splits"]["test"] = []
+            return json.dumps(meta)
+
+        data = self._corrupted_copy(pipeline_dir, tmp_path, "meta.json", no_test_split)
+        assert main([argv[0], "--data", str(data), *argv[1:]]) == 1
+        assert "test split is empty" in capsys.readouterr().err
 
     def test_non_utf8_cache_entry_is_domain_error(self, pipeline_dir, tmp_path, capsys,
                                                   stub_server, monkeypatch):

@@ -7,28 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_scoring
 import legacy_training
 from gridsigma import detectors
 from gridsigma.detectors import (
     DetectorModel,
-    FeatureSelection,
     Hyper,
-    SOURCE_FULL,
-    SOURCE_REFERENCE,
     calibrate_hybrid_threshold,
     calibrate_threshold,
     detect,
-    hybrid_detect,
-    hybrid_score,
+    hybrid_scores,
     loss_and_gradients,
     model_from_json,
     model_to_json,
     reconstruction_error,
-    reference_selector,
     train_autoencoder,
 )
-from gridsigma.errors import DetectorError
+from gridsigma.errors import DetectorError, PromptError
+from gridsigma.promptkit import HYBRID_SELECT, PromptConfig
+from gridsigma.ruleoracle import top_abs_z
 from gridsigma.scenario import ANOMALY, NORMAL, FeatureStats, Sample, zscores
+
+
+def matrix(samples):
+    return np.stack([s.features for s in samples])
 
 
 def make_sample(values, sample_id=0, label=NORMAL):
@@ -91,8 +93,13 @@ class TestTraining:
         model = train_autoencoder(
             samples, Hyper(epochs=30), seed=0, layer_dims=(6, 4, 2, 4, 6)
         )
-        losses = [reconstruction_error(model, s.features)[1] for s in samples[:5]]
+        losses = reconstruction_error(model, matrix(samples[:5])).mean(axis=1)
         assert max(losses) < 1e-6
+
+    def test_default_layers_follow_feature_length(self):
+        samples = [make_sample(np.full(5, 0.01 * i), sample_id=i) for i in range(120)]
+        model = train_autoencoder(samples, Hyper(epochs=1), seed=0)
+        assert model.layer_dims == (5, 32, 8, 32, 5)
 
     def test_too_few_samples(self):
         samples = [make_sample(np.zeros(6), sample_id=i) for i in range(50)]
@@ -283,29 +290,29 @@ class TestReconstructionError:
             threshold=None,
             train_seed=0,
         )
-        residuals, total = reconstruction_error(model, np.array([1.0, -2.0, 0.5]))
-        assert np.allclose(residuals, 0.0)
-        assert total == 0.0
+        residuals = reconstruction_error(model, np.array([[1.0, -2.0, 0.5]]))
+        assert residuals.shape == (1, 3)
+        assert (residuals == 0.0).all()
 
     def test_residuals_non_negative(self, model42, dataset42):
-        for s in dataset42.split_samples("test")[:10]:
-            residuals, total = reconstruction_error(model42, s.features)
-            assert (residuals >= 0).all()
-            assert total >= 0
+        residuals = reconstruction_error(model42, matrix(dataset42.split_samples("test")))
+        assert residuals.shape == (200, 68)
+        assert (residuals >= 0).all()
 
     def test_anomalous_error_exceeds_normal(self, model42, dataset42):
         test = dataset42.split_samples("test")
-        normal_mean = np.mean(
-            [reconstruction_error(model42, s.features)[1] for s in test if s.label == NORMAL]
-        )
-        anomalous_mean = np.mean(
-            [reconstruction_error(model42, s.features)[1] for s in test if s.label == ANOMALY]
-        )
-        assert anomalous_mean > normal_mean
+        scores = reconstruction_error(model42, matrix(test)).mean(axis=1)
+        truth = np.array([s.label == ANOMALY for s in test])
+        assert scores[truth].mean() > scores[~truth].mean()
 
     def test_length_mismatch(self, model42):
-        with pytest.raises(DetectorError):
-            reconstruction_error(model42, np.zeros(5))
+        with pytest.raises(DetectorError, match=r"\(1, 5\)"):
+            reconstruction_error(model42, np.zeros((1, 5)))
+
+    def test_vector_refused(self, model42, dataset42):
+        # A split is scored as one (n, d) matrix; a lone row is no such matrix.
+        with pytest.raises(DetectorError, match=r"\(68,\)"):
+            reconstruction_error(model42, dataset42.split_samples("test")[0].features)
 
 
 class TestCalibration:
@@ -317,7 +324,7 @@ class TestCalibration:
         tau = calibrate_threshold(model, val)
         assert tau == pytest.approx(4.0)
         calibrated = detectors.calibrate(model, val)
-        assert all(detect(calibrated, s.features) == s.label for s in val)
+        assert detect(calibrated, matrix(val)) == [s.label for s in val]
 
     def test_all_scores_equal_flags_everything(self):
         model = score_model()
@@ -325,7 +332,7 @@ class TestCalibration:
         tau = calibrate_threshold(model, val)
         assert tau == pytest.approx(1.0)
         calibrated = detectors.calibrate(model, val)
-        assert detect(calibrated, np.array([1.0])) == ANOMALY
+        assert detect(calibrated, np.array([[1.0]])) == [ANOMALY]
 
     def test_tie_breaks_toward_smaller_tau(self):
         # scores: anomalies {1, 5}, normal {1}; tau=1 and tau=5 both give F1=0.8
@@ -380,7 +387,7 @@ class TestCalibration:
 
     def test_seed42_validation_f1_in_expected_band(self, model42, dataset42):
         val = dataset42.split_samples("validation")
-        preds = [detect(model42, s.features) for s in val]
+        preds = detect(model42, matrix(val))
         tp = sum(p == t.label == ANOMALY for p, t in zip(preds, val))
         fp = sum(p == ANOMALY and t.label == NORMAL for p, t in zip(preds, val))
         fn = sum(p == NORMAL and t.label == ANOMALY for p, t in zip(preds, val))
@@ -392,10 +399,10 @@ class TestDetect:
     def test_uncalibrated_model_rejected(self, dataset42):
         model = score_model(threshold=None)
         with pytest.raises(DetectorError, match="not calibrated"):
-            detect(model, np.array([1.0]))
+            detect(model, np.array([[1.0]]))
 
     def test_all_means_vector_is_normal(self, model42, dataset42):
-        assert detect(model42, dataset42.stats.mean.copy()) == NORMAL
+        assert detect(model42, dataset42.stats.mean[None, :]) == [NORMAL]
 
     def test_high_variance_injection_detected(self, model42, dataset42):
         # An anomalous sample whose injection hit a top-variance sensor.
@@ -407,17 +414,12 @@ class TestDetect:
             if s.label == ANOMALY
             and any(stds[i] >= threshold_std for i in s.injected)
         )
-        assert detect(model42, hit.features) == ANOMALY
+        assert detect(model42, hit.features[None, :]) == [ANOMALY]
 
     def test_recall_on_test_split(self, model42, dataset42):
-        test = dataset42.split_samples("test")
-        flagged = sum(
-            detect(model42, s.features) == ANOMALY
-            for s in test
-            if s.label == ANOMALY
-        )
-        total = sum(s.label == ANOMALY for s in test)
-        assert flagged / total >= 0.9
+        anomalous = [s for s in dataset42.split_samples("test") if s.label == ANOMALY]
+        flagged = detect(model42, matrix(anomalous)).count(ANOMALY)
+        assert flagged / len(anomalous) >= 0.9
 
 
 class TestNonFiniteInput:
@@ -426,8 +428,8 @@ class TestNonFiniteInput:
 
     @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def bad_features(self, request, dataset42):
-        features = dataset42.split_samples("test")[0].features.copy()
-        features[5] = request.param
+        features = matrix(dataset42.split_samples("test")[:3])
+        features[1, 5] = request.param
         return features
 
     def test_reconstruction_error_refuses(self, model42, bad_features):
@@ -438,16 +440,11 @@ class TestNonFiniteInput:
         with pytest.raises(DetectorError, match="non-finite"):
             detect(model42, bad_features)
 
-    @pytest.mark.parametrize("selection", [
-        FeatureSelection(sample_id=0, ranked=(), source=SOURCE_FULL),
-        FeatureSelection(sample_id=0, ranked=(1, 2), source=SOURCE_REFERENCE),
-        FeatureSelection(sample_id=0, ranked=(5,), source=SOURCE_REFERENCE),
-    ], ids=["full", "other-sensors", "that-sensor"])
+    @pytest.mark.parametrize("selection", [(), (1, 2), (5,)],
+                             ids=["full", "other-sensors", "that-sensor"])
     def test_hybrid_refuses(self, model42, bad_features, selection):
         with pytest.raises(DetectorError, match="non-finite"):
-            hybrid_score(model42, selection, bad_features)
-        with pytest.raises(DetectorError, match="non-finite"):
-            hybrid_detect(model42, selection, 0.5, bad_features)
+            hybrid_scores(model42, bad_features, [selection] * len(bad_features))
 
 
 class TestStandardizationConsistency:
@@ -462,41 +459,50 @@ class TestStandardizationConsistency:
             mean=stats.mean * scale, std=stats.std * scale, n=stats.n, split=stats.split
         )
         scaled_model = replace(model42, input_stats=scaled_stats)
-        for s in dataset42.split_samples("test")[:50]:
-            assert detect(model42, s.features) == detect(
-                scaled_model, s.features * scale
-            )
+        features = matrix(dataset42.split_samples("test")[:50])
+        assert detect(model42, features) == detect(scaled_model, features * scale)
 
 
 class TestSelectors:
     def test_reference_selector_hand_ranked(self):
-        sel = reference_selector(np.array([0.0, 5.0, -7.0]), m=2)
-        assert sel.ranked == (2, 1)
-        assert sel.source == SOURCE_REFERENCE
+        assert top_abs_z(np.abs([0.0, 5.0, -7.0]), 2).tolist() == [2, 1]
 
     def test_m_larger_than_length(self):
-        sel = reference_selector(np.array([1.0, -3.0]), m=10)
-        assert sel.ranked == (1, 0)
+        assert top_abs_z(np.abs([1.0, -3.0]), 10).tolist() == [1, 0]
 
     def test_tie_breaks_by_lower_index(self):
         z = np.zeros(12)
         z[3] = 2.0
         z[9] = -2.0
-        sel = reference_selector(z, m=2)
-        assert sel.ranked == (3, 9)
+        assert top_abs_z(np.abs(z), 2).tolist() == [3, 9]
 
     def test_m_must_be_positive(self):
-        with pytest.raises(DetectorError):
-            reference_selector(np.array([1.0]), m=0)
+        with pytest.raises(PromptError, match="m_select must be >= 1"):
+            PromptConfig(paradigm=HYBRID_SELECT, m_select=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda d: st.tuples(
+            st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, 3.0]),
+                              min_size=d, max_size=d), min_size=1, max_size=5),
+            st.integers(1, d + 3),
+        ))
+    )
+    def test_matrix_rows_match_sorted_reference(self, rows_m):
+        # Few distinct values, so ties (and 0.0 against -0.0) are common.
+        rows, m = rows_m
+        want = [legacy_scoring.top_abs_z(row, m) for row in rows]
+        assert top_abs_z(np.array(rows), m).tolist() == want
+        assert [top_abs_z(row, m).tolist() for row in rows] == want
 
 
 class TestHybrid:
     def test_full_selection_reduces_to_detect(self, model42, dataset42):
-        full = FeatureSelection(sample_id=-1, ranked=(), source=SOURCE_FULL)
-        for s in dataset42.split_samples("test")[:30]:
-            assert hybrid_detect(
-                model42, full, model42.threshold, s.features
-            ) == detect(model42, s.features)
+        features = matrix(dataset42.split_samples("test"))
+        scores = hybrid_scores(model42, features, [()] * len(features))
+        assert np.array_equal(scores, reconstruction_error(model42, features).mean(axis=1))
+        labels = [ANOMALY if v >= model42.threshold else NORMAL for v in scores]
+        assert labels == detect(model42, features)
 
     def test_injected_selection_flags_anomaly(self, model42, dataset42):
         tau_h = calibrate_hybrid_threshold(
@@ -505,13 +511,8 @@ class TestHybrid:
         anomalous = [
             s for s in dataset42.split_samples("test") if s.label == ANOMALY
         ]
-        hits = 0
-        for s in anomalous:
-            sel = FeatureSelection(
-                sample_id=s.id, ranked=tuple(s.injected), source=SOURCE_REFERENCE
-            )
-            hits += hybrid_detect(model42, sel, tau_h, s.features) == ANOMALY
-        assert hits / len(anomalous) >= 0.9
+        scores = hybrid_scores(model42, matrix(anomalous), [s.injected for s in anomalous])
+        assert np.mean(scores >= tau_h) >= 0.9
 
     def test_low_residual_selection_stays_normal(self, model42, dataset42):
         tau_h = calibrate_hybrid_threshold(
@@ -520,15 +521,13 @@ class TestHybrid:
         normal = next(
             s for s in dataset42.split_samples("test") if s.label == NORMAL
         )
-        residuals, _ = reconstruction_error(model42, normal.features)
-        quiet = tuple(int(i) for i in np.argsort(residuals)[:8])
-        sel = FeatureSelection(sample_id=normal.id, ranked=quiet, source=SOURCE_REFERENCE)
-        assert hybrid_detect(model42, sel, tau_h, normal.features) == NORMAL
+        features = normal.features[None, :]
+        quiet = np.argsort(reconstruction_error(model42, features)[0])[:8]
+        assert hybrid_scores(model42, features, [quiet])[0] < tau_h
 
-    def test_empty_non_full_selection_rejected(self, model42, dataset42):
-        bad = FeatureSelection(sample_id=0, ranked=(), source=SOURCE_REFERENCE)
-        with pytest.raises(DetectorError):
-            hybrid_score(model42, bad, dataset42.stats.mean)
+    def test_selection_count_must_match_rows(self, model42, dataset42):
+        with pytest.raises(DetectorError, match="2 selections for 1 feature rows"):
+            hybrid_scores(model42, dataset42.stats.mean[None, :], [(0,), (1,)])
 
     def test_hybrid_dominance_with_reference_selection(self, model42, dataset42):
         """Mirrors the performance-lift direction: hybrid F1 >= standalone F1."""
@@ -538,20 +537,57 @@ class TestHybrid:
         tau_h = calibrate_hybrid_threshold(
             model42, dataset42.split_samples("validation"), dataset42.stats, m=8
         )
-        standalone = [detect(model42, s.features) for s in test]
+        features = matrix(test)
+        standalone = detect(model42, features)
+        selections = top_abs_z(np.abs(zscores(features, dataset42.stats)), 8)
         hybrid = [
-            hybrid_detect(
-                model42,
-                reference_selector(zscores(s.features, dataset42.stats), 8, s.id),
-                tau_h,
-                s.features,
-            )
-            for s in test
+            ANOMALY if v >= tau_h else NORMAL
+            for v in hybrid_scores(model42, features, selections)
         ]
         truths = [s.label for s in test]
         f1_standalone = evalkit.metrics(evalkit.confusion(standalone, truths)[0]).f1
         f1_hybrid = evalkit.metrics(evalkit.confusion(hybrid, truths)[0]).f1
         assert f1_hybrid >= f1_standalone
+
+
+class TestAgainstPerSampleScoring:
+    """One forward pass per split against one per sample (legacy_scoring):
+    a mean residual may move in its last bits, so thresholds may move by a
+    few ulp, but no label may change on the seed-42 splits."""
+
+    ULPS = 4
+
+    def test_detector_threshold_and_labels(self, model42, dataset42):
+        from dataclasses import replace
+
+        want_tau = legacy_scoring.calibrate_threshold(
+            model42, dataset42.split_samples("validation")
+        )
+        assert abs(model42.threshold - want_tau) <= self.ULPS * np.spacing(want_tau)
+        legacy = replace(model42, threshold=want_tau)
+        test = dataset42.split_samples("test")
+        assert detect(model42, matrix(test)) == [
+            legacy_scoring.detect(legacy, s.features) for s in test
+        ]
+
+    def test_hybrid_threshold_selections_and_labels(self, model42, dataset42):
+        from gridsigma import agents, evalkit
+
+        run = evalkit.RunConfig(prompt=PromptConfig(paradigm=HYBRID_SELECT),
+                                agent=agents.AgentKind(agents.REFERENCE_RULE))
+        _, manifest = evalkit.run_hybrid_experiment(
+            run, model42, dataset42, use_reference_selector=True
+        )
+        want_tau = legacy_scoring.calibrate_hybrid_threshold(
+            model42, dataset42.split_samples("validation"), dataset42.stats
+        )
+        tau = manifest["config"]["tau_hybrid"]
+        assert abs(tau - want_tau) <= self.ULPS * np.spacing(want_tau)
+        for s, record in zip(dataset42.split_samples("test"), manifest["samples"]):
+            ranked = legacy_scoring.top_abs_z(np.abs(zscores(s.features, dataset42.stats)), 8)
+            score = legacy_scoring.hybrid_score(model42, ranked, s.features)
+            assert record["selection"] == ranked
+            assert record["label"] == (ANOMALY if score >= want_tau else NORMAL)
 
 
 class TestPersistence:

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsigma import agents, evalkit, promptkit
-from gridsigma.detectors import SOURCE_FULL, SOURCE_LLM, reference_selector
 from gridsigma.errors import DatasetError, GridSigmaError
 from gridsigma.grid import builtin_ieee14, default_layout
+from gridsigma.ruleoracle import top_abs_z
 from gridsigma.evalkit import (
     AS_WRONG,
     EXCLUDED,
+    SOURCE_FULL,
+    SOURCE_LLM,
     ConfusionCounts,
     MetricsReport,
     RunConfig,
@@ -270,8 +272,8 @@ class TestHybridSelection:
     def test_llm_selection_matches_reference(self, dataset42, model42):
         targets, records = _hybrid_records(dataset42, model42, 40)
         for s, record in zip(targets, records):
-            want = reference_selector(zscores(s.features, dataset42.stats), 8, s.id)
-            assert tuple(record["selection"]) == want.ranked
+            want = top_abs_z(np.abs(zscores(s.features, dataset42.stats)), 8)
+            assert record["selection"] == want.tolist()
             assert record["selection_source"] == SOURCE_LLM
 
     def test_misspelled_sensor_dropped(self, dataset42, model42, monkeypatch):
