@@ -5,6 +5,8 @@ network completion is recorded in a content-addressed cache keyed by
 digest(prompt text, model name, temperature), so re-running a batch with the
 same cache does no network work and is fully auditable. Mock replies are a
 pure function of the prompt, so they are recomputed and never cached.
+``requests`` is imported on the first HTTP completion, so a process that
+only runs mock agents never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .errors import AgentError, not_utf8
 from . import promptkit, ruleoracle
@@ -52,8 +53,16 @@ class EndpointConfig:
     backoff: float = 0.5
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise AgentError("temperature must be >= 0")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise AgentError("temperature must be a finite number >= 0")
+        if not math.isfinite(self.timeout) or self.timeout <= 0:
+            raise AgentError("timeout must be a finite number > 0")
+        if not math.isfinite(self.backoff) or self.backoff < 0:
+            raise AgentError("backoff must be a finite number >= 0")
+        if self.max_tokens < 1:
+            raise AgentError("max_tokens must be >= 1")
+        if self.retries < 0:
+            raise AgentError("retries must be >= 0")
         if self.max_in_flight < 1:
             raise AgentError("max_in_flight must be >= 1")
 
@@ -134,6 +143,8 @@ class ResponseCache:
 
 
 def _http_complete(prompt: PromptBundle, endpoint: EndpointConfig) -> str:
+    import requests  # here, so that mock-agent runs never load the HTTP stack
+
     url = endpoint.base_url.rstrip("/") + "/v1/chat/completions"
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:
@@ -155,13 +166,17 @@ def _http_complete(prompt: PromptBundle, endpoint: EndpointConfig) -> str:
             if resp.status_code != 200:
                 # Client errors do not improve on retry.
                 raise _NoRetry(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            content = resp.json()["choices"][0]["message"]["content"]
+            try:
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (LookupError, TypeError, ValueError) as exc:
+                # Not the chat-completion shape: retried like a transport error.
+                raise AgentError(f"malformed completion: {exc!r}") from None
             if not isinstance(content, str) or not content.strip():
                 raise _NoRetry("empty completion")
             return content
         except _NoRetry as exc:
             raise AgentError(str(exc)) from None
-        except (requests.RequestException, AgentError, KeyError, ValueError) as exc:
+        except (requests.RequestException, AgentError) as exc:
             last_error = exc
             if attempt < endpoint.retries:
                 time.sleep(endpoint.backoff * (2**attempt))

@@ -494,8 +494,8 @@ _VERSUS = "Traditional vs hybrid"
 _DETECTOR_ROW = "Traditional DL"
 _HYBRID_ROW = "LLM + DL"
 
-_ROW_ORDER = [*VARIANT_LABELS.values(), "Zero-shot", "Few-shot", "ICL", "Fine-tuned",
-              "Hybrid", _DETECTOR_ROW, _HYBRID_ROW]
+_ROW_ORDER = [*VARIANT_LABELS.values(), *PARADIGM_LABELS.values(), _DETECTOR_ROW,
+              _HYBRID_ROW]
 
 _COLUMNS = ["Configuration", "Accuracy", "Recall", "Precision", "F1-score"]
 _METRICS = ("accuracy", "recall", "precision", "f1")

@@ -234,6 +234,22 @@ class TestHttpAgent:
         )
         assert verdicts[0].label == promptkit.INVALID
 
+    @pytest.mark.parametrize("body", [
+        "[]",
+        '{"choices": []}',
+        '{"choices": [{"message": null}]}',
+    ])
+    def test_wrong_shape_reply_is_retried_then_fails(self, stub_server, bundles,
+                                                     body):
+        stub_server.behavior = lambda text, n: {"kind": "raw", "body": body}
+        replies = complete_batch(
+            bundles[:1], AgentKind(agents.HTTP_ENDPOINT),
+            endpoint_for(stub_server, retries=1), None,
+        )
+        assert isinstance(replies[0], AgentError)
+        assert "malformed completion" in str(replies[0])
+        assert len(stub_server.requests) == 2
+
     def test_missing_endpoint_config(self, bundles):
         with pytest.raises(AgentError):
             complete(bundles[0], AgentKind(agents.HTTP_ENDPOINT))
@@ -252,6 +268,24 @@ class TestHttpAgent:
         monkeypatch.delenv(agents.ENV_MODEL, raising=False)
         with pytest.raises(AgentError):
             EndpointConfig.from_env()
+
+    @pytest.mark.parametrize("setting", [
+        {"retries": -1},
+        {"timeout": 0.0},
+        {"timeout": -1.0},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"max_tokens": 0},
+        {"backoff": -0.1},
+        {"backoff": float("nan")},
+        {"temperature": -0.5},
+        {"temperature": float("nan")},
+        {"max_in_flight": 0},
+    ], ids=repr)
+    def test_unworkable_settings_refused(self, setting):
+        with pytest.raises(AgentError, match=next(iter(setting))):
+            EndpointConfig(base_url="http://example.test", model_name="m1",
+                           **setting)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(AgentError):

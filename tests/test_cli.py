@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gridsigma
 import legacy_formats
 from gridsigma import agents, cli, evalkit, scenario
 from gridsigma.cli import main
@@ -487,6 +492,34 @@ class TestOtherCommands:
         text = "é€x\n" * 300_000  # 1.2 million characters: two slices
         cli._write(tmp_path / "out" / "f.txt", text)
         assert (tmp_path / "out" / "f.txt").read_bytes() == text.encode("utf-8")
+
+
+_LOADED_HTTP_MODULES = """
+import json, sys
+from gridsigma.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted({"requests", "urllib3"} & set(sys.modules))))
+"""
+
+
+def test_mock_commands_never_load_the_http_stack(tmp_path):
+    data = str(tmp_path / "data")
+    commands = [
+        ["generate", "--samples", "400", "--seed", "42", "--out", data],
+        ["train-dl", "--data", data, "--seed", "42"],
+        ["run", "--data", data, "--agent", "reference"],
+    ]
+    src = Path(gridsigma.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_HTTP_MODULES, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestErrors:
