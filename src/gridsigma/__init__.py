@@ -27,7 +27,6 @@ from .grid import (
     builtin_ieee14,
     default_layout,
     extract_features,
-    parse_case,
     solve_newton,
 )
 from .scenario import (

@@ -25,7 +25,7 @@ from pathlib import Path
 from .errors import AgentError, not_utf8
 from . import promptkit, ruleoracle
 from .promptkit import ZERO_SHOT, AgentVerdict, PromptBundle, PromptConfig
-from .scenario import ANOMALY, Dataset, FeatureStats
+from .scenario import ANOMALY, FeatureStats
 from .grid import FeatureLayout
 
 logger = logging.getLogger(__name__)
@@ -55,8 +55,11 @@ class EndpointConfig:
     def __post_init__(self):
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise AgentError("temperature must be a finite number >= 0")
-        if not math.isfinite(self.timeout) or self.timeout <= 0:
-            raise AgentError("timeout must be a finite number > 0")
+        # socket.settimeout overflows on a timeout above threading.TIMEOUT_MAX.
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise AgentError(
+                f"timeout must be a number > 0 and <= {threading.TIMEOUT_MAX}"
+            )
         if not math.isfinite(self.backoff) or self.backoff < 0:
             raise AgentError("backoff must be a finite number >= 0")
         if self.max_tokens < 1:
@@ -317,9 +320,3 @@ def export_finetune_dataset(
         }
         lines.append(json.dumps(record, separators=(",", ":")) + "\n")
     return "".join(lines)
-
-
-def export_finetune_from_dataset(ds: Dataset, config: PromptConfig | None = None) -> str:
-    return export_finetune_dataset(
-        ds.split_samples("train"), ds.stats, ds.layout, config
-    )

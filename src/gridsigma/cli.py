@@ -268,7 +268,9 @@ def _cmd_hybrid(args) -> int:
 def _cmd_export_finetune(args) -> int:
     ds = evalkit.load_dataset_dir(args.data)
     cfg = promptkit.PromptConfig(variant=args.variant)
-    text = agents.export_finetune_from_dataset(ds, cfg)
+    text = agents.export_finetune_dataset(
+        ds.split_samples("train"), ds.stats, ds.layout, cfg
+    )
     _write(Path(args.out), text)
     print(f"records: {text.count(chr(10))}")
     return 0

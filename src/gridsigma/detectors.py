@@ -21,7 +21,6 @@ from .scenario import (
     NORMAL,
     FeatureStats,
     Sample,
-    compute_stats,
     stats_from_dict,
     stats_to_dict,
     zscores,
@@ -168,19 +167,18 @@ def train_autoencoder(
     normals: list[Sample],
     hyper: Hyper = Hyper(),
     seed: int = 42,
-    val_normals: "list[Sample] | None" = None,
+    *,
+    val_normals: list[Sample],
+    stats: FeatureStats,
     layer_dims: "tuple[int, ...] | None" = None,
-    stats: "FeatureStats | None" = None,
 ) -> DetectorModel:
     """Fit the autoencoder on normal samples only.
 
-    Inputs are standardized by the train-split stats when given (the usual
-    case, sharing the z-score basis with prompts), else by stats computed
-    over the training normals. Early stopping watches the mean loss on
-    held-out normals (val_normals, or a deterministic 10% tail of the input
-    when not given) with the configured patience, keeping the best weights.
-    The layers are (d, 32, 8, 32, d) for d features unless layer_dims is
-    given. Deterministic in seed.
+    Inputs are standardized by ``stats``, the train-split stats that prompts
+    share as their z-score basis. Early stopping watches the mean loss on
+    the held-out ``val_normals`` with the configured patience, keeping the
+    best weights. The layers are (d, 32, 8, 32, d) for d features unless
+    layer_dims is given. Deterministic in seed.
     """
     if len(normals) < 100:
         raise DetectorError(f"need at least 100 normal samples, got {len(normals)}")
@@ -195,14 +193,8 @@ def train_autoencoder(
             f"layer_dims[0] = {layer_dims[0]}"
         )
 
-    if val_normals is not None and not val_normals:
+    if not val_normals:
         raise DetectorError("val_normals is empty; early stopping needs held-out normals")
-    if stats is None:
-        stats = compute_stats(normals, split="train-normal")
-    if val_normals is None:
-        holdout = max(1, len(normals) // 10)
-        val_normals = normals[-holdout:]
-        normals = normals[:-holdout]
     x_train = zscores(np.stack([s.features for s in normals]), stats)
     x_val = zscores(np.stack([s.features for s in val_normals]), stats)
 

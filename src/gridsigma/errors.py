@@ -11,13 +11,7 @@ class GridSigmaError(Exception):
 
 
 class CaseFormatError(GridSigmaError):
-    """Malformed network case text; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Inconsistent network case or sensor layout."""
 
 
 class PowerFlowError(GridSigmaError):

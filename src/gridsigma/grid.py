@@ -1,9 +1,9 @@
-"""Network model, case-file parsing, AC power flow, and sensor extraction.
+"""Network model, the embedded IEEE 14-bus case, AC power flow, and sensor
+extraction.
 
-All electrical quantities are per-unit on the case's MVA base. Case files
-use MATPOWER-style plain-text sections (``baseMVA`` scalar followed by
-``bus``, ``gen`` and ``branch`` tables); loads, shunts and generator set
-points are given in MW/MVAr in the file and converted on parse.
+All electrical quantities are per-unit on the case's MVA base. The IEEE
+14-bus case is kept as constant bus, generator and branch tables in the
+published units (MW, MVAr, degrees); ``builtin_ieee14`` converts them.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import CaseFormatError, PowerFlowError
 SLACK = "slack"
 PV = "PV"
 PQ = "PQ"
-
-_BUS_CODE_KIND = {1: PQ, 2: PV, 3: SLACK}
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,6 @@ class Generator:
     bus: int
     p_set: float  # pu
     v_set: float  # pu
-    q_min: float  # pu; read from the case text, not enforced by the solver
-    q_max: float  # pu
 
 
 @dataclass(frozen=True)
@@ -157,201 +153,77 @@ def default_layout(case: GridCase, include_voltage: bool = False) -> FeatureLayo
 
 
 # --------------------------------------------------------------------------
-# Case text format
-
-
-def parse_case(text: str) -> GridCase:
-    """Parse MATPOWER-style case text into a validated GridCase.
-
-    Sections are introduced by a bare keyword line (``bus``, ``gen``,
-    ``branch``); ``baseMVA <value>`` may appear anywhere at top level.
-    ``#`` starts a comment. Bus types use the MATPOWER codes 1=PQ, 2=PV,
-    3=slack; branch tap 0 means 1.0; angles are degrees in the file.
-    """
-    base_mva: float | None = None
-    rows: dict[str, list[tuple[int, list[str]]]] = {"bus": [], "gen": [], "branch": []}
-    section: str | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0].lower()
-        if head == "basemva":
-            if len(tokens) != 2:
-                raise CaseFormatError("baseMVA expects a single value", lineno)
-            base_mva = _parse_float(tokens[1], lineno)
-            section = None
-            continue
-        if head in rows and len(tokens) == 1:
-            section = head
-            continue
-        if section is None:
-            raise CaseFormatError(f"data outside any section: {line!r}", lineno)
-        rows[section].append((lineno, tokens))
-
-    if base_mva is None:
-        raise CaseFormatError("missing baseMVA section")
-    if base_mva <= 0:
-        raise CaseFormatError("baseMVA must be positive")
-    for name in ("bus", "gen", "branch"):
-        if not rows[name]:
-            raise CaseFormatError(f"missing {name} section")
-
-    buses: list[Bus] = []
-    seen_ids: set[int] = set()
-    for lineno, tok in rows["bus"]:
-        if len(tok) != 8:
-            raise CaseFormatError(f"bus row expects 8 columns, got {len(tok)}", lineno)
-        bus_id = _parse_int(tok[0], lineno)
-        if bus_id in seen_ids:
-            raise CaseFormatError(f"duplicate bus id {bus_id}", lineno)
-        seen_ids.add(bus_id)
-        code = _parse_int(tok[1], lineno)
-        if code not in _BUS_CODE_KIND:
-            raise CaseFormatError(f"unknown bus type code {code}", lineno)
-        vals = [_parse_float(t, lineno) for t in tok[2:]]
-        buses.append(
-            Bus(
-                id=bus_id,
-                kind=_BUS_CODE_KIND[code],
-                p_load=vals[0] / base_mva,
-                q_load=vals[1] / base_mva,
-                g_shunt=vals[2] / base_mva,
-                b_shunt=vals[3] / base_mva,
-                v_mag_init=vals[4],
-                v_ang_init=math.radians(vals[5]),
-            )
-        )
-
-    gens: list[Generator] = []
-    for lineno, tok in rows["gen"]:
-        if len(tok) != 5:
-            raise CaseFormatError(f"gen row expects 5 columns, got {len(tok)}", lineno)
-        bus_id = _parse_int(tok[0], lineno)
-        if bus_id not in seen_ids:
-            raise CaseFormatError(f"generator references unknown bus {bus_id}", lineno)
-        vals = [_parse_float(t, lineno) for t in tok[1:]]
-        gens.append(
-            Generator(
-                bus=bus_id,
-                p_set=vals[0] / base_mva,
-                v_set=vals[1],
-                q_min=vals[2] / base_mva,
-                q_max=vals[3] / base_mva,
-            )
-        )
-
-    branches: list[Branch] = []
-    for lineno, tok in rows["branch"]:
-        if len(tok) != 8:
-            raise CaseFormatError(
-                f"branch row expects 8 columns, got {len(tok)}", lineno
-            )
-        f_bus = _parse_int(tok[0], lineno)
-        t_bus = _parse_int(tok[1], lineno)
-        vals = [_parse_float(t, lineno) for t in tok[2:7]]
-        status = _parse_int(tok[7], lineno)
-        if vals[1] == 0:
-            raise CaseFormatError(f"branch {f_bus}-{t_bus} has zero reactance", lineno)
-        branches.append(
-            Branch(
-                from_bus=f_bus,
-                to_bus=t_bus,
-                r=vals[0],
-                x=vals[1],
-                b_charging=vals[2],
-                tap=vals[3] if vals[3] != 0 else 1.0,
-                shift=math.radians(vals[4]),
-                in_service=status != 0,
-            )
-        )
-
-    case = GridCase(
-        base_mva=base_mva,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        gens=tuple(gens),
-    )
-    case.validate()
-    return case
-
-
-def _parse_float(tok: str, lineno: int) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise CaseFormatError(f"expected a number, got {tok!r}", lineno) from None
-
-
-def _parse_int(tok: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise CaseFormatError(f"expected an integer, got {tok!r}", lineno) from None
-
-
-# --------------------------------------------------------------------------
 # Embedded IEEE 14-bus test system (standard published data, 100 MVA base).
 
-IEEE14_CASE_TEXT = """\
-# IEEE 14-bus test system, 100 MVA base
-baseMVA 100.0
+IEEE14_BASE_MVA = 100.0
 
-bus
-# id type Pd_MW Qd_MVAr Gs_MW Bs_MVAr Vm_pu Va_deg
-1  3   0.0   0.0  0.0  0.0  1.060   0.00
-2  2  21.7  12.7  0.0  0.0  1.045  -4.98
-3  2  94.2  19.0  0.0  0.0  1.010 -12.72
-4  1  47.8  -3.9  0.0  0.0  1.019 -10.33
-5  1   7.6   1.6  0.0  0.0  1.020  -8.78
-6  2  11.2   7.5  0.0  0.0  1.070 -14.22
-7  1   0.0   0.0  0.0  0.0  1.062 -13.37
-8  2   0.0   0.0  0.0  0.0  1.090 -13.36
-9  1  29.5  16.6  0.0 19.0  1.056 -14.94
-10 1   9.0   5.8  0.0  0.0  1.051 -15.10
-11 1   3.5   1.8  0.0  0.0  1.057 -14.79
-12 1   6.1   1.6  0.0  0.0  1.055 -15.07
-13 1  13.5   5.8  0.0  0.0  1.050 -15.16
-14 1  14.9   5.0  0.0  0.0  1.036 -16.04
+# id, kind, Pd MW, Qd MVAr, Gs MW, Bs MVAr, Vm pu, Va deg
+IEEE14_BUSES = (
+    (1, SLACK, 0.0, 0.0, 0.0, 0.0, 1.060, 0.00),
+    (2, PV, 21.7, 12.7, 0.0, 0.0, 1.045, -4.98),
+    (3, PV, 94.2, 19.0, 0.0, 0.0, 1.010, -12.72),
+    (4, PQ, 47.8, -3.9, 0.0, 0.0, 1.019, -10.33),
+    (5, PQ, 7.6, 1.6, 0.0, 0.0, 1.020, -8.78),
+    (6, PV, 11.2, 7.5, 0.0, 0.0, 1.070, -14.22),
+    (7, PQ, 0.0, 0.0, 0.0, 0.0, 1.062, -13.37),
+    (8, PV, 0.0, 0.0, 0.0, 0.0, 1.090, -13.36),
+    (9, PQ, 29.5, 16.6, 0.0, 19.0, 1.056, -14.94),
+    (10, PQ, 9.0, 5.8, 0.0, 0.0, 1.051, -15.10),
+    (11, PQ, 3.5, 1.8, 0.0, 0.0, 1.057, -14.79),
+    (12, PQ, 6.1, 1.6, 0.0, 0.0, 1.055, -15.07),
+    (13, PQ, 13.5, 5.8, 0.0, 0.0, 1.050, -15.16),
+    (14, PQ, 14.9, 5.0, 0.0, 0.0, 1.036, -16.04),
+)
 
-gen
-# bus Pg_MW Vset_pu Qmin_MVAr Qmax_MVAr
-1 232.4 1.060   0.0  10.0
-2  40.0 1.045 -40.0  50.0
-3   0.0 1.010   0.0  40.0
-6   0.0 1.070  -6.0  24.0
-8   0.0 1.090  -6.0  24.0
+# bus, Pg MW, Vset pu
+IEEE14_GENS = (
+    (1, 232.4, 1.060),
+    (2, 40.0, 1.045),
+    (3, 0.0, 1.010),
+    (6, 0.0, 1.070),
+    (8, 0.0, 1.090),
+)
 
-branch
-# from to r_pu x_pu b_pu tap shift_deg status
-1   2 0.01938 0.05917 0.0528 0     0 1
-1   5 0.05403 0.22304 0.0492 0     0 1
-2   3 0.04699 0.19797 0.0438 0     0 1
-2   4 0.05811 0.17632 0.0340 0     0 1
-2   5 0.05695 0.17388 0.0346 0     0 1
-3   4 0.06701 0.17103 0.0128 0     0 1
-4   5 0.01335 0.04211 0.0    0     0 1
-4   7 0.0     0.20912 0.0    0.978 0 1
-4   9 0.0     0.55618 0.0    0.969 0 1
-5   6 0.0     0.25202 0.0    0.932 0 1
-6  11 0.09498 0.19890 0.0    0     0 1
-6  12 0.12291 0.25581 0.0    0     0 1
-6  13 0.06615 0.13027 0.0    0     0 1
-7   8 0.0     0.17615 0.0    0     0 1
-7   9 0.0     0.11001 0.0    0     0 1
-9  10 0.03181 0.08450 0.0    0     0 1
-9  14 0.12711 0.27038 0.0    0     0 1
-10 11 0.08205 0.19207 0.0    0     0 1
-12 13 0.22092 0.19988 0.0    0     0 1
-13 14 0.17093 0.34802 0.0    0     0 1
-"""
+# from, to, r pu, x pu, b pu, tap (0 means 1.0), shift deg, status
+IEEE14_BRANCHES = (
+    (1, 2, 0.01938, 0.05917, 0.0528, 0, 0, 1),
+    (1, 5, 0.05403, 0.22304, 0.0492, 0, 0, 1),
+    (2, 3, 0.04699, 0.19797, 0.0438, 0, 0, 1),
+    (2, 4, 0.05811, 0.17632, 0.0340, 0, 0, 1),
+    (2, 5, 0.05695, 0.17388, 0.0346, 0, 0, 1),
+    (3, 4, 0.06701, 0.17103, 0.0128, 0, 0, 1),
+    (4, 5, 0.01335, 0.04211, 0.0, 0, 0, 1),
+    (4, 7, 0.0, 0.20912, 0.0, 0.978, 0, 1),
+    (4, 9, 0.0, 0.55618, 0.0, 0.969, 0, 1),
+    (5, 6, 0.0, 0.25202, 0.0, 0.932, 0, 1),
+    (6, 11, 0.09498, 0.19890, 0.0, 0, 0, 1),
+    (6, 12, 0.12291, 0.25581, 0.0, 0, 0, 1),
+    (6, 13, 0.06615, 0.13027, 0.0, 0, 0, 1),
+    (7, 8, 0.0, 0.17615, 0.0, 0, 0, 1),
+    (7, 9, 0.0, 0.11001, 0.0, 0, 0, 1),
+    (9, 10, 0.03181, 0.08450, 0.0, 0, 0, 1),
+    (9, 14, 0.12711, 0.27038, 0.0, 0, 0, 1),
+    (10, 11, 0.08205, 0.19207, 0.0, 0, 0, 1),
+    (12, 13, 0.22092, 0.19988, 0.0, 0, 0, 1),
+    (13, 14, 0.17093, 0.34802, 0.0, 0, 0, 1),
+)
 
 
 def builtin_ieee14() -> GridCase:
-    """The IEEE 14-bus system embedded as data (14 buses, 20 branches, 5 gens)."""
-    return parse_case(IEEE14_CASE_TEXT)
+    """The IEEE 14-bus system in per-unit (14 buses, 20 branches, 5 gens)."""
+    base = IEEE14_BASE_MVA
+    buses = tuple(
+        Bus(bus_id, kind, pd / base, qd / base, gs / base, bs / base, vm,
+            math.radians(va))
+        for bus_id, kind, pd, qd, gs, bs, vm, va in IEEE14_BUSES
+    )
+    gens = tuple(Generator(bus, pg / base, vset) for bus, pg, vset in IEEE14_GENS)
+    branches = tuple(
+        Branch(f, t, r, x, b, tap if tap != 0 else 1.0, math.radians(shift),
+               status != 0)
+        for f, t, r, x, b, tap, shift, status in IEEE14_BRANCHES
+    )
+    return GridCase(base, buses, branches, gens)
 
 
 # --------------------------------------------------------------------------

@@ -182,8 +182,8 @@ def inject_anomaly(
     return out, tuple(int(i) for i in indices), tuple(deltas)
 
 
-def compute_stats(samples: list[Sample], split: str = "train") -> FeatureStats:
-    """Per-feature population mean and std over the given samples."""
+def compute_stats(samples: list[Sample]) -> FeatureStats:
+    """Per-feature population mean and std over the given train samples."""
     if not samples:
         raise DatasetError("cannot compute stats of an empty sample list")
     matrix = np.stack([s.features for s in samples])
@@ -191,7 +191,7 @@ def compute_stats(samples: list[Sample], split: str = "train") -> FeatureStats:
         mean=matrix.mean(axis=0),
         std=matrix.std(axis=0),
         n=len(samples),
-        split=split,
+        split="train",
     )
 
 
@@ -309,7 +309,7 @@ def build_dataset(
         splits[name] = tuple(sorted(int(i) for i in ids))
         cursor += half
 
-    stats = compute_stats([samples[i] for i in splits["train"]], split="train")
+    stats = compute_stats([samples[i] for i in splits["train"]])
     return Dataset(
         samples=tuple(samples),
         splits=splits,

@@ -5,9 +5,9 @@ block renderer: one json.dumps per sample dict, csv.writer with one float()
 per cell, and per-cell f-strings padded with ljust/rjust. The package's
 templated versions must produce the same bytes.
 
-Writers of the case-text and load-CSV formats, which the package only
-reads: the tests write a case or a profile and check that the package reads
-back exactly what was written.
+A writer of the load-CSV format, which the package only reads: the tests
+write a profile and check that the package reads back exactly what was
+written.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 
 import numpy as np
 
-from gridsigma.grid import PQ, PV, SLACK, GridCase
 from gridsigma.scenario import STD_FLOOR, zscores
 
 _COLUMNS = {
@@ -100,97 +98,6 @@ def render_value_block(sample, stats, layout, variant, decimals=4) -> str:
                 row += "  " + col_cells[c][i].rjust(col_width[c])
             lines.append(row)
     return "\n".join(lines)
-
-
-_BUS_KIND_CODE = {PQ: 1, PV: 2, SLACK: 3}
-
-
-def serialize_case(case: GridCase) -> str:
-    """Render a GridCase back to case text; parse_case(serialize_case(c)) == c."""
-    base = case.base_mva
-    mva = _exact_emitter(lambda v: v * base, lambda s: s / base)
-    deg = _exact_emitter(math.degrees, math.radians)
-    out = [f"baseMVA {_fmt(case.base_mva)}", ""]
-    out.append("bus")
-    out.append("# id type Pd_MW Qd_MVAr Gs_MW Bs_MVAr Vm_pu Va_deg")
-    for b in case.buses:
-        out.append(
-            " ".join(
-                [
-                    str(b.id),
-                    str(_BUS_KIND_CODE[b.kind]),
-                    mva(b.p_load),
-                    mva(b.q_load),
-                    mva(b.g_shunt),
-                    mva(b.b_shunt),
-                    _fmt(b.v_mag_init),
-                    deg(b.v_ang_init),
-                ]
-            )
-        )
-    out.append("")
-    out.append("gen")
-    out.append("# bus Pg_MW Vset_pu Qmin_MVAr Qmax_MVAr")
-    for g in case.gens:
-        out.append(
-            " ".join(
-                [
-                    str(g.bus),
-                    mva(g.p_set),
-                    _fmt(g.v_set),
-                    mva(g.q_min),
-                    mva(g.q_max),
-                ]
-            )
-        )
-    out.append("")
-    out.append("branch")
-    out.append("# from to r_pu x_pu b_pu tap shift_deg status")
-    for br in case.branches:
-        out.append(
-            " ".join(
-                [
-                    str(br.from_bus),
-                    str(br.to_bus),
-                    _fmt(br.r),
-                    _fmt(br.x),
-                    _fmt(br.b_charging),
-                    _fmt(br.tap),
-                    deg(br.shift),
-                    "1" if br.in_service else "0",
-                ]
-            )
-        )
-    out.append("")
-    return "\n".join(out)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _exact_emitter(encode, decode):
-    """Emit file-unit text whose re-parse reproduces the stored value bit-exactly.
-
-    Unit conversion rounds twice, so the nearest file-unit float may miss the
-    stored value by an ulp; probe neighbouring floats for an exact preimage.
-    """
-
-    def emit(value: float) -> str:
-        candidate = encode(value)
-        probe = candidate
-        for _ in range(4):
-            if decode(float(repr(probe))) == value:
-                return repr(probe)
-            probe = math.nextafter(probe, math.inf)
-        probe = math.nextafter(candidate, -math.inf)
-        for _ in range(4):
-            if decode(float(repr(probe))) == value:
-                return repr(probe)
-            probe = math.nextafter(probe, -math.inf)
-        return repr(candidate)
-
-    return emit
 
 
 def export_load_csv(profile, bus_ids: list[int]) -> str:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import threading
@@ -13,7 +14,7 @@ from gridsigma.agents import (
     cache_key,
     complete,
     complete_batch,
-    export_finetune_from_dataset,
+    export_finetune_dataset,
     run_batch,
 )
 from gridsigma.errors import AgentError
@@ -275,6 +276,8 @@ class TestHttpAgent:
         {"timeout": -1.0},
         {"timeout": float("nan")},
         {"timeout": float("inf")},
+        {"timeout": 1e300},
+        {"timeout": math.nextafter(threading.TIMEOUT_MAX, math.inf)},
         {"max_tokens": 0},
         {"backoff": -0.1},
         {"backoff": float("nan")},
@@ -287,6 +290,11 @@ class TestHttpAgent:
             EndpointConfig(base_url="http://example.test", model_name="m1",
                            **setting)
 
+    def test_longest_timeout_accepted(self, stub_server, bundles):
+        endpoint = endpoint_for(stub_server, timeout=threading.TIMEOUT_MAX)
+        raw = complete(bundles[0], AgentKind(agents.HTTP_ENDPOINT), endpoint)
+        assert raw == "normal\nStub reply."
+
     def test_empty_batch_rejected(self):
         with pytest.raises(AgentError):
             run_batch([], AgentKind(agents.REFERENCE_RULE))
@@ -296,9 +304,13 @@ class TestHttpAgent:
             run_batch(bundles[:1], AgentKind(agents.HTTP_ENDPOINT))
 
 
+def train_export(ds):
+    return export_finetune_dataset(ds.split_samples("train"), ds.stats, ds.layout)
+
+
 class TestFinetuneExport:
     def test_default_export_counts_and_schema(self, dataset42):
-        text = export_finetune_from_dataset(dataset42)
+        text = train_export(dataset42)
         lines = text.strip().splitlines()
         assert len(lines) == 1200
         labels = []
@@ -313,7 +325,7 @@ class TestFinetuneExport:
         assert labels.count(ANOMALY) == 600
 
     def test_gold_labels_are_ground_truth(self, dataset42):
-        text = export_finetune_from_dataset(dataset42)
+        text = train_export(dataset42)
         train = dataset42.split_samples("train")
         for sample, line in zip(train, text.strip().splitlines()):
             record = json.loads(line)
@@ -325,7 +337,7 @@ class TestFinetuneExport:
         # injected sensor: one at or above the threshold where the rule fires,
         # else the injected sensor with the largest |z| in the prompt's value
         # block, below the threshold.
-        text = export_finetune_from_dataset(dataset42)
+        text = train_export(dataset42)
         train = dataset42.split_samples("train")
         names = dataset42.layout.names()
         pattern = re.compile(r"sensor (\S+) \|z\|=(\d+\.\d{4}) (exceeds|is below) 3\.0")
@@ -352,7 +364,7 @@ class TestFinetuneExport:
         assert missed == 27
 
     def test_user_messages_are_the_zero_shot_prompts(self, dataset42):
-        text = export_finetune_from_dataset(dataset42)
+        text = train_export(dataset42)
         cfg = PromptConfig(paradigm="zero_shot")
         train = dataset42.split_samples("train")
         for sample, line in list(zip(train, text.splitlines()))[::50]:

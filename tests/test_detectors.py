@@ -26,7 +26,14 @@ from gridsigma.detectors import (
 from gridsigma.errors import DetectorError, PromptError
 from gridsigma.promptkit import HYBRID_SELECT, PromptConfig
 from gridsigma.ruleoracle import top_abs_z
-from gridsigma.scenario import ANOMALY, NORMAL, FeatureStats, Sample, zscores
+from gridsigma.scenario import (
+    ANOMALY,
+    NORMAL,
+    FeatureStats,
+    Sample,
+    compute_stats,
+    zscores,
+)
 
 
 def matrix(samples):
@@ -46,6 +53,17 @@ def make_sample(values, sample_id=0, label=NORMAL):
 
 def unit_stats(dim):
     return FeatureStats(mean=np.zeros(dim), std=np.ones(dim), n=1, split="test")
+
+
+def split_normals(dataset, split):
+    return [s for s in dataset.split_samples(split) if s.label == NORMAL]
+
+
+def fit(samples, hyper=Hyper(), **kwargs):
+    """Train on all but the last 12 samples, stopping early on those 12, with
+    stats over all of them."""
+    return train_autoencoder(samples[:-12], hyper, val_normals=samples[-12:],
+                             stats=compute_stats(samples), **kwargs)
 
 
 def score_model(threshold=None):
@@ -72,39 +90,43 @@ class TestTraining:
         assert final < initial
 
     def test_bit_identical_across_runs(self, dataset42):
-        normals = [s for s in dataset42.split_samples("train") if s.label == NORMAL]
+        normals = split_normals(dataset42, "train")[:150]
+        val = split_normals(dataset42, "validation")
         hyper = Hyper(epochs=3)
-        a = train_autoencoder(normals[:150], hyper, seed=9)
-        b = train_autoencoder(normals[:150], hyper, seed=9)
+        a = train_autoencoder(normals, hyper, seed=9, val_normals=val,
+                              stats=dataset42.stats)
+        b = train_autoencoder(normals, hyper, seed=9, val_normals=val,
+                              stats=dataset42.stats)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
     def test_different_seeds_differ(self, dataset42):
-        normals = [s for s in dataset42.split_samples("train") if s.label == NORMAL]
+        normals = split_normals(dataset42, "train")[:150]
+        val = split_normals(dataset42, "validation")
         hyper = Hyper(epochs=2)
-        a = train_autoencoder(normals[:150], hyper, seed=1)
-        b = train_autoencoder(normals[:150], hyper, seed=2)
+        a = train_autoencoder(normals, hyper, seed=1, val_normals=val,
+                              stats=dataset42.stats)
+        b = train_autoencoder(normals, hyper, seed=2, val_normals=val,
+                              stats=dataset42.stats)
         assert not np.array_equal(a.weights[0], b.weights[0])
 
     def test_constant_inputs_reach_zero_loss(self):
         samples = [make_sample(np.full(6, 3.7), sample_id=i) for i in range(120)]
-        model = train_autoencoder(
-            samples, Hyper(epochs=30), seed=0, layer_dims=(6, 4, 2, 4, 6)
-        )
+        model = fit(samples, Hyper(epochs=30), seed=0, layer_dims=(6, 4, 2, 4, 6))
         losses = reconstruction_error(model, matrix(samples[:5])).mean(axis=1)
         assert max(losses) < 1e-6
 
     def test_default_layers_follow_feature_length(self):
         samples = [make_sample(np.full(5, 0.01 * i), sample_id=i) for i in range(120)]
-        model = train_autoencoder(samples, Hyper(epochs=1), seed=0)
+        model = fit(samples, Hyper(epochs=1), seed=0)
         assert model.layer_dims == (5, 32, 8, 32, 5)
 
     def test_too_few_samples(self):
         samples = [make_sample(np.zeros(6), sample_id=i) for i in range(50)]
         with pytest.raises(DetectorError, match="at least 100"):
-            train_autoencoder(samples, layer_dims=(6, 4, 2, 4, 6))
+            fit(samples, layer_dims=(6, 4, 2, 4, 6))
 
     def test_divergence_reports_epoch(self):
         # A NaN feature poisons the loss on the first batch.
@@ -114,8 +136,7 @@ class TestTraining:
         poisoned[2] = np.nan
         samples[0] = make_sample(poisoned, sample_id=0)
         with pytest.raises(DetectorError, match=r"diverged.*epoch"):
-            train_autoencoder(samples, Hyper(epochs=5), seed=0,
-                              layer_dims=(6, 4, 2, 4, 6))
+            fit(samples, Hyper(epochs=5), seed=0, layer_dims=(6, 4, 2, 4, 6))
 
     @pytest.mark.parametrize("settings_, message", [
         (dict(batch=0), "batch must be >= 1"),
@@ -136,6 +157,7 @@ class TestTraining:
         samples = [make_sample(np.full(6, 0.01 * i), sample_id=i) for i in range(120)]
         with pytest.raises(DetectorError, match="val_normals is empty"):
             train_autoencoder(samples, Hyper(epochs=2), seed=0, val_normals=[],
+                              stats=compute_stats(samples),
                               layer_dims=(6, 4, 2, 4, 6))
 
 

@@ -1,10 +1,16 @@
+import hashlib
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridsigma.errors import CaseFormatError, PowerFlowError
 from gridsigma.grid import (
+    PQ,
+    PV,
+    SLACK,
     Branch,
     Bus,
     Generator,
@@ -13,31 +19,46 @@ from gridsigma.grid import (
     builtin_ieee14,
     default_layout,
     extract_features,
-    parse_case,
     solve_hours,
     solve_newton,
 )
 
-from legacy_formats import serialize_case
 from reference_pf import solve_reference, two_bus_receiving_voltage
-
-TWO_BUS_TEXT = """
-baseMVA 100.0
-bus
-1 3 0.0  0.0 0.0 0.0 1.0 0.0
-2 1 50.0 10.0 0.0 0.0 1.0 0.0
-gen
-1 0.0 1.0 -9999 9999
-branch
-1 2 0.01 0.1 0.0 0 0 1
-"""
 
 
 def two_bus_case(p_mw=50.0, q_mvar=10.0, r=0.01, x=0.1):
-    return parse_case(
-        TWO_BUS_TEXT.replace("50.0 10.0", f"{p_mw} {q_mvar}")
-        .replace("0.01 0.1", f"{r} {x}")
+    """A slack bus feeding a PQ load over one line, on a 100 MVA base."""
+    return GridCase(
+        base_mva=100.0,
+        buses=(
+            Bus(1, SLACK, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+            Bus(2, PQ, p_mw / 100.0, q_mvar / 100.0, 0.0, 0.0, 1.0, 0.0),
+        ),
+        branches=(Branch(1, 2, r, x, 0.0),),
+        gens=(Generator(1, 0.0, 1.0),),
     )
+
+
+def no_load_case(n_buses):
+    """A chain of unloaded buses behind a slack bus at 1.0 pu."""
+    return GridCase(
+        base_mva=100.0,
+        buses=tuple(
+            Bus(i, SLACK if i == 1 else PQ, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+            for i in range(1, n_buses + 1)
+        ),
+        branches=tuple(
+            Branch(i, i + 1, 0.01 * i, 0.1 * i, 0.0) for i in range(1, n_buses)
+        ),
+        gens=(Generator(1, 0.0, 1.0),),
+    )
+
+
+def replaced(case, field, i, **changes):
+    """The case with item i of its ``field`` tuple changed."""
+    items = list(getattr(case, field))
+    items[i] = replace(items[i], **changes)
+    return replace(case, **{field: tuple(items)})
 
 
 def active_losses(case, sol):
@@ -46,91 +67,62 @@ def active_losses(case, sol):
     return float(np.sum(s_from.real + s_to.real))
 
 
-class TestParseCase:
-    def test_minimal_two_bus(self):
-        case = parse_case(TWO_BUS_TEXT)
-        assert len(case.buses) == 2
-        assert len(case.branches) == 1
-        assert case.buses[0].kind == "slack"
-        assert case.buses[1].p_load == pytest.approx(0.5)
-
-    def test_embedded_ieee14_counts(self):
+class TestBuiltinIeee14:
+    def test_counts(self):
         case = builtin_ieee14()
         assert len(case.buses) == 14
         assert len(case.branches) == 20
         assert len(case.gens) == 5
 
+    def test_bit_identical_per_unit_values(self):
+        # A float's repr round-trips exactly, so this hash pins every per-unit
+        # value, angle and flag that the published tables convert to.
+        digest = hashlib.sha256(repr(builtin_ieee14()).encode()).hexdigest()
+        assert digest == (
+            "3c1be432b4f350b7c6c33bd98d4a2d40c7b5b4f0976325c399492a20d063dea2"
+        )
+
+
+class TestValidate:
+    def test_two_bus_case_is_valid(self):
+        two_bus_case().validate()
+
     def test_no_slack_bus(self):
-        text = TWO_BUS_TEXT.replace("1 3 0.0", "1 1 0.0")
         with pytest.raises(CaseFormatError, match="no slack bus"):
-            parse_case(text)
+            replaced(two_bus_case(), "buses", 0, kind=PQ).validate()
 
-    def test_missing_section(self):
-        text = "\n".join(
-            line for line in TWO_BUS_TEXT.splitlines() if "gen" not in line
-        ).replace("1 0.0 1.0 -9999 9999\n", "")
-        with pytest.raises(CaseFormatError, match="missing gen section"):
-            parse_case(text)
+    def test_two_slack_buses(self):
+        with pytest.raises(CaseFormatError,
+                           match="2 slack buses, expected exactly one"):
+            replaced(two_bus_case(), "buses", 1, kind=SLACK).validate()
 
-    def test_duplicate_bus_id_reports_line(self):
-        text = TWO_BUS_TEXT.replace("2 1 50.0", "1 1 50.0")
-        with pytest.raises(CaseFormatError, match=r"line \d+: duplicate bus id 1"):
-            parse_case(text)
+    def test_duplicate_bus_id(self):
+        with pytest.raises(CaseFormatError, match="duplicate bus id 1"):
+            replaced(two_bus_case(), "buses", 1, id=1).validate()
 
-    def test_zero_reactance_reports_line(self):
-        text = TWO_BUS_TEXT.replace("1 2 0.01 0.1", "1 2 0.01 0.0")
-        with pytest.raises(CaseFormatError, match=r"line \d+: .*zero reactance"):
-            parse_case(text)
+    def test_zero_reactance(self):
+        with pytest.raises(CaseFormatError, match="branch 1-2 has zero reactance"):
+            replaced(two_bus_case(), "branches", 0, x=0.0).validate()
 
-    def test_non_numeric_cell_reports_line(self):
-        text = TWO_BUS_TEXT.replace("50.0", "fifty")
-        bad_line = text.splitlines().index("2 1 fifty 10.0 0.0 0.0 1.0 0.0") + 1
-        with pytest.raises(CaseFormatError, match=f"line {bad_line}"):
-            parse_case(text)
+    def test_negative_resistance(self):
+        with pytest.raises(CaseFormatError, match="branch 1-2 has r < 0"):
+            replaced(two_bus_case(), "branches", 0, r=-0.01).validate()
+
+    @pytest.mark.parametrize("tap", [0.0, -1.0])
+    def test_non_positive_tap_in_service(self, tap):
+        with pytest.raises(CaseFormatError, match="branch 1-2 has non-positive tap"):
+            replaced(two_bus_case(), "branches", 0, tap=tap).validate()
+
+    def test_non_positive_tap_out_of_service_allowed(self):
+        replaced(two_bus_case(), "branches", 0, tap=0.0, in_service=False).validate()
 
     def test_unknown_branch_endpoint(self):
-        text = TWO_BUS_TEXT.replace("1 2 0.01", "1 9 0.01")
         with pytest.raises(CaseFormatError, match="unknown bus"):
-            parse_case(text)
+            replaced(two_bus_case(), "branches", 0, to_bus=9).validate()
 
     def test_pv_bus_without_generator(self):
-        text = TWO_BUS_TEXT.replace("2 1 50.0", "2 2 50.0")
         with pytest.raises(CaseFormatError, match="PV bus 2 hosts no generator"):
-            parse_case(text)
-
-
-class TestSerializeRoundTrip:
-    def test_ieee14_round_trip_identity(self):
-        case = builtin_ieee14()
-        assert parse_case(serialize_case(case)) == case
-
-    def test_two_bus_round_trip(self):
-        case = parse_case(TWO_BUS_TEXT)
-        assert parse_case(serialize_case(case)) == case
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_round_trip_on_generated_decimal_cases(self, seed):
-        rng = np.random.default_rng(seed)
-
-        def num():
-            return round(float(rng.uniform(-200, 200)), 4)
-
-        text_lines = ["baseMVA 100.0", "bus"]
-        text_lines.append("1 3 0.0 0.0 0.0 0.0 1.06 0.0")
-        for b in range(2, 6):
-            text_lines.append(
-                f"{b} 1 {num()} {num()} 0.0 {num()} 1.0 {round(float(rng.uniform(-20, 20)), 3)}"
-            )
-        text_lines.append("gen")
-        text_lines.append("1 100.0 1.06 -9999 9999")
-        text_lines.append("branch")
-        for b in range(2, 6):
-            text_lines.append(
-                f"1 {b} {abs(num()) / 1000} {abs(num()) / 1000 + 0.01} 0.0 "
-                f"{round(float(rng.uniform(0.9, 1.1)), 3)} {round(float(rng.uniform(-5, 5)), 2)} 1"
-            )
-        case = parse_case("\n".join(text_lines))
-        assert parse_case(serialize_case(case)) == case
+            replaced(two_bus_case(), "buses", 1, kind=PV).validate()
 
 
 class TestSolveNewton:
@@ -151,19 +143,7 @@ class TestSolveNewton:
         assert sol.v_ang[0] == 0.0
 
     def test_no_load_fixed_point(self):
-        text = """
-        baseMVA 100.0
-        bus
-        1 3 0.0 0.0 0.0 0.0 1.0 0.0
-        2 1 0.0 0.0 0.0 0.0 1.0 0.0
-        3 1 0.0 0.0 0.0 0.0 1.0 0.0
-        gen
-        1 0.0 1.0 -9999 9999
-        branch
-        1 2 0.01 0.1 0.0 0 0 1
-        2 3 0.02 0.2 0.0 0 0 1
-        """
-        sol = solve_newton(parse_case(text))
+        sol = solve_newton(no_load_case(3))
         assert np.allclose(sol.v_mag, 1.0, atol=1e-12)
         assert np.allclose(sol.v_ang, 0.0, atol=1e-12)
         assert np.allclose(sol.p_flow_from, 0.0, atol=1e-12)
@@ -216,9 +196,9 @@ class TestSolveNewton:
             solve_newton(ieee14, max_iter=0)
 
     def test_singular_jacobian_reports_iteration(self):
-        text = TWO_BUS_TEXT.replace("1 2 0.01 0.1 0.0 0 0 1", "1 2 0.01 0.1 0.0 0 0 0")
+        case = replaced(two_bus_case(), "branches", 0, in_service=False)
         with pytest.raises(PowerFlowError, match="singular Jacobian at iteration 1"):
-            solve_newton(parse_case(text))
+            solve_newton(case)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_load_fails(self, ieee14, bad):
@@ -272,6 +252,32 @@ class TestSolveNewton:
             solve_newton(ieee14, np.ones(5))
 
 
+class TestGeneratedCases:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_taps_and_phase_shifts_match_reference_solver(self, seed):
+        # A meshed 5-bus case with a PV bus, shunts, off-nominal taps and
+        # phase shifts on every branch; the IEEE 14-bus case has no shift.
+        rng = np.random.default_rng(seed)
+        buses = [Bus(1, SLACK, 0.0, 0.0, 0.0, 0.0, 1.06, 0.0)]
+        for b in range(2, 6):
+            buses.append(Bus(b, PV if b == 2 else PQ, rng.uniform(0.0, 0.6),
+                             rng.uniform(-0.1, 0.3), 0.0, rng.uniform(0.0, 0.2),
+                             1.0, 0.0))
+        branches = [
+            Branch(f, t, rng.uniform(0.005, 0.05), rng.uniform(0.05, 0.2),
+                   rng.uniform(0.0, 0.05), tap=rng.uniform(0.95, 1.05),
+                   shift=math.radians(rng.uniform(-5.0, 5.0)))
+            for f, t in ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5))
+        ]
+        gens = (Generator(1, 0.0, 1.06), Generator(2, rng.uniform(0.1, 0.5), 1.03))
+        case = GridCase(100.0, tuple(buses), tuple(branches), gens)
+        sol = solve_newton(case, tol=1e-10)
+        vm_ref, va_ref = solve_reference(case)
+        assert np.max(np.abs(sol.v_mag - vm_ref)) < 1e-6
+        assert np.max(np.abs(sol.v_ang - va_ref)) < 1e-6
+        assert abs(sol.p_inj.sum() - active_losses(case, sol)) <= 1e-9
+
+
 class TestFeatures:
     def test_default_layout_counts_and_order(self, ieee14):
         layout = default_layout(ieee14)
@@ -292,17 +298,7 @@ class TestFeatures:
         assert extract_features(sol, layout68).shape == (68,)
 
     def test_no_load_features_zero(self):
-        text = """
-        baseMVA 100.0
-        bus
-        1 3 0.0 0.0 0.0 0.0 1.0 0.0
-        2 1 0.0 0.0 0.0 0.0 1.0 0.0
-        gen
-        1 0.0 1.0 -9999 9999
-        branch
-        1 2 0.01 0.1 0.0 0 0 1
-        """
-        case = parse_case(text)
+        case = no_load_case(2)
         sol = solve_newton(case)
         feats = extract_features(sol, default_layout(case))
         assert np.allclose(feats, 0.0, atol=1e-12)

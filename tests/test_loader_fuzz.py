@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legacy_formats
-from gridsigma import detectors, grid
+from gridsigma import detectors
 from gridsigma.errors import DatasetError, DetectorError, GridSigmaError
-from gridsigma.grid import builtin_ieee14, default_layout, parse_case
+from gridsigma.grid import builtin_ieee14, default_layout
 from gridsigma.scenario import (
     FeatureStats,
     SplitSizes,
@@ -92,7 +92,6 @@ def _tiny_model_json() -> str:
 
 
 _MODEL_JSON = _tiny_model_json()
-_CASE_TEXT = grid.IEEE14_CASE_TEXT
 _LOAD_CSV = legacy_formats.export_load_csv(synth_load_profile(4, 3, seed=2), [1, 2, 3])
 
 
@@ -156,18 +155,6 @@ class TestModelFromJson:
         text = _MODEL_JSON.replace('"train_seed": 1', '"train_seed": 1e400')
         with pytest.raises(DetectorError, match="model.json: OverflowError"):
             detectors.model_from_json(text)
-
-
-class TestParseCase:
-    @settings(max_examples=300, deadline=None)
-    @given(edits=_EDITS)
-    def test_mutated_file(self, edits):
-        _loads_or_refuses(parse_case, _mutate(_CASE_TEXT, edits))
-
-    @settings(max_examples=150, deadline=None)
-    @given(text=st.text())
-    def test_arbitrary_text(self, text):
-        _loads_or_refuses(parse_case, text)
 
 
 class TestIngestLoadCsv:

@@ -10,11 +10,16 @@ import legacy_formats
 from gridsigma import scenario
 from gridsigma.errors import DatasetError
 from gridsigma.grid import (
+    PQ,
+    SLACK,
+    Branch,
+    Bus,
     FeatureLayout,
+    Generator,
+    GridCase,
     LayoutEntry,
     default_layout,
     extract_features,
-    parse_case,
     solve_newton,
 )
 from gridsigma.scenario import (
@@ -302,17 +307,14 @@ class TestBuildDataset:
     def test_always_singular_case_is_dataset_error(self):
         # With its only branch out of service, bus 2 is islanded and every
         # hour's Jacobian is singular.
-        case = parse_case(
-            """
-            baseMVA 100.0
-            bus
-            1 3 0.0 0.0 0.0 0.0 1.0 0.0
-            2 1 50.0 10.0 0.0 0.0 1.0 0.0
-            gen
-            1 0.0 1.0 -9999 9999
-            branch
-            1 2 0.01 0.1 0.0 0 0 0
-            """
+        case = GridCase(
+            base_mva=100.0,
+            buses=(
+                Bus(1, SLACK, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+                Bus(2, PQ, 0.5, 0.1, 0.0, 0.0, 1.0, 0.0),
+            ),
+            branches=(Branch(1, 2, 0.01, 0.1, 0.0, in_service=False),),
+            gens=(Generator(1, 0.0, 1.0),),
         )
         profile = synth_load_profile(10, 2, seed=0)
         with pytest.raises(DatasetError, match="only 0 of 10 required hours"):
