@@ -18,7 +18,9 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,7 +235,7 @@ def complete(
 
 
 def complete_batch(
-    prompts: list[PromptBundle],
+    prompts: Iterable[PromptBundle],
     agent: AgentKind,
     endpoint: EndpointConfig | None,
     cache: ResponseCache | None,
@@ -241,12 +243,11 @@ def complete_batch(
     """One completion per prompt, in prompt order, with bounded concurrency.
 
     A prompt that fails yields its AgentError, also logged, in place of the
-    reply text; any other exception propagates. HTTP agents keep up to
-    ``max_in_flight`` requests in flight; mock agents run in order.
+    reply text; any other exception propagates. Prompts are pulled from the
+    iterable as they are answered and dropped after: a mock agent holds one
+    at a time, an HTTP agent at most ``max_in_flight``, its requests in
+    flight.
     """
-    if not prompts:
-        raise AgentError("empty prompt batch")
-
     def one(prompt: PromptBundle) -> str | AgentError:
         try:
             return complete(prompt, agent, endpoint, cache)
@@ -254,19 +255,28 @@ def complete_batch(
             logger.warning("prompt %s failed: %s", prompt.content_hash[:12], exc)
             return exc
 
-    if agent.kind == HTTP_ENDPOINT:
+    if agent.kind != HTTP_ENDPOINT:
+        replies = [one(p) for p in prompts]
+    else:
         if endpoint is None:
             raise AgentError("http_endpoint agent requires an endpoint config")
         if cache is None:
             cache = ResponseCache()
-        workers = min(endpoint.max_in_flight, len(prompts))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, prompts))
-    return [one(p) for p in prompts]
+        replies = []
+        window: deque[Future] = deque()
+        with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
+            for prompt in prompts:
+                window.append(pool.submit(one, prompt))
+                if len(window) == endpoint.max_in_flight:
+                    replies.append(window.popleft().result())
+            replies.extend(future.result() for future in window)
+    if not replies:
+        raise AgentError("empty prompt batch")
+    return replies
 
 
 def run_batch(
-    prompts: list[PromptBundle],
+    prompts: Iterable[PromptBundle],
     agent: AgentKind,
     endpoint: EndpointConfig | None = None,
     cache: ResponseCache | None = None,
@@ -286,37 +296,42 @@ def export_finetune_dataset(
     stats: FeatureStats,
     layout: FeatureLayout,
     config: PromptConfig | None = None,
-) -> str:
-    """JSONL chat records supervising both the gold label and a rationale.
+) -> Iterator[str]:
+    """JSONL chat records supervising both the gold label and a rationale,
+    one line per train sample, yielded as each is rendered.
 
     The user message is the zero-shot rendering of each train sample; the
     assistant message carries the ground-truth injection label with the rule
     verdict's explanation. For a true anomaly the rule misses, the
     explanation names its strongest injected sensor and says it stays below
-    the threshold, so no record answers "anomaly" with an all-clear.
+    the threshold, so no record answers "anomaly" with an all-clear. An
+    empty split raises AgentError at the call; a sample with no gold answer
+    raises it when its line is pulled.
     """
     if not train:
         raise AgentError("train split is empty")
     if config is None:
         config = PromptConfig(paradigm=ZERO_SHOT)
-    lines = []
     bundles = promptkit.render_prompts(train, stats, config, [], layout)
-    for sample, bundle in zip(train, bundles):
-        agent_view = ruleoracle.reference_agent(bundle)
-        if agent_view.parse_mode == promptkit.FAILED:
-            raise AgentError(
-                f"could not render a gold answer for sample {sample.id}: "
-                f"{agent_view.rationale}"
-            )
-        rationale = agent_view.rationale
-        if sample.label == ANOMALY and agent_view.label != ANOMALY:
-            rationale = ruleoracle.missed_rationale(bundle, sample.injected)
-        answer = f"{sample.label}\n{rationale}"
-        record = {
-            "messages": [
-                {"role": "user", "content": bundle.text},
-                {"role": "assistant", "content": answer},
-            ]
-        }
-        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
-    return "".join(lines)
+
+    def lines() -> Iterator[str]:
+        for sample, bundle in zip(train, bundles):
+            agent_view = ruleoracle.reference_agent(bundle)
+            if agent_view.parse_mode == promptkit.FAILED:
+                raise AgentError(
+                    f"could not render a gold answer for sample {sample.id}: "
+                    f"{agent_view.rationale}"
+                )
+            rationale = agent_view.rationale
+            if sample.label == ANOMALY and agent_view.label != ANOMALY:
+                rationale = ruleoracle.missed_rationale(bundle, sample.injected)
+            answer = f"{sample.label}\n{rationale}"
+            record = {
+                "messages": [
+                    {"role": "user", "content": bundle.text},
+                    {"role": "assistant", "content": answer},
+                ]
+            }
+            yield json.dumps(record, separators=(",", ":")) + "\n"
+
+    return lines()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -268,11 +269,25 @@ def _cmd_hybrid(args) -> int:
 def _cmd_export_finetune(args) -> int:
     ds = evalkit.load_dataset_dir(args.data)
     cfg = promptkit.PromptConfig(variant=args.variant)
-    text = agents.export_finetune_dataset(
+    lines = agents.export_finetune_dataset(
         ds.split_samples("train"), ds.stats, ds.layout, cfg
     )
-    _write(Path(args.out), text)
-    print(f"records: {text.count(chr(10))}")
+    # Records stream into a temporary file beside the output, which replaces
+    # the output only once every record is written.
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    records = 0
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                records += 1
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
+    print(f"wrote {out}")
+    print(f"records: {records}")
     return 0
 
 

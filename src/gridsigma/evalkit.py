@@ -304,10 +304,13 @@ def run_experiment(
     ]
     if not targets:
         raise DatasetError("test split is empty")
+    hashes: list[str] = []
     bundles = promptkit.render_prompts(
         targets, dataset.stats, run.prompt, examples, dataset.layout
     )
-    verdicts = agents.run_batch(bundles, run.agent, run.endpoint, cache)
+    verdicts = agents.run_batch(
+        _keeping_hashes(bundles, hashes), run.agent, run.endpoint, cache
+    )
     preds = [v.label for v in verdicts]
     if all(p == promptkit.INVALID for p in preds):
         logger.warning("all %d verdicts were invalid", len(preds))
@@ -317,8 +320,8 @@ def run_experiment(
         targets,
         preds,
         [
-            {"prompt_hash": b.content_hash, "parse_mode": v.parse_mode}
-            for b, v in zip(bundles, verdicts)
+            {"prompt_hash": h, "parse_mode": v.parse_mode}
+            for h, v in zip(hashes, verdicts)
         ],
         INVALID_POLICIES,
         out_dir,
@@ -326,6 +329,16 @@ def run_experiment(
         example_ids=sorted(example_ids),
     )
     return reports[run.invalid_policy], manifest
+
+
+def _keeping_hashes(
+    bundles: Iterator[promptkit.PromptBundle], hashes: list[str]
+) -> Iterator[promptkit.PromptBundle]:
+    """The bundles, passed on as they are pulled; each one's content hash is
+    appended to hashes, so the prompt texts need not outlive their replies."""
+    for bundle in bundles:
+        hashes.append(bundle.content_hash)
+        yield bundle
 
 
 def _dataset_digest_of(dataset: Dataset) -> str:

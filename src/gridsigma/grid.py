@@ -63,6 +63,9 @@ class GridCase:
 
     def validate(self) -> None:
         ids = [b.id for b in self.buses]
+        for bus in self.buses:
+            if bus.kind not in (SLACK, PV, PQ):
+                raise CaseFormatError(f"bus {bus.id} has unknown kind {bus.kind!r}")
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise CaseFormatError(f"duplicate bus id {dup[0]}")
@@ -87,6 +90,9 @@ class GridCase:
                 raise CaseFormatError(
                     f"branch {br.from_bus}-{br.to_bus} has non-positive tap"
                 )
+        for gen in self.gens:
+            if gen.bus not in known:
+                raise CaseFormatError(f"generator references unknown bus {gen.bus}")
         gen_buses = {g.bus for g in self.gens}
         for bus in self.buses:
             if bus.kind == PV and bus.id not in gen_buses:
@@ -401,7 +407,7 @@ def _newton_stack(
     iteration = 0
     while True:
         v = v_mag[active] * np.exp(1j * v_ang[active])
-        ibus = v @ ybus.T
+        ibus = _bus_currents(ybus, v)
         s = v * np.conj(ibus)
         mis = s - s_spec[active]
         f = np.concatenate([mis.real[:, pvpq], mis.imag[:, pq_idx]], axis=1)
@@ -434,6 +440,20 @@ def _newton_stack(
         v_mag[active[:, None], pq_idx] += dx[:, len(pvpq) :]
         iteration += 1
     return v_mag, v_ang, s_calc, iterations, max_mismatch, errors
+
+
+def _bus_currents(ybus: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ybus @ V for each hour's row of v.
+
+    numpy computes a lone row's product as a matrix-vector product, which
+    can round differently from the matrix-matrix product of a stack. A lone
+    row is therefore multiplied as a stack of two copies, so that an hour's
+    bits do not depend on how many hours share its stack (the chunking test
+    in tests/test_scenario.py checks this against the BLAS in use).
+    """
+    if len(v) == 1:
+        return (np.concatenate([v, v]) @ ybus.T)[:1]
+    return v @ ybus.T
 
 
 def _jacobian(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,17 +280,19 @@ def _output_format_select(m: int) -> str:
 
 
 def render_prompts(
-    samples: list[Sample],
+    samples: Iterable[Sample],
     stats: FeatureStats,
     config: PromptConfig,
     examples: list[Sample],
     layout: FeatureLayout,
-) -> list[PromptBundle]:
-    """Assemble one prompt per sample in fixed block order.
+) -> Iterator[PromptBundle]:
+    """Assemble one prompt per sample in fixed block order, lazily.
 
-    The blocks every prompt shares (role, context, rule, examples and the
-    Value Block heading) are rendered once; each sample adds its own value
-    block and the output format.
+    The arguments are checked and the blocks every prompt shares (role,
+    context, rule, examples and the Value Block heading) rendered at the
+    call; the returned iterator renders each sample's value block and the
+    output format as it is pulled, so a caller holds only the prompts it
+    keeps.
     """
     if len(examples) != config.k_examples:
         raise PromptError(
@@ -319,21 +322,28 @@ def render_prompts(
     else:
         suffix = "\n" + _OUTPUT_FORMAT_CLASSIFY + "\n"
     example_ids = tuple(ex.id for ex in examples)
-    bundles = []
-    for sample in samples:
-        text = prefix + render_value_block(
-            sample, stats, layout, config.variant, config.decimals
-        ) + suffix
-        bundles.append(
-            PromptBundle(
-                text=text,
+    # Each content hash continues a copy of the prefix's sha256: the prefix
+    # is hashed once, and no encoded copy of a whole prompt is made.
+    prefix_digest = hashlib.sha256(prefix.encode("utf-8"))
+    suffix_bytes = suffix.encode("utf-8")
+
+    def bundles() -> Iterator[PromptBundle]:
+        for sample in samples:
+            block = render_value_block(
+                sample, stats, layout, config.variant, config.decimals
+            )
+            digest = prefix_digest.copy()
+            digest.update(block.encode("utf-8"))
+            digest.update(suffix_bytes)
+            yield PromptBundle(
+                text=prefix + block + suffix,
                 sample_id=sample.id,
                 config=config,
                 example_ids=example_ids,
-                content_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                content_hash=digest.hexdigest(),
             )
-        )
-    return bundles
+
+    return bundles()
 
 
 def render_prompt(
@@ -344,7 +354,7 @@ def render_prompt(
     layout: FeatureLayout,
 ) -> PromptBundle:
     """The prompt for one sample; see render_prompts."""
-    return render_prompts([sample], stats, config, examples, layout)[0]
+    return next(render_prompts([sample], stats, config, examples, layout))
 
 
 def target_value_block(prompt_text: str) -> str:

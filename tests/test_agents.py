@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -304,8 +305,106 @@ class TestHttpAgent:
             run_batch(bundles[:1], AgentKind(agents.HTTP_ENDPOINT))
 
 
-def train_export(ds):
+class CountingPrompts:
+    """An iterator over bundles that records, at each pull, how many of the
+    prompts pulled so far have no reply yet; ``answered`` counts replies."""
+
+    def __init__(self, bundles, answered):
+        self._bundles = iter(bundles)
+        self._answered = answered
+        self.pulled = 0
+        self.unanswered = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        bundle = next(self._bundles)
+        self.pulled += 1
+        self.unanswered.append(self.pulled - len(self._answered))
+        return bundle
+
+
+@pytest.fixture
+def answered(monkeypatch):
+    """One entry per completion that has returned or raised."""
+    done = []
+    original = agents.complete
+
+    def counting(*args):
+        try:
+            return original(*args)
+        finally:
+            done.append(1)
+
+    monkeypatch.setattr(agents, "complete", counting)
+    return done
+
+
+class TestStreaming:
+    """Batches pull prompts as they are answered, never all up front."""
+
+    def test_mock_batch_pulls_one_prompt_per_reply(self, bundles, answered):
+        prompts = CountingPrompts(bundles, answered)
+        agent = AgentKind(agents.REFERENCE_RULE)
+        replies = complete_batch(prompts, agent, None, None)
+        assert prompts.unanswered == [1] * len(bundles)
+        assert replies == [ruleoracle.reference_agent(b).raw for b in bundles]
+
+    def test_http_batch_holds_at_most_max_in_flight(self, stub_server, bundles,
+                                                    answered):
+        # Replies arrive out of order (each prompt sleeps by its position)
+        # and prompt 5 fails; the batch keeps prompt order all the same.
+        position = {b.text: i for i, b in enumerate(bundles)}
+
+        def behavior(text, n):
+            i = position[text]
+            if i == 5:
+                return {"kind": "status", "code": 400}
+            time.sleep(0.01 * (3 - i % 3))
+            return {"kind": "reply", "text": f"normal\nPrompt {i}."}
+
+        stub_server.behavior = behavior
+        prompts = CountingPrompts(bundles, answered)
+        replies = complete_batch(
+            prompts, AgentKind(agents.HTTP_ENDPOINT),
+            endpoint_for(stub_server, retries=0, max_in_flight=3), None,
+        )
+        assert prompts.pulled == len(bundles)
+        assert max(prompts.unanswered) == 3
+        assert isinstance(replies[5], AgentError)
+        assert [r for i, r in enumerate(replies) if i != 5] == [
+            f"normal\nPrompt {i}." for i in range(len(bundles)) if i != 5
+        ]
+
+    @pytest.mark.parametrize("kind", [agents.REFERENCE_RULE, agents.HTTP_ENDPOINT])
+    def test_empty_iterable_rejected(self, stub_server, kind):
+        with pytest.raises(AgentError, match="empty prompt batch"):
+            complete_batch(iter([]), AgentKind(kind), endpoint_for(stub_server), None)
+        assert stub_server.requests == []
+
+    def test_export_yields_records_as_pulled(self, dataset42, monkeypatch):
+        calls = []
+        original = ruleoracle.reference_agent
+
+        def recording(bundle):
+            calls.append(bundle.sample_id)
+            return original(bundle)
+
+        monkeypatch.setattr(ruleoracle, "reference_agent", recording)
+        lines = train_export_lines(dataset42)
+        assert calls == []
+        next(lines)
+        next(lines)
+        assert calls == [s.id for s in dataset42.split_samples("train")[:2]]
+
+
+def train_export_lines(ds):
     return export_finetune_dataset(ds.split_samples("train"), ds.stats, ds.layout)
+
+
+def train_export(ds):
+    return "".join(train_export_lines(ds))
 
 
 class TestFinetuneExport:

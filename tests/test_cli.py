@@ -14,7 +14,7 @@ import pytest
 
 import gridsigma
 import legacy_formats
-from gridsigma import agents, cli, evalkit, scenario
+from gridsigma import agents, cli, evalkit, promptkit, ruleoracle, scenario
 from gridsigma.cli import main
 
 
@@ -487,6 +487,54 @@ class TestOtherCommands:
         assert len(lines) == 300
         record = json.loads(lines[0])
         assert [m["role"] for m in record["messages"]] == ["user", "assistant"]
+
+    def test_export_finetune_equals_the_records(self, pipeline_dir, tmp_path,
+                                                capsys):
+        out_file = tmp_path / "ft.jsonl"
+        assert main(["export-finetune", "--data", str(pipeline_dir),
+                     "--out", str(out_file)]) == 0
+        assert capsys.readouterr().out == f"wrote {out_file}\nrecords: 300\n"
+        ds = evalkit.load_dataset_dir(pipeline_dir)
+        assert out_file.read_text(encoding="utf-8") == "".join(
+            agents.export_finetune_dataset(
+                ds.split_samples("train"), ds.stats, ds.layout
+            )
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ft.jsonl"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_export_leaves_no_file(self, pipeline_dir, tmp_path, capsys,
+                                          monkeypatch, existing):
+        # Record 5 gets no gold answer: the export stops with exit code 1,
+        # writes no output, removes its temporary file and leaves an
+        # earlier output as it was.
+        calls = []
+        original = ruleoracle.reference_agent
+
+        def failing_at_5(bundle):
+            calls.append(bundle.sample_id)
+            if len(calls) == 5:
+                return promptkit.AgentVerdict(
+                    label=promptkit.INVALID, rationale="no label line", raw="",
+                    parse_mode=promptkit.FAILED,
+                )
+            return original(bundle)
+
+        monkeypatch.setattr(ruleoracle, "reference_agent", failing_at_5)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_file = out_dir / "ft.jsonl"
+        if existing:
+            out_file.write_text("earlier\n", encoding="utf-8")
+        assert main(["export-finetune", "--data", str(pipeline_dir),
+                     "--out", str(out_file)]) == 1
+        assert len(calls) == 5
+        assert "could not render a gold answer" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == (
+            ["ft.jsonl"] if existing else []
+        )
+        if existing:
+            assert out_file.read_text(encoding="utf-8") == "earlier\n"
 
     def test_write_is_byte_exact_across_slices(self, tmp_path, capsys):
         text = "é€x\n" * 300_000  # 1.2 million characters: two slices

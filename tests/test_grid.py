@@ -124,6 +124,24 @@ class TestValidate:
         with pytest.raises(CaseFormatError, match="PV bus 2 hosts no generator"):
             replaced(two_bus_case(), "buses", 1, kind=PV).validate()
 
+    def test_unknown_bus_kind(self):
+        # 'pq' is not PQ: the solver would drop the bus's P and Q equations.
+        case = replaced(builtin_ieee14(), "buses", 3, kind="pq")
+        with pytest.raises(CaseFormatError, match="bus 4 has unknown kind 'pq'"):
+            case.validate()
+        with pytest.raises(CaseFormatError, match="bus 4 has unknown kind"):
+            solve_newton(case)
+
+    def test_generator_on_unknown_bus(self):
+        ieee14 = builtin_ieee14()
+        case = replace(ieee14, gens=ieee14.gens + (Generator(99, 0.1, 1.0),))
+        with pytest.raises(CaseFormatError,
+                           match="generator references unknown bus 99"):
+            case.validate()
+        with pytest.raises(CaseFormatError,
+                           match="generator references unknown bus 99"):
+            solve_hours(case, np.ones((3, 14)))
+
 
 class TestSolveNewton:
     def test_ieee14_converges_quickly(self, ieee14):

@@ -281,11 +281,17 @@ class TestRenderPrompts:
         cfg = PromptConfig(paradigm=paradigm, variant=variant)
         examples = select_examples(dataset42.split_samples("train"), cfg, dataset42.stats)
         test = dataset42.split_samples("test")
-        batch = render_prompts(test, dataset42.stats, cfg, examples, dataset42.layout)
+        batch = list(
+            render_prompts(test, dataset42.stats, cfg, examples, dataset42.layout)
+        )
         assert batch == [
             render_prompt(s, dataset42.stats, cfg, examples, dataset42.layout)
             for s in test
         ]
+        for bundle in batch:
+            assert bundle.content_hash == hashlib.sha256(
+                bundle.text.encode("utf-8")
+            ).hexdigest()
 
     def test_examples_rendered_once_per_call(self, fixture_world, monkeypatch):
         layout, samples, stats = fixture_world
@@ -298,14 +304,42 @@ class TestRenderPrompts:
 
         monkeypatch.setattr(promptkit, "render_value_block", counting)
         cfg = PromptConfig(paradigm=ICL, variant="mean_std_value_z")
-        bundles = render_prompts(samples[10:], stats, cfg, samples[:10], layout)
+        bundles = list(render_prompts(samples[10:], stats, cfg, samples[:10], layout))
         assert len(bundles) == 2
         assert calls == [s.id for s in samples]
+
+    def test_wrong_example_count_raises_at_the_call(self, fixture_world):
+        layout, samples, stats = fixture_world
+        pulled = []
+
+        def targets():
+            for s in samples:
+                pulled.append(s.id)
+                yield s
+
+        with pytest.raises(PromptError, match="expects 2 examples"):
+            render_prompts(targets(), stats, PromptConfig(paradigm=FEW_SHOT),
+                           samples[:1], layout)
+        assert pulled == []
+
+    def test_samples_pulled_one_per_prompt(self, fixture_world):
+        layout, samples, stats = fixture_world
+        pulled = []
+
+        def targets():
+            for s in samples:
+                pulled.append(s.id)
+                yield s
+
+        bundles = render_prompts(targets(), stats, PromptConfig(), [], layout)
+        assert pulled == []
+        assert next(bundles).sample_id == samples[0].id
+        assert pulled == [samples[0].id]
 
     def test_no_samples_no_prompts(self, fixture_world):
         layout, samples, stats = fixture_world
         cfg = PromptConfig(paradigm=FEW_SHOT)
-        assert render_prompts([], stats, cfg, samples[:2], layout) == []
+        assert list(render_prompts([], stats, cfg, samples[:2], layout)) == []
         with pytest.raises(PromptError, match="expects 2 examples"):
             render_prompts([], stats, cfg, samples[:1], layout)
 

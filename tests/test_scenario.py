@@ -302,7 +302,7 @@ class TestBuildDataset:
         for s in normals:
             sol = solve_newton(ieee14, profile.scale[s.hour], max_iter=4)
             expected = extract_features(sol, layout68)
-            assert np.max(np.abs(s.features - expected)) <= 1e-12
+            assert np.array_equal(s.features, expected)
 
     def test_always_singular_case_is_dataset_error(self):
         # With its only branch out of service, bus 2 is islanded and every
@@ -319,6 +319,34 @@ class TestBuildDataset:
         profile = synth_load_profile(10, 2, seed=0)
         with pytest.raises(DatasetError, match="only 0 of 10 required hours"):
             build_dataset(case, profile, default_layout(case), sizes=SplitSizes(12, 4, 4))
+
+
+class TestChunkHours:
+    """The hours per stacked power-flow solve never change a byte."""
+
+    @pytest.mark.parametrize("failed", [(), (3, 130, 131)],
+                             ids=["all-converge", "failed-inside-chunks"])
+    def test_chunk_size_never_changes_bytes(self, ieee14, layout68, monkeypatch,
+                                            failed):
+        # A NaN load fails its hour; the failed hours fall inside chunks of
+        # 7, 128 and 512 hours, so later hours shift across chunk edges.
+        profile = synth_load_profile(200 + len(failed), 14, seed=42)
+        profile.scale[list(failed), 5] = np.nan
+        built = []
+        for chunk in (1, 7, 128, 512):
+            monkeypatch.setattr(scenario, "_CHUNK_HOURS", chunk)
+            ds = build_dataset(ieee14, profile, layout68,
+                               sizes=SplitSizes(300, 50, 50), seed=42)
+            matrix = np.stack([s.features for s in ds.samples])
+            text = "".join(jsonl + csv for jsonl, csv in dataset_blocks(ds))
+            built.append((matrix.view(np.uint64), text))
+        assert len(built[0][1]) > 0
+        for matrix, text in built[1:]:
+            assert np.array_equal(matrix, built[0][0])
+            assert text == built[0][1]
+        if failed:
+            hours = {s.hour for s in ds.samples}
+            assert hours.isdisjoint(failed) and len(hours) == 200
 
 
 class TestPersistence:
