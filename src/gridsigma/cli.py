@@ -18,6 +18,7 @@ from pathlib import Path
 from . import agents, detectors, evalkit, grid, promptkit, scenario
 from .errors import (
     MALFORMED_DOCUMENT, AgentError, DatasetError, DetectorError, GridSigmaError,
+    writing,
 )
 
 logger = logging.getLogger(__name__)
@@ -113,10 +114,11 @@ _WRITE_SLICE = 1 << 20  # characters per write, so no encoded copy of all of it
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start : start + _WRITE_SLICE])
+    with writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8") as fh:
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
     print(f"wrote {path}")
 
 
@@ -148,15 +150,10 @@ def _cmd_generate(args) -> int:
         case, profile, layout, sizes=sizes, seed=args.seed,
         k_inject=args.k_inject, magnitude=args.magnitude,
     )
-    blocks = scenario.dataset_blocks(ds)  # refuses a bad dataset before any write
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     jsonl_path, csv_path = out / "dataset.jsonl", out / "features.csv"
-    with (jsonl_path.open("w", encoding="utf-8") as jsonl_file,
-          csv_path.open("w", encoding="utf-8") as csv_file):
-        for jsonl_block, csv_block in blocks:
-            jsonl_file.write(jsonl_block)
-            csv_file.write(csv_block)
+    with writing(out):
+        scenario.write_dataset_files(ds, jsonl_path, csv_path)
     print(f"wrote {jsonl_path}")
     _write(out / "stats.json", scenario.stats_to_json(ds.stats))
     _write(out / "meta.json", scenario.meta_to_json(ds))
@@ -228,19 +225,15 @@ def _load_model(data: Path) -> detectors.DetectorModel:
 def _cmd_train_dl(args) -> int:
     data = Path(args.data)
     ds = evalkit.load_dataset_dir(data)
-    train_normals = [
-        s for s in ds.split_samples("train") if s.label == scenario.NORMAL
-    ]
-    val_normals = [
-        s for s in ds.split_samples("validation") if s.label == scenario.NORMAL
-    ]
     hyper = detectors.Hyper(
         lr=args.lr, batch=args.batch, epochs=args.epochs, patience=args.patience
     )
     model = detectors.train_autoencoder(
-        train_normals, hyper, seed=args.seed, val_normals=val_normals, stats=ds.stats,
+        ds.split_features("train", scenario.NORMAL), hyper, seed=args.seed,
+        val_normals=ds.split_features("validation", scenario.NORMAL), stats=ds.stats,
     )
-    model = detectors.calibrate(model, ds.split_samples("validation"))
+    model = detectors.calibrate(model, ds.split_features("validation"),
+                                ds.anomalous[ds.split_ids("validation")])
     _write(data / "model.json", detectors.model_to_json(model))
     report, manifest = evalkit.run_detector_experiment(
         model, ds, out_dir=data / "manifests"
@@ -275,17 +268,18 @@ def _cmd_export_finetune(args) -> int:
     # Records stream into a temporary file beside the output, which replaces
     # the output only once every record is written.
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
     records = 0
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                records += 1
-        os.replace(tmp, out)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                for line in lines:
+                    fh.write(line)
+                    records += 1
+            os.replace(tmp, out)
+        finally:
+            tmp.unlink(missing_ok=True)
     print(f"wrote {out}")
     print(f"records: {records}")
     return 0
@@ -320,6 +314,21 @@ _HANDLERS = {
 }
 
 
+def _return_freed_heap() -> None:
+    """Hand the heap pages freed by a command back to the OS (glibc's
+    malloc_trim; a no-op elsewhere). Without it, a process that runs several
+    commands through main keeps the pages of one command's peak whenever a
+    small live allocation pins the top of the heap, and the next command's
+    peak lands on top of them."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    trim(0)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
@@ -331,6 +340,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except GridSigmaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _return_freed_heap()
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .scenario import (
     ANOMALY,
     NORMAL,
     FeatureStats,
-    Sample,
     stats_from_dict,
     stats_to_dict,
     zscores,
@@ -164,39 +163,41 @@ def _mean_loss(x: np.ndarray, weights, biases) -> float:
 
 
 def train_autoencoder(
-    normals: list[Sample],
+    normals: np.ndarray,
     hyper: Hyper = Hyper(),
     seed: int = 42,
     *,
-    val_normals: list[Sample],
+    val_normals: np.ndarray,
     stats: FeatureStats,
     layer_dims: "tuple[int, ...] | None" = None,
 ) -> DetectorModel:
-    """Fit the autoencoder on normal samples only.
+    """Fit the autoencoder on normal samples only, given as the (n, d)
+    feature matrix ``normals``, one row per sample.
 
     Inputs are standardized by ``stats``, the train-split stats that prompts
     share as their z-score basis. Early stopping watches the mean loss on
-    the held-out ``val_normals`` with the configured patience, keeping the
-    best weights. The layers are (d, 32, 8, 32, d) for d features unless
+    the held-out rows ``val_normals`` with the configured patience, keeping
+    the best weights. The layers are (d, 32, 8, 32, d) for d features unless
     layer_dims is given. Deterministic in seed.
     """
+    normals = np.asarray(normals, dtype=float)
+    val_normals = np.asarray(val_normals, dtype=float)
     if len(normals) < 100:
         raise DetectorError(f"need at least 100 normal samples, got {len(normals)}")
+    d = normals.shape[1]
     if layer_dims is None:
-        d = len(normals[0].features)
         layer_dims = (d, 32, 8, 32, d)
     if layer_dims[0] != layer_dims[-1]:
         raise DetectorError("autoencoder input and output dims must match")
-    if len(normals[0].features) != layer_dims[0]:
+    if d != layer_dims[0]:
         raise DetectorError(
-            f"feature length {len(normals[0].features)} does not match "
-            f"layer_dims[0] = {layer_dims[0]}"
+            f"feature length {d} does not match layer_dims[0] = {layer_dims[0]}"
         )
 
-    if not val_normals:
+    if not len(val_normals):
         raise DetectorError("val_normals is empty; early stopping needs held-out normals")
-    x_train = zscores(np.stack([s.features for s in normals]), stats)
-    x_val = zscores(np.stack([s.features for s in val_normals]), stats)
+    x_train = zscores(normals, stats)
+    x_val = zscores(val_normals, stats)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     theta = _flat(*_init_params(layer_dims, rng))
@@ -312,26 +313,28 @@ def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
     return float(taus[np.argmax(f1)])  # argmax keeps the first, smallest tau
 
 
-def _validation_matrix(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """The samples' (n, d) feature matrix and whether each is an anomaly;
-    raises DetectorError unless both labels are present."""
-    truth = np.array([s.label == ANOMALY for s in samples])
-    if truth.all() or not truth.any():
+def _check_both_labels(anomalous: np.ndarray) -> np.ndarray:
+    anomalous = np.asarray(anomalous, dtype=bool)
+    if anomalous.all() or not anomalous.any():
         raise DetectorError("validation split must contain both labels")
-    return np.stack([s.features for s in samples]), truth
+    return anomalous
 
 
-def calibrate_threshold(model: DetectorModel, validation: list[Sample]) -> float:
-    """Threshold maximizing F1 of (score >= tau) on the validation split.
+def calibrate_threshold(model: DetectorModel, features: np.ndarray,
+                        anomalous: np.ndarray) -> float:
+    """Threshold maximizing F1 of (score >= tau) on the validation split:
+    its (n, d) feature matrix and whether each row is an anomaly.
 
     Ties go to the smaller tau. Requires both labels present.
     """
-    features, truth = _validation_matrix(validation)
-    return _best_f1_threshold(reconstruction_error(model, features).mean(axis=1), truth)
+    anomalous = _check_both_labels(anomalous)
+    return _best_f1_threshold(reconstruction_error(model, features).mean(axis=1),
+                              anomalous)
 
 
-def calibrate(model: DetectorModel, validation: list[Sample]) -> DetectorModel:
-    return replace(model, threshold=calibrate_threshold(model, validation))
+def calibrate(model: DetectorModel, features: np.ndarray,
+              anomalous: np.ndarray) -> DetectorModel:
+    return replace(model, threshold=calibrate_threshold(model, features, anomalous))
 
 
 def detect(model: DetectorModel, features: np.ndarray) -> list[str]:
@@ -363,15 +366,17 @@ def hybrid_scores(model: DetectorModel, features: np.ndarray, selections) -> np.
 
 def calibrate_hybrid_threshold(
     model: DetectorModel,
-    validation: list[Sample],
+    features: np.ndarray,
+    anomalous: np.ndarray,
     stats: FeatureStats,
     m: int = 8,
 ) -> float:
-    """Hybrid cutoff fitted on validation scores, each sample scored over its
-    m largest |z| (the reference selection)."""
-    features, truth = _validation_matrix(validation)
+    """Hybrid cutoff fitted on the validation split's scores (as for
+    calibrate_threshold), each row scored over its m largest |z| (the
+    reference selection)."""
+    anomalous = _check_both_labels(anomalous)
     selections = top_abs_z(np.abs(zscores(features, stats)), m)
-    return _best_f1_threshold(hybrid_scores(model, features, selections), truth)
+    return _best_f1_threshold(hybrid_scores(model, features, selections), anomalous)
 
 
 # --------------------------------------------------------------------------

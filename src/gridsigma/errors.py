@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+from contextlib import contextmanager
+
 # What json.loads and the int()/float()/numpy conversions of its fields raise
 # on a malformed document: a missing key, a value of the wrong type or out of
 # range (an id of 1e400 is a float infinity), nesting too deep to decode.
@@ -39,3 +41,13 @@ def not_utf8(path, exc: UnicodeDecodeError, error=GridSigmaError,
     """The domain error, naming the file, for bytes that are not UTF-8; offset
     is the file offset of the bytes that were decoded."""
     return error(f"{path}: not UTF-8 text (byte {offset + exc.start}: {exc.reason})")
+
+
+@contextmanager
+def writing(path):
+    """Report an OSError raised while writing path as a GridSigmaError that
+    names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise GridSigmaError(f"cannot write {path}: {exc.strerror or exc}") from None

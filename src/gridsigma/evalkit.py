@@ -18,7 +18,7 @@ from urllib.parse import quote
 
 import numpy as np
 
-from .errors import AgentError, DatasetError, GridSigmaError, not_utf8
+from .errors import AgentError, DatasetError, GridSigmaError, not_utf8, writing
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
 from .ruleoracle import top_abs_z
@@ -374,10 +374,11 @@ def manifest_name(run: RunConfig) -> str:
 
 def write_manifest(manifest: dict, path: "str | Path") -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 def run_hybrid_experiment(
@@ -413,7 +414,8 @@ def run_hybrid_experiment(
             f"dataset's stats.json (n={current.n}); rerun train-dl"
         )
     tau_h = detectors.calibrate_hybrid_threshold(
-        model, dataset.split_samples("validation"), dataset.stats, m=m
+        model, dataset.split_features("validation"),
+        dataset.anomalous[dataset.split_ids("validation")], dataset.stats, m=m,
     )
     targets, features = _test_split(dataset)
     if use_reference_selector:
@@ -459,7 +461,7 @@ def _test_split(dataset: Dataset) -> tuple[list[Sample], np.ndarray]:
     targets = dataset.split_samples("test")
     if not targets:
         raise DatasetError("test split is empty")
-    return targets, np.stack([s.features for s in targets])
+    return targets, dataset.split_features("test")
 
 
 def run_detector_experiment(

@@ -12,10 +12,10 @@ import io
 import json
 import logging
 import math
-import mmap
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +33,8 @@ _TAG_INJECT = 2
 _TAG_SPLIT = 3
 
 STD_FLOOR = 1e-12
+# Train rows per chunk of the stats sums: bounds the rows they copy at once.
+_STATS_ROWS = 256
 # Hours per stacked power-flow solve: bounds the memory of its Jacobian stack
 # and solution arrays (about 24 KB of Jacobian temporaries per hour). The
 # chunk size never changes the dataset's bytes.
@@ -55,8 +57,8 @@ class LoadProfile:
 @dataclass(frozen=True, slots=True)
 class Sample:
     id: int
-    # build_dataset and dataset_from_files make it a read-only row view of
-    # the dataset's one (n, d) feature matrix.
+    # A Dataset builds its samples on demand, each viewing its row of the
+    # dataset's one (n, d) feature matrix.
     features: np.ndarray
     label: str  # normal | anomaly
     injected: tuple[int, ...]  # sorted feature indices
@@ -85,8 +87,22 @@ class SplitSizes:
 
 @dataclass(frozen=True)
 class Dataset:
-    samples: tuple[Sample, ...]
-    splits: dict[str, tuple[int, ...]]  # train / validation / test id sets
+    """A labeled, split dataset, held in columns: sample i is row i of each.
+
+    ``features`` is the read-only (n, d) feature matrix; ``hours`` (int64)
+    and ``anomalous`` (bool) hold one value per sample. Sample i's injected
+    feature indices and their deltas are ``injected[ends[i]:ends[i + 1]]``
+    and ``deltas[ends[i]:ends[i + 1]]``. Sample ids are positions, and
+    Sample objects are built only when asked for.
+    """
+
+    features: np.ndarray
+    hours: np.ndarray
+    anomalous: np.ndarray
+    injected: np.ndarray  # int32, every sample's indices one after another
+    deltas: np.ndarray  # float64, aligned with injected
+    ends: np.ndarray  # int64, n + 1 offsets into injected and deltas
+    splits: dict[str, np.ndarray]  # train / validation / test ids, int64
     layout: FeatureLayout
     stats: FeatureStats
     master_seed: int
@@ -94,15 +110,83 @@ class Dataset:
     # for a dataset built in memory.
     jsonl_digest: str | None = None
 
+    @classmethod
+    def from_samples(cls, samples: Sequence[Sample], splits: dict[str, Sequence[int]],
+                     layout: FeatureLayout, stats: FeatureStats,
+                     master_seed: int) -> Dataset:
+        """A dataset of these samples, for one built by hand. Sample i must
+        have id i, a known label, one feature per layout sensor and one
+        delta per injected index."""
+        features = np.empty((len(samples), len(layout)))
+        for i, s in enumerate(samples):
+            if s.id != i:
+                raise DatasetError(f"sample {s.id} at position {i}: ids are positions")
+            if s.label not in (NORMAL, ANOMALY):
+                raise DatasetError(f"sample {i}: label {s.label!r}")
+            if np.shape(s.features) != (len(layout),):
+                raise DatasetError(f"sample {i}: features of shape "
+                                   f"{np.shape(s.features)}, layout has {len(layout)}")
+            if len(s.deltas) != len(s.injected):
+                raise DatasetError(f"sample {i}: deltas and injected lengths differ")
+            features[i] = s.features
+        return cls(
+            features=_read_only(features),
+            hours=_read_only(np.array([s.hour for s in samples], dtype=np.int64)),
+            anomalous=_read_only(np.array([s.label == ANOMALY for s in samples],
+                                          dtype=bool)),
+            injected=_read_only(np.array([i for s in samples for i in s.injected],
+                                         dtype=np.int32)),
+            deltas=_read_only(np.array([d for s in samples for d in s.deltas],
+                                       dtype=float)),
+            ends=_read_only(np.cumsum([0] + [len(s.injected) for s in samples],
+                                      dtype=np.int64)),
+            splits=_split_arrays(splits),
+            layout=layout,
+            stats=stats,
+            master_seed=master_seed,
+        )
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """Every sample, built now."""
+        return tuple(map(self.by_id, range(len(self.features))))
+
     def by_id(self, sample_id: int) -> Sample:
-        # Sample ids are positions: build_dataset numbers them in order and
-        # dataset_from_files checks that line i holds id i.
-        if not 0 <= sample_id < len(self.samples):
+        if not 0 <= sample_id < len(self.features):
             raise DatasetError(f"no sample with id {sample_id}")
-        return self.samples[sample_id]
+        lo, hi = self.ends[sample_id : sample_id + 2].tolist()
+        return Sample(
+            id=sample_id,
+            features=self.features[sample_id],
+            label=ANOMALY if self.anomalous[sample_id] else NORMAL,
+            injected=tuple(self.injected[lo:hi].tolist()),
+            deltas=tuple(self.deltas[lo:hi].tolist()),
+            hour=int(self.hours[sample_id]),
+        )
 
     def split_samples(self, name: str) -> list[Sample]:
-        return [self.samples[i] for i in self.splits[name]]
+        return [self.by_id(i) for i in self.splits[name].tolist()]
+
+    def split_ids(self, name: str, label: "str | None" = None) -> np.ndarray:
+        """The split's sample ids; with label, only that label's."""
+        ids = self.splits[name]
+        if label is not None:
+            ids = ids[self.anomalous[ids] == (label == ANOMALY)]
+        return ids
+
+    def split_features(self, name: str, label: "str | None" = None) -> np.ndarray:
+        """The feature rows of split_ids(name, label), as one (n, d) matrix."""
+        return self.features[self.split_ids(name, label)]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _split_arrays(splits: dict[str, Sequence[int]]) -> dict[str, np.ndarray]:
+    return {name: _read_only(np.array(ids, dtype=np.int64))
+            for name, ids in splits.items()}
 
 
 def _child_rng(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
@@ -183,17 +267,58 @@ def inject_anomaly(
     return out, tuple(int(i) for i in indices), tuple(deltas)
 
 
-def compute_stats(samples: list[Sample]) -> FeatureStats:
+def compute_stats(samples: Sequence[Sample]) -> FeatureStats:
     """Per-feature population mean and std over the given train samples."""
-    if not samples:
+    features = [s.features for s in samples]
+    return _stats(len(features), len(features[0]) if features else 0,
+                  lambda start, stop, out: np.stack(features[start:stop], out=out))
+
+
+def _train_stats(matrix: np.ndarray, ids: Sequence[int]) -> FeatureStats:
+    """compute_stats of the samples whose features are matrix[ids]."""
+    ids = np.asarray(ids, dtype=np.intp)
+    # mode="clip" takes straight into out; every id is a row of matrix.
+    return _stats(len(ids), matrix.shape[1],
+                  lambda start, stop, out: np.take(matrix, ids[start:stop], axis=0,
+                                                   out=out, mode="clip"))
+
+
+def _stats(n: int, d: int, gather) -> FeatureStats:
+    """The mean and population std of n rows of d features, with the bits of
+    numpy's mean(axis=0) and std(axis=0) over the rows stacked, though no
+    more than _STATS_ROWS of them are ever copied at once.
+
+    gather(start, stop, out) copies rows [start, stop) into out. numpy sums
+    an (n, d) matrix down its columns one row after another, starting from
+    0.0, so each chunk is summed with the running sum as its first row.
+    A single column it sums pairwise instead, so that is gathered whole: one
+    float per row.
+    """
+    if not n:
         raise DatasetError("cannot compute stats of an empty sample list")
-    matrix = np.stack([s.features for s in samples])
-    return FeatureStats(
-        mean=matrix.mean(axis=0),
-        std=matrix.std(axis=0),
-        n=len(samples),
-        split="train",
-    )
+    step = n if d == 1 else _STATS_ROWS
+    chunk = np.empty((min(step, n) + 1, d))
+
+    def column_sums(mean=None) -> np.ndarray:
+        # The rows' sums, or with mean, the sums of (row - mean)**2.
+        total = None
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            rows = chunk[1 : 1 + stop - start]
+            gather(start, stop, rows)
+            if mean is not None:
+                rows -= mean
+                rows *= rows
+            if total is None:
+                total = np.add.reduce(rows, axis=0)
+            else:
+                chunk[0] = total
+                total = np.add.reduce(chunk[: 1 + stop - start], axis=0)
+        return total
+
+    mean = column_sums() / n
+    return FeatureStats(mean=mean, std=np.sqrt(column_sums(mean) / n), n=n,
+                        split="train")
 
 
 def zscores(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
@@ -274,29 +399,20 @@ def build_dataset(
             f"only {len(hours_used)} of {n_normal} required hours converged"
         )
 
-    injections = []
+    injected = np.empty((n_anomalous, k_inject), dtype=np.int32)
+    deltas = np.empty((n_anomalous, k_inject))
     for j in range(n_anomalous):
-        feats, injected, deltas = inject_anomaly(
+        matrix[n_normal + j], injected[j], deltas[j] = inject_anomaly(
             base_features[j % n_normal],
             np.random.SeedSequence([seed, _TAG_INJECT, j]),
             k_inject=k_inject,
             magnitude=magnitude,
         )
-        matrix[n_normal + j] = feats
-        injections.append((injected, deltas))
-    matrix.flags.writeable = False
-    # Anomaly j copies normal sample j % n_normal, so sample i keeps the hour
-    # of normal i % n_normal.
-    samples = [
-        Sample(id=i, features=matrix[i], label=ANOMALY if injected else NORMAL,
-               injected=injected, deltas=deltas, hour=hours_used[i % n_normal])
-        for i, (injected, deltas) in enumerate([((), ())] * n_normal + injections)
-    ]
 
     rng = _child_rng(seed, _TAG_SPLIT)
     normal_ids = rng.permutation(n_normal)
     anomalous_ids = rng.permutation(n_anomalous) + n_normal
-    splits: dict[str, tuple[int, ...]] = {}
+    splits = {}
     cursor = 0
     for name, size in (
         ("train", sizes.train),
@@ -304,18 +420,24 @@ def build_dataset(
         ("test", sizes.test),
     ):
         half = size // 2
-        ids = list(normal_ids[cursor : cursor + half]) + list(
-            anomalous_ids[cursor : cursor + half]
-        )
-        splits[name] = tuple(sorted(int(i) for i in ids))
+        splits[name] = _read_only(np.sort(np.concatenate(
+            (normal_ids[cursor : cursor + half], anomalous_ids[cursor : cursor + half])
+        )))
         cursor += half
 
-    stats = compute_stats([samples[i] for i in splits["train"]])
+    rows = np.arange(n_total)
     return Dataset(
-        samples=tuple(samples),
+        features=_read_only(matrix),
+        # Anomaly j copies normal sample j % n_normal, so sample i keeps the
+        # hour of normal i % n_normal.
+        hours=_read_only(np.array(hours_used, dtype=np.int64)[rows % n_normal]),
+        anomalous=_read_only(rows >= n_normal),
+        injected=_read_only(injected.ravel()),
+        deltas=_read_only(deltas.ravel()),
+        ends=_read_only(k_inject * np.maximum(np.arange(n_total + 1) - n_normal, 0)),
         splits=splits,
         layout=layout,
-        stats=stats,
+        stats=_train_stats(matrix, splits["train"]),
         master_seed=seed,
     )
 
@@ -342,14 +464,14 @@ def _floats_text(values) -> str:
     return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _check_sample(sample: Sample) -> None:
-    """Refuse what the loader would reject: a label other than normal/anomaly,
-    or a non-finite feature or delta, which standard JSON cannot hold."""
-    if sample.label not in (NORMAL, ANOMALY):
-        raise DatasetError(f"sample {sample.id}: label {sample.label!r}")
-    if not (np.isfinite(sample.features).all()
-            and all(map(math.isfinite, sample.deltas))):
-        raise DatasetError(f"sample {sample.id}: non-finite feature or delta")
+def _check_rows(ds: Dataset) -> None:
+    """Refuse what the loader would reject: a non-finite feature or delta,
+    which standard JSON cannot hold."""
+    bad = ~np.isfinite(ds.features).all(axis=1)
+    bad_deltas = np.flatnonzero(~np.isfinite(ds.deltas))
+    bad[np.searchsorted(ds.ends, bad_deltas, side="right") - 1] = True
+    if bad.any():
+        raise DatasetError(f"sample {int(np.argmax(bad))}: non-finite feature or delta")
 
 
 def dataset_blocks(ds: Dataset):
@@ -358,57 +480,97 @@ def dataset_blocks(ds: Dataset):
 
     Every sample is checked before this returns, so a refused dataset raises
     before any block is made. Each sample's features are formatted once, and
-    that text goes into both its JSONL line and its CSV row.
+    that text goes into both its JSONL line and its CSV row. The JSONL made
+    so far is kept in memory for _blocks to read back from;
+    write_dataset_files reads it back from the file instead.
     """
-    for s in ds.samples:
-        _check_sample(s)
-    return _blocks(ds)
+    _check_rows(ds)
+    return _blocks_in_memory(ds)
 
 
-def _blocks(ds: Dataset):
+def _blocks_in_memory(ds: Dataset):
+    written = io.BytesIO()
+    for jsonl, rows in _blocks(ds, written):
+        written.write(jsonl.encode("utf-8"))
+        yield jsonl, rows
+
+
+def write_dataset_files(ds: Dataset, jsonl_path: Path, csv_path: Path) -> None:
+    """Write dataset.jsonl and features.csv block by block (see
+    dataset_blocks). Every sample is checked before either file, or its
+    directory, is made."""
+    _check_rows(ds)
+    jsonl_path.parent.mkdir(parents=True, exist_ok=True)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    with jsonl_path.open("w+b") as jsonl_file, csv_path.open("wb") as csv_file:
+        for jsonl, rows in _blocks(ds, jsonl_file):
+            jsonl_file.write(jsonl.encode("utf-8"))
+            csv_file.write(rows.encode("utf-8"))
+
+
+def _blocks(ds: Dataset, written):
+    """The blocks of dataset_blocks. written is a readable, seekable binary
+    file holding the JSONL blocks yielded so far: the caller writes each one
+    to it before pulling the next.
+
+    A sample at an hour seen before formats only the cells whose float64
+    bits differ from those of the first sample at that hour, its base (an
+    injected anomaly: its k changed cells), and takes the other cells' text
+    from its base's line. Bits, not ==, so that -0.0 and 0.0 keep their own
+    text. A base line in the current block is still at hand; an earlier one
+    is read back from written, at the offset and length kept for it. The
+    JSONL is ASCII, so its characters and bytes count alike.
+    """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
         ["id", "hour", "label"] + ds.layout.names()
     )
     header = out.getvalue()
-    # The features text of the first sample at each hour is kept, and a later
-    # sample at that hour with as many features formats only the cells whose
-    # float64 bits differ from it (an injected anomaly: its k changed cells).
-    # Bits, not ==, so that -0.0 and 0.0 keep their own text. The text lives
-    # in an anonymous mmap, whose pages go back to the OS when it closes:
-    # heap freed here would stay with the process and raise the peak RSS of
-    # whatever it runs next. Sample i may keep its text, ended by a newline,
-    # in slot i; 25 bytes per cell hold the longest float repr (24
-    # characters) and its comma. Slots never written take no memory.
-    slot = 25 * max((len(s.features) for s in ds.samples), default=0) + 1
-    first_at: dict[int, int] = {}  # hour -> index of its first sample
-    with mmap.mmap(-1, slot * max(len(ds.samples), 1)) as kept:
-        # max(..., 1): an empty dataset still yields the CSV header.
-        for start in range(0, max(len(ds.samples), 1), _BLOCK_ROWS):
-            jsonl_lines, csv_rows = [], [] if start else [header]
-            for i, s in enumerate(ds.samples[start : start + _BLOCK_ROWS], start):
-                values = np.asarray(s.features, dtype=float)
-                b = first_at.setdefault(s.hour, i)
-                base = np.asarray(ds.samples[b].features, dtype=float)
-                if b == i or len(base) != len(values):
-                    features = _floats_text(values)
+    n = len(ds.features)
+    _, first, inverse = np.unique(ds.hours, return_index=True, return_inverse=True)
+    base_of = first[inverse]
+    text_at = np.empty(n, dtype=np.int64)  # a base's features text in the JSONL
+    text_len = np.empty(n, dtype=np.int64)
+    bits = ds.features.view(np.uint64)
+    line_at = 0  # where the next line starts in the JSONL
+    # max(n, 1): an empty dataset still yields the CSV header.
+    for start in range(0, max(n, 1), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        jsonl_lines, csv_rows = [], [] if start else [header]
+        for i, hour, anomalous, base, (lo, hi) in zip(
+            range(start, stop), ds.hours[start:stop].tolist(),
+            ds.anomalous[start:stop].tolist(), base_of[start:stop].tolist(),
+            zip(ds.ends[start:stop].tolist(), ds.ends[start + 1 : stop + 1].tolist()),
+        ):
+            values = ds.features[i]
+            if base == i:
+                features = _floats_text(values)
+            else:
+                length = int(text_len[base])
+                if base >= start:  # its line is in this block, not yet written
+                    line = jsonl_lines[base - start]
+                    text = line[len(line) - length - 3 : len(line) - 3]
                 else:
-                    texts = kept[b * slot : kept.find(b"\n", b * slot)]
-                    texts = texts.decode("ascii").split(",")
-                    changed = values.view(np.uint64) != base.view(np.uint64)
-                    for c in np.flatnonzero(changed).tolist():
-                        texts[c] = repr(float(values[c]))
-                    features = ",".join(texts)
-                if b == i:
-                    kept[i * slot : i * slot + len(features) + 1] = (
-                        features + "\n").encode("ascii")
-                jsonl_lines.append(_JSONL_LINE % (
-                    s.id, s.hour, s.label, ",".join(map(str, s.injected)),
-                    _floats_text(s.deltas), features,
-                ))
-                csv_rows.append(_CSV_ROW % (
-                    s.id, s.hour, s.label, "," if features else "", features))
-            yield "".join(jsonl_lines), "".join(csv_rows)
+                    written.seek(int(text_at[base]))  # flushes what is buffered
+                    text = written.read(length).decode("ascii")
+                    written.seek(0, io.SEEK_END)
+                texts = text.split(",")
+                for c in np.flatnonzero(bits[i] != bits[base]).tolist():
+                    texts[c] = repr(float(values[c]))
+                features = ",".join(texts)
+            label = ANOMALY if anomalous else NORMAL
+            line = _JSONL_LINE % (
+                i, hour, label, ",".join(map(str, ds.injected[lo:hi].tolist())),
+                _floats_text(ds.deltas[lo:hi]), features,
+            )
+            if base == i:  # the line ends with the features text and ']}\n'
+                text_at[i] = line_at + len(line) - len(features) - 3
+                text_len[i] = len(features)
+            line_at += len(line)
+            jsonl_lines.append(line)
+            csv_rows.append(_CSV_ROW % (
+                i, hour, label, "," if features else "", features))
+        yield "".join(jsonl_lines), "".join(csv_rows)
 
 
 def dataset_to_jsonl(ds: Dataset) -> str:
@@ -446,7 +608,7 @@ def stats_from_json(text: str) -> FeatureStats:
 def meta_to_json(ds: Dataset) -> str:
     doc = {
         "master_seed": ds.master_seed,
-        "splits": {name: list(ids) for name, ids in ds.splits.items()},
+        "splits": {name: ids.tolist() for name, ids in ds.splits.items()},
         "layout": [
             {"name": e.name, "kind": e.kind, "index": e.index}
             for e in ds.layout.entries
@@ -484,8 +646,8 @@ def dataset_from_files(
     only; the stats must have one finite mean and std per layout sensor and
     equal, exactly, compute_stats over the train split.
 
-    The features go into one read-only (n, d) matrix, and each sample's
-    features are a row view of it.
+    The features go into one read-only (n, d) matrix, and the other fields
+    into the Dataset's flat columns.
     """
     try:
         meta = json.loads(meta_text)
@@ -513,20 +675,22 @@ def dataset_from_files(
                 f"stats.json: {name} must hold {len(layout)} finite values"
             )
 
-    samples = _parse_jsonl(
+    columns = _parse_jsonl(
         _lines(jsonl) if isinstance(jsonl, str) else jsonl,
         len(layout),
         sum(map(len, splits.values())),  # the sample count of a generated file
     )
+    n = len(columns["features"])
     seen: set = set()
     for name, ids in splits.items():
         for i in ids:
-            if type(i) is not int or not 0 <= i < len(samples):
+            if type(i) is not int or not 0 <= i < n:
                 raise DatasetError(f"meta.json: {name} split id {i!r} names no sample")
             if i in seen:
                 raise DatasetError(f"meta.json: id {i} is listed more than once")
             seen.add(i)
-    train_stats = compute_stats([samples[i] for i in splits["train"]])
+    splits = _split_arrays(splits)
+    train_stats = _train_stats(columns["features"], splits["train"])
     for name, ours, theirs in (
         ("n", stats.n, train_stats.n),
         ("mean", stats.mean, train_stats.mean),
@@ -538,7 +702,7 @@ def dataset_from_files(
                 f"{train_stats.n} train samples in meta.json"
             )
     return Dataset(
-        samples=samples,
+        **columns,
         splits=splits,
         layout=layout,
         stats=stats,
@@ -546,20 +710,19 @@ def dataset_from_files(
     )
 
 
-def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int):
-    """The samples of dataset.jsonl's lines. Their features are row views of
-    one read-only matrix, allocated for the expected count of rows and grown
-    past it when needed.
+def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int) -> dict:
+    """The Dataset columns of dataset.jsonl's lines. The feature matrix is
+    allocated for the expected count of rows and grown past it when needed.
 
-    Each line's features go straight into their matrix row. Its other fields
-    go into flat arrays, outside the Python object heap, and the Sample
-    objects are built only after the last line: objects kept from the loop
-    would pin heap arenas that its freed per-line floats leave behind.
+    Each line's features go straight into their matrix row, and its other
+    fields into flat arrays, outside the Python object heap: objects kept
+    from the loop would pin heap arenas that its freed per-line floats leave
+    behind.
     """
     matrix = np.empty((max(rows, 1), n_features))
     hours = array("q")
     anomalous = bytearray()
-    injected = array("q")  # every sample's injected indices, one after another
+    injected = array("i")  # every sample's injected indices, one after another
     deltas = array("d")
     ends = array("q", [0])  # sample i's indices and deltas are [ends[i], ends[i+1])
     for lineno, line in enumerate(lines, start=1):
@@ -610,17 +773,12 @@ def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int):
         injected.extend(indices)
         deltas.extend(shifts)
         ends.append(len(injected))
-    n = len(hours)
-    matrix.resize((n, n_features), refcheck=False)
-    matrix.flags.writeable = False
-    return tuple(
-        Sample(
-            id=i,
-            features=matrix[i],
-            label=ANOMALY if anomalous[i] else NORMAL,
-            injected=tuple(injected[ends[i] : ends[i + 1]]),
-            deltas=tuple(deltas[ends[i] : ends[i + 1]]),
-            hour=hours[i],
-        )
-        for i in range(n)
-    )
+    matrix.resize((len(hours), n_features), refcheck=False)
+    return {
+        "features": _read_only(matrix),
+        "hours": _read_only(np.array(hours, dtype=np.int64)),
+        "anomalous": _read_only(np.array(anomalous, dtype=bool)),
+        "injected": _read_only(np.array(injected, dtype=np.int32)),
+        "deltas": _read_only(np.array(deltas, dtype=float)),
+        "ends": _read_only(np.array(ends, dtype=np.int64)),
+    }

@@ -49,14 +49,13 @@ def dataset42(ieee14, layout68):
 @pytest.fixture(scope="session")
 def model42(dataset42):
     """Trained and calibrated detector on the seed-42 dataset."""
-    train_normals = [s for s in dataset42.split_samples("train") if s.label == "normal"]
-    val_normals = [
-        s for s in dataset42.split_samples("validation") if s.label == "normal"
-    ]
     model = detectors.train_autoencoder(
-        train_normals, seed=42, val_normals=val_normals, stats=dataset42.stats
+        dataset42.split_features("train", "normal"), seed=42,
+        val_normals=dataset42.split_features("validation", "normal"),
+        stats=dataset42.stats,
     )
-    return detectors.calibrate(model, dataset42.split_samples("validation"))
+    return detectors.calibrate(model, dataset42.split_features("validation"),
+                               dataset42.anomalous[dataset42.split_ids("validation")])
 
 
 @pytest.fixture()

@@ -32,7 +32,8 @@ def pipeline_dir(tmp_path_factory):
 
 def _generate_capturing(monkeypatch, out, *flags, edit=lambda ds: ds):
     """Run `generate`, passing the dataset it builds through edit first;
-    return the exit code and the dataset that was handed to the writers."""
+    return the exit code and the dataset that was handed to the writers
+    (None if edit raised)."""
     built = []
     build = scenario.build_dataset
 
@@ -41,7 +42,8 @@ def _generate_capturing(monkeypatch, out, *flags, edit=lambda ds: ds):
         return built[-1]
 
     monkeypatch.setattr(cli.scenario, "build_dataset", capture)
-    return main(["generate", "--seed", "3", "--out", str(out), *flags]), built[0]
+    rc = main(["generate", "--seed", "3", "--out", str(out), *flags])
+    return rc, built[0] if built else None
 
 
 def _write_train_stats(data):
@@ -58,7 +60,8 @@ def _write_train_stats(data):
 def _spoil_last_sample(changes):
     def edit(ds):
         last = replace(ds.samples[-1], **changes(ds.samples[-1]))
-        return replace(ds, samples=ds.samples[:-1] + (last,))
+        return scenario.Dataset.from_samples(ds.samples[:-1] + (last,), ds.splits,
+                                             ds.layout, ds.stats, ds.master_seed)
     return edit
 
 
@@ -97,10 +100,12 @@ class TestGenerate:
     def test_refused_dataset_leaves_no_files(self, tmp_path, monkeypatch, capsys,
                                              changes, message):
         out = tmp_path / "d"
-        rc, ds = _generate_capturing(monkeypatch, out, "--samples", "640",
-                                     edit=_spoil_last_sample(changes))
+        # A label the dataset cannot hold is refused as the edit builds it;
+        # a non-finite feature, by the writers.
+        rc, _ = _generate_capturing(monkeypatch, out, "--samples", "640",
+                                    edit=_spoil_last_sample(changes))
         assert rc == 1
-        assert f"sample {len(ds.samples) - 1}: {message}" in capsys.readouterr().err
+        assert f"sample 639: {message}" in capsys.readouterr().err
         for name in ("dataset.jsonl", "features.csv", "stats.json", "meta.json"):
             assert not (out / name).exists(), name
 
@@ -601,6 +606,45 @@ class TestErrors:
     def test_selection_size_below_one_is_domain_error(self, pipeline_dir, capsys, argv):
         assert main([argv[0], "--data", str(pipeline_dir), *argv[1:]]) == 1
         assert f"m_select must be >= 1, got {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["generate-over-file", "generate-under-file",
+                                      "export-finetune-over-dir", "report-over-file",
+                                      "run-manifests-over-file"])
+    def test_unwritable_output_is_domain_error(self, pipeline_dir, tmp_path, capsys,
+                                               case):
+        afile, adir = tmp_path / "afile", tmp_path / "adir"
+        afile.write_text("kept\n", encoding="utf-8")
+        adir.mkdir()
+        # A copy of the dataset, with a file where its manifests/ goes.
+        data = self._corrupted_copy(pipeline_dir, tmp_path, None, None)
+        (data / "manifests").write_text("kept\n", encoding="utf-8")
+        argv, path = {
+            "generate-over-file": (["generate", "--samples", "80", "--out", str(afile)],
+                                   afile),
+            "generate-under-file": (["generate", "--samples", "80",
+                                     "--out", str(afile / "sub")], afile / "sub"),
+            "export-finetune-over-dir": (["export-finetune", "--data", str(pipeline_dir),
+                                          "--out", str(adir)], adir),
+            "report-over-file": (["report", "--data", str(pipeline_dir),
+                                  "--out", str(afile)], afile / "report.txt"),
+            "run-manifests-over-file": (
+                ["run", "--data", str(data)],
+                data / "manifests" / "zero_shot_z_only_reference_rule.json"),
+        }[case]
+        assert main(argv) == 1  # an uncaught OSError would raise here instead
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert afile.read_text(encoding="utf-8") == "kept\n"
+        assert not any(adir.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "data"]
+
+    def test_every_command_returns_its_freed_heap(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_return_freed_heap", lambda: calls.append(1))
+        out = tmp_path / "d"
+        assert main(["generate", "--samples", "80", "--seed", "1", "--out", str(out)]) == 0
+        assert main(["run", "--data", str(tmp_path / "nope")]) == 1
+        assert calls == [1, 1]
 
     def test_missing_dataset_is_domain_error(self, tmp_path, capsys):
         assert main(["run", "--data", str(tmp_path / "nope")]) == 1

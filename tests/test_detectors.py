@@ -55,14 +55,21 @@ def unit_stats(dim):
     return FeatureStats(mean=np.zeros(dim), std=np.ones(dim), n=1, split="test")
 
 
-def split_normals(dataset, split):
-    return [s for s in dataset.split_samples(split) if s.label == NORMAL]
+def truth(samples):
+    return np.array([s.label == ANOMALY for s in samples])
+
+
+def validation(dataset):
+    """The validation split's feature matrix and which rows are anomalies."""
+    return (dataset.split_features("validation"),
+            dataset.anomalous[dataset.split_ids("validation")])
 
 
 def fit(samples, hyper=Hyper(), **kwargs):
     """Train on all but the last 12 samples, stopping early on those 12, with
     stats over all of them."""
-    return train_autoencoder(samples[:-12], hyper, val_normals=samples[-12:],
+    return train_autoencoder(matrix(samples[:-12]), hyper,
+                             val_normals=matrix(samples[-12:]),
                              stats=compute_stats(samples), **kwargs)
 
 
@@ -90,8 +97,8 @@ class TestTraining:
         assert final < initial
 
     def test_bit_identical_across_runs(self, dataset42):
-        normals = split_normals(dataset42, "train")[:150]
-        val = split_normals(dataset42, "validation")
+        normals = dataset42.split_features("train", NORMAL)[:150]
+        val = dataset42.split_features("validation", NORMAL)
         hyper = Hyper(epochs=3)
         a = train_autoencoder(normals, hyper, seed=9, val_normals=val,
                               stats=dataset42.stats)
@@ -103,8 +110,8 @@ class TestTraining:
             assert np.array_equal(ba, bb)
 
     def test_different_seeds_differ(self, dataset42):
-        normals = split_normals(dataset42, "train")[:150]
-        val = split_normals(dataset42, "validation")
+        normals = dataset42.split_features("train", NORMAL)[:150]
+        val = dataset42.split_features("validation", NORMAL)
         hyper = Hyper(epochs=2)
         a = train_autoencoder(normals, hyper, seed=1, val_normals=val,
                               stats=dataset42.stats)
@@ -156,7 +163,8 @@ class TestTraining:
     def test_empty_validation_normals_rejected(self):
         samples = [make_sample(np.full(6, 0.01 * i), sample_id=i) for i in range(120)]
         with pytest.raises(DetectorError, match="val_normals is empty"):
-            train_autoencoder(samples, Hyper(epochs=2), seed=0, val_normals=[],
+            train_autoencoder(matrix(samples), Hyper(epochs=2), seed=0,
+                              val_normals=np.empty((0, 6)),
                               stats=compute_stats(samples),
                               layer_dims=(6, 4, 2, 4, 6))
 
@@ -290,7 +298,8 @@ class TestOptimizer:
         val = [make_sample(rng.normal(size=6), sample_id=200 + i) for i in range(30)]
         stats = unit_stats(6)
         model = train_autoencoder(
-            train, hyper, seed=3, val_normals=val, layer_dims=dims, stats=stats
+            matrix(train), hyper, seed=3, val_normals=matrix(val), layer_dims=dims,
+            stats=stats,
         )
         x_train = np.stack([zscores(s.features, stats) for s in train])
         x_val = np.stack([zscores(s.features, stats) for s in val])
@@ -343,17 +352,17 @@ class TestCalibration:
         val = [make_sample([0.1], i) for i in range(3)] + [
             make_sample([2.0], 10 + i, label=ANOMALY) for i in range(3)
         ]
-        tau = calibrate_threshold(model, val)
+        tau = calibrate_threshold(model, matrix(val), truth(val))
         assert tau == pytest.approx(4.0)
-        calibrated = detectors.calibrate(model, val)
+        calibrated = detectors.calibrate(model, matrix(val), truth(val))
         assert detect(calibrated, matrix(val)) == [s.label for s in val]
 
     def test_all_scores_equal_flags_everything(self):
         model = score_model()
         val = [make_sample([1.0], 0), make_sample([1.0], 1, label=ANOMALY)]
-        tau = calibrate_threshold(model, val)
+        tau = calibrate_threshold(model, matrix(val), truth(val))
         assert tau == pytest.approx(1.0)
-        calibrated = detectors.calibrate(model, val)
+        calibrated = detectors.calibrate(model, matrix(val), truth(val))
         assert detect(calibrated, np.array([[1.0]])) == [ANOMALY]
 
     def test_tie_breaks_toward_smaller_tau(self):
@@ -364,7 +373,7 @@ class TestCalibration:
             make_sample([np.sqrt(5.0)], 1, label=ANOMALY),
             make_sample([1.0], 2),
         ]
-        tau = calibrate_threshold(model, val)
+        tau = calibrate_threshold(model, matrix(val), truth(val))
         assert tau == pytest.approx(1.0)
 
     @settings(max_examples=200, deadline=None)
@@ -405,7 +414,7 @@ class TestCalibration:
     def test_single_label_validation_rejected(self):
         model = score_model()
         with pytest.raises(DetectorError):
-            calibrate_threshold(model, [make_sample([1.0], i) for i in range(4)])
+            calibrate_threshold(model, np.ones((4, 1)), np.zeros(4, dtype=bool))
 
     def test_seed42_validation_f1_in_expected_band(self, model42, dataset42):
         val = dataset42.split_samples("validation")
@@ -528,7 +537,7 @@ class TestHybrid:
 
     def test_injected_selection_flags_anomaly(self, model42, dataset42):
         tau_h = calibrate_hybrid_threshold(
-            model42, dataset42.split_samples("validation"), dataset42.stats, m=8
+            model42, *validation(dataset42), dataset42.stats, m=8
         )
         anomalous = [
             s for s in dataset42.split_samples("test") if s.label == ANOMALY
@@ -538,7 +547,7 @@ class TestHybrid:
 
     def test_low_residual_selection_stays_normal(self, model42, dataset42):
         tau_h = calibrate_hybrid_threshold(
-            model42, dataset42.split_samples("validation"), dataset42.stats, m=8
+            model42, *validation(dataset42), dataset42.stats, m=8
         )
         normal = next(
             s for s in dataset42.split_samples("test") if s.label == NORMAL
@@ -557,7 +566,7 @@ class TestHybrid:
 
         test = dataset42.split_samples("test")
         tau_h = calibrate_hybrid_threshold(
-            model42, dataset42.split_samples("validation"), dataset42.stats, m=8
+            model42, *validation(dataset42), dataset42.stats, m=8
         )
         features = matrix(test)
         standalone = detect(model42, features)

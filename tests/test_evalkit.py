@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsigma import agents, evalkit, promptkit
+from gridsigma import agents, evalkit, promptkit, scenario
 from gridsigma.errors import DatasetError, GridSigmaError
 from gridsigma.grid import builtin_ieee14, default_layout
 from gridsigma.ruleoracle import top_abs_z
@@ -528,3 +528,30 @@ class TestLoadedDataset:
             tracemalloc.stop()
         # Holding the file's bytes and its decoded text took 2.35 files.
         assert peak < 1.5 * size
+
+    def test_loaded_dataset_keeps_its_matrix_and_columns_only(self, tmp_path):
+        # 4,000 samples: the matrix holds 544 bytes a row; the columns (hour,
+        # label, injected indices and deltas with offsets, split ids) about 50.
+        case = builtin_ieee14()
+        ds = build_dataset(case, synth_load_profile(2000, len(case.buses), seed=3),
+                           default_layout(case),
+                           sizes=SplitSizes(train=3000, validation=500, test=500), seed=3)
+        data = tmp_path / "d"
+        scenario.write_dataset_files(ds, data / "dataset.jsonl", data / "features.csv")
+        _write_dataset(data, (data / "dataset.jsonl").read_bytes(),
+                       stats_to_json(ds.stats), meta_to_json(ds))
+        del ds
+        tracemalloc.start()
+        try:
+            loaded = evalkit.load_dataset_dir(data)
+            kept, peak = tracemalloc.get_traced_memory()
+            blocks = sum(stat.count for stat in
+                         tracemalloc.take_snapshot().statistics("filename"))
+        finally:
+            tracemalloc.stop()
+        matrix = loaded.features.nbytes
+        assert matrix == 4000 * 68 * 8
+        assert kept <= 1.1 * matrix
+        assert blocks < 1000  # no object per sample
+        assert peak < 2 * matrix
+

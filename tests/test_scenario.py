@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -42,6 +43,13 @@ from gridsigma.scenario import (
     synth_load_profile,
     zscores,
 )
+
+
+def with_samples(ds, samples, **changes):
+    """ds with these samples in place of its own."""
+    fields = {"splits": ds.splits, "layout": ds.layout, "stats": ds.stats,
+              "master_seed": ds.master_seed, **changes}
+    return Dataset.from_samples(tuple(samples), **fields)
 
 
 def make_sample(values, sample_id=0, label=NORMAL):
@@ -171,6 +179,41 @@ class TestStats:
         b = compute_stats(samples)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.std, b.std)
+
+    @pytest.mark.parametrize("width", [1, 68, 82])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_chunked_stats_bit_equal_stacked_numpy(self, rows, width, seed):
+        # Around one chunk of rows and over several. Column scales from 1e-8
+        # to 1e14 with offsets, cells a few decades apart within a column,
+        # and signed zeros scattered and filling one column; the train ids
+        # skip rows.
+        rng = np.random.default_rng(seed)
+        matrix = (rng.normal(size=(2 * rows, width))
+                  * 10.0 ** rng.integers(-8, 15, size=width)
+                  * 10.0 ** rng.integers(-3, 4, size=(2 * rows, width))
+                  + rng.normal(size=width) * 10.0 ** rng.integers(-8, 15, size=width))
+        matrix[rng.random(matrix.shape) < 0.1] = -0.0
+        if width > 1:
+            matrix[:, -1] = -0.0
+        ids = np.sort(rng.choice(2 * rows, size=rows, replace=False))
+        stacked = np.stack([matrix[i] for i in ids])
+        for stats in (compute_stats([make_sample(matrix[i]) for i in ids]),
+                      scenario._train_stats(matrix, ids)):
+            assert stats.mean.tobytes() == stacked.mean(axis=0).tobytes()
+            assert stats.std.tobytes() == stacked.std(axis=0).tobytes()
+            assert stats.n == rows
+
+    @pytest.mark.parametrize("seed, sha256", [
+        (42, "1e4c54397fadab4202b9926723e1e74939aaf6d52c5afdaaea8efa8da0b48898"),
+        (7, "132829afa2564d6c6d57676ae467c263a4a473a9ece17a9102e5e6104072c6e7"),
+    ])
+    def test_stats_json_bytes_pinned(self, ieee14, layout68, dataset42, seed, sha256):
+        ds = dataset42 if seed == 42 else build_dataset(
+            ieee14, synth_load_profile(800, 14, seed=seed), layout68, seed=seed)
+        text = stats_to_json(ds.stats)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
 class TestZScores:
@@ -337,7 +380,7 @@ class TestChunkHours:
             monkeypatch.setattr(scenario, "_CHUNK_HOURS", chunk)
             ds = build_dataset(ieee14, profile, layout68,
                                sizes=SplitSizes(300, 50, 50), seed=42)
-            matrix = np.stack([s.features for s in ds.samples])
+            matrix = ds.features
             text = "".join(jsonl + csv for jsonl, csv in dataset_blocks(ds))
             built.append((matrix.view(np.uint64), text))
         assert len(built[0][1]) > 0
@@ -356,7 +399,9 @@ class TestPersistence:
         meta = meta_to_json(dataset42)
         again = dataset_from_files(jsonl, stats_text, meta)
         assert len(again.samples) == len(dataset42.samples)
-        assert again.splits == dataset42.splits
+        assert again.splits.keys() == dataset42.splits.keys()
+        for name, ids in again.splits.items():
+            assert np.array_equal(ids, dataset42.splits[name])
         assert again.layout == dataset42.layout
         assert again.master_seed == dataset42.master_seed
         for a, b in zip(again.samples, dataset42.samples):
@@ -429,8 +474,8 @@ def small_datasets(draw):
         ))
     # The loader checks stats.json against the train split. One train sample
     # keeps its stats exact (mean = the sample, std = 0) for any finite floats.
-    return Dataset(
-        samples=tuple(samples),
+    return Dataset.from_samples(
+        tuple(samples),
         splits={"train": (0,), "validation": tuple(range(1, len(samples))),
                 "test": ()},
         layout=layout,
@@ -463,7 +508,7 @@ class TestTemplatedWriters:
             sample = replace(sample, features=features)
         else:
             sample = replace(sample, deltas=(value,) + sample.deltas[1:])
-        ds = replace(dataset42, samples=(sample,))
+        ds = with_samples(dataset42, [replace(sample, id=0)])
         with pytest.raises(DatasetError, match="non-finite"):
             dataset_to_jsonl(ds)
 
@@ -486,18 +531,15 @@ _HOURS = [0, 1, 2, 7777]
 def repeated_hour_datasets(draw, full):
     """A prefix of full's first rows (none, all but the last of block 0, or
     all of block 0), then up to 12 rows at a few repeated hours. Each such row
-    starts from the last row drawn at its hour (else a real row), may drop
-    trailing features, and has random cells set to an edge float, negated
-    (0.0 <-> -0.0) or moved one float toward zero (a repr of another
-    length)."""
+    starts from the last row drawn at its hour (else a real row) and has
+    random cells set to an edge float, negated (0.0 <-> -0.0) or moved one
+    float toward zero (a repr of another length)."""
     n = len(full.layout)
     samples = list(full.samples[: draw(st.sampled_from([0, _B - 1, _B]))])
     last = {}
     for _ in range(draw(st.integers(1, 12))):
         hour = draw(st.sampled_from(_HOURS))
-        values = last.get(hour, full.samples[_HOURS.index(hour)].features).copy()
-        if draw(st.integers(0, 4)) == 0:  # another feature count
-            values = values[: draw(st.integers(1, len(values)))]
+        values = last.get(hour, full.features[_HOURS.index(hour)]).copy()
         edits = draw(st.lists(st.tuples(
             st.one_of(st.integers(0, 2), st.integers(0, n - 1)),  # 0-2 collide
             st.one_of(_EDGE_FLOATS, st.sampled_from(["negate", "next"])),
@@ -510,7 +552,7 @@ def repeated_hour_datasets(draw, full):
         last[hour] = values
         samples.append(Sample(id=len(samples), features=values, label=NORMAL,
                               injected=(), deltas=(), hour=hour))
-    return replace(full, samples=tuple(samples))
+    return with_samples(full, samples)
 
 
 class TestDatasetBlocks:
@@ -531,8 +573,8 @@ class TestDatasetBlocks:
         base, later = first.features.copy(), first.features.copy()
         base[:2] = 0.0, 5e-324
         later[:2] = -0.0, 5e-324
-        ds = replace(dataset42, samples=(replace(first, features=base),
-                                         replace(first, id=1, features=later)))
+        ds = with_samples(dataset42, [replace(first, features=base),
+                                      replace(first, id=1, features=later)])
         jsonl = dataset_to_jsonl(ds)
         assert jsonl == legacy_formats.dataset_to_jsonl(ds)
         assert '"features":[-0.0,5e-324,' in jsonl.splitlines()[1]
@@ -557,7 +599,7 @@ class TestDatasetBlocks:
     def test_blocks_equal_legacy_writers(self, dataset42, dataset82, layout, rows):
         full = {"68": dataset42, "82": dataset82}[layout]
         assert len(full.layout) == int(layout)
-        ds = replace(full, samples=full.samples[:rows])
+        ds = with_samples(full, full.samples[:rows])
         blocks = list(dataset_blocks(ds))
         assert len(blocks) == -(-rows // _B)
         for k, (jsonl, csv_text) in enumerate(blocks):
@@ -572,29 +614,83 @@ class TestDatasetBlocks:
     def test_zero_feature_rows_end_at_the_label(self, dataset42):
         # Two samples at one hour, so the second reuses the first's text.
         first = replace(dataset42.samples[0], features=np.zeros(0))
-        ds = replace(dataset42, layout=FeatureLayout(()),
-                     samples=(first, replace(first, id=1)))
+        ds = with_samples(dataset42, [first, replace(first, id=1)],
+                          layout=FeatureLayout(()))
         csv_text = "".join(c for _, c in dataset_blocks(ds))
         assert csv_text == legacy_formats.features_to_csv(ds)
         assert csv_text.splitlines()[1:] == ["0,0,normal", "1,0,normal"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: replace(s, id=1), "sample 1 at position 0: ids are positions"),
+        (lambda s: replace(s, features=s.features[:-1]),
+         r"sample 0: features of shape \(67,\), layout has 68"),
+        (lambda s: replace(s, deltas=s.deltas[:-1]),
+         "sample 0: deltas and injected lengths differ"),
+    ], ids=["id-not-position", "short-features", "short-deltas"])
+    def test_from_samples_refuses_what_the_columns_cannot_hold(self, dataset42,
+                                                               edit, message):
+        anomaly = replace(dataset42.by_id(1500), id=0)
+        with pytest.raises(DatasetError, match=message):
+            with_samples(dataset42, [edit(anomaly)])
+
     def test_empty_dataset_is_the_csv_header(self, dataset42):
-        ds = replace(dataset42, samples=())
+        ds = with_samples(dataset42, [])
         assert list(dataset_blocks(ds)) == [("", legacy_formats.features_to_csv(ds))]
 
-    @pytest.mark.parametrize("edit", [
-        lambda s: replace(s, features=np.where(np.arange(len(s.features)) == 9,
-                                               np.nan, s.features)),
-        lambda s: replace(s, label="Anomaly"),
+    @pytest.mark.parametrize("edit, by_writers", [
+        (lambda s: replace(s, features=np.where(np.arange(len(s.features)) == 9,
+                                                np.nan, s.features)), True),
+        (lambda s: replace(s, label="Anomaly"), False),
     ], ids=["nan-feature", "unknown-label"])
-    def test_last_sample_refused_before_any_block(self, dataset42, edit):
-        ds = replace(dataset42, samples=dataset42.samples[:-1]
-                     + (edit(dataset42.samples[-1]),))
+    def test_last_sample_refused_before_any_block(self, dataset42, edit, by_writers):
+        samples = dataset42.samples[:-1] + (edit(dataset42.samples[-1]),)
+        if not by_writers:
+            # The label column holds only normal and anomaly.
+            with pytest.raises(DatasetError, match="sample 1599: label 'Anomaly'"):
+                with_samples(dataset42, samples)
+            return
+        ds = with_samples(dataset42, samples)
         with pytest.raises(DatasetError, match="sample 1599"):
             dataset_blocks(ds)  # raises on the call, not on the first next()
         for writer in (dataset_to_jsonl, features_to_csv):
             with pytest.raises(DatasetError, match="sample 1599"):
                 writer(ds)
+
+
+class TestWriteDatasetFiles:
+    """write_dataset_files reads each anomaly's base text back from the
+    dataset.jsonl it is writing; its files equal the legacy writers'."""
+
+    @pytest.mark.parametrize("which", ["400", "1600", "82-sensors", "skipped-hours"])
+    def test_files_equal_legacy_writers(self, ieee14, layout68, dataset42, dataset82,
+                                        tmp_path, which):
+        if which == "400":
+            ds = build_dataset(ieee14, synth_load_profile(200, 14, seed=42), layout68,
+                               sizes=SplitSizes(300, 50, 50), seed=42)
+            # Anomaly 200's base, row 0, is in its block: not yet written.
+            assert ds.hours[200] == ds.hours[0] and 200 < _B
+        elif which == "skipped-hours":
+            # TestChunkHours' profile: failed hours shift the later ones.
+            profile = synth_load_profile(203, 14, seed=42)
+            profile.scale[[3, 130, 131], 5] = np.nan
+            ds = build_dataset(ieee14, profile, layout68,
+                               sizes=SplitSizes(300, 50, 50), seed=42)
+            assert {3, 130, 131}.isdisjoint(ds.hours.tolist())
+        else:
+            ds = dataset42 if which == "1600" else dataset82
+        jsonl_path, csv_path = tmp_path / "d" / "dataset.jsonl", tmp_path / "features.csv"
+        scenario.write_dataset_files(ds, jsonl_path, csv_path)
+        assert jsonl_path.read_text(encoding="utf-8") == legacy_formats.dataset_to_jsonl(ds)
+        assert csv_path.read_text(encoding="utf-8") == legacy_formats.features_to_csv(ds)
+
+    def test_refused_dataset_creates_neither_file(self, dataset42, tmp_path):
+        last = dataset42.by_id(1599)
+        ds = with_samples(dataset42, dataset42.samples[:-1] + (
+            replace(last, deltas=(np.inf,) + last.deltas[1:]),))
+        out = tmp_path / "d"
+        with pytest.raises(DatasetError, match="sample 1599: non-finite"):
+            scenario.write_dataset_files(ds, out / "dataset.jsonl", out / "features.csv")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
