@@ -43,6 +43,11 @@ def not_utf8(path, exc: UnicodeDecodeError, error=GridSigmaError,
     return error(f"{path}: not UTF-8 text (byte {offset + exc.start}: {exc.reason})")
 
 
+def unreadable(path, exc: OSError, error=GridSigmaError) -> GridSigmaError:
+    """The domain error, naming the file, for an OSError raised reading it."""
+    return error(f"cannot read {path}: {exc.strerror or exc}")
+
+
 @contextmanager
 def writing(path):
     """Report an OSError raised while writing path as a GridSigmaError that

@@ -9,6 +9,7 @@ referee. Metrics keep exact integer counts and render undefined values as
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 from collections.abc import Iterator
@@ -18,7 +19,9 @@ from urllib.parse import quote
 
 import numpy as np
 
-from .errors import AgentError, DatasetError, GridSigmaError, not_utf8, writing
+from .errors import (
+    AgentError, DatasetError, GridSigmaError, not_utf8, unreadable, writing,
+)
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
 from .ruleoracle import top_abs_z
@@ -143,16 +146,11 @@ def agent_label(agent: agents.AgentKind) -> str:
     return f"{agent.kind}{agent.seed}" if agent.kind == agents.COIN_FLIP else agent.kind
 
 
-# Bytes per read of dataset.jsonl: the loader holds one chunk and one
-# unfinished line, never the file.
-_CHUNK_BYTES = 1 << 18
-
-
 def load_dataset_dir(data_dir: "str | Path") -> Dataset:
     """Load and check a dataset directory (see ``dataset_from_files``).
 
-    dataset.jsonl is streamed: read in chunks that update its sha256, split
-    into lines and parsed as they arrive.
+    dataset.jsonl is streamed: read line by line, each line updating its
+    sha256 and parsed as it arrives.
     """
     from .scenario import dataset_from_files
 
@@ -162,54 +160,41 @@ def load_dataset_dir(data_dir: "str | Path") -> Dataset:
     try:
         with path.open("rb") as fh:
             dataset = dataset_from_files(
-                _utf8_lines(fh, path, digest),
+                _decoded(fh, path, digest),
                 read_text(root / "stats.json"),
                 read_text(root / "meta.json"),
             )
     except FileNotFoundError as exc:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
+    except OSError as exc:
+        raise unreadable(path, exc, DatasetError) from None
     return replace(dataset, jsonl_digest=digest.hexdigest())
 
 
-def _utf8_lines(fh, path: Path, digest) -> Iterator[str]:
-    """The lines of the binary file fh, decoded and without their newline;
-    each chunk read updates digest.
-
-    Bytes are split on b"\n" before they are decoded: a newline byte never
-    falls inside a UTF-8 sequence, so a character split across two chunks
-    stays whole in its line. Bytes that are not UTF-8 raise DatasetError,
-    naming the file and the offset in it.
-    """
-    tail = b""  # the unfinished line
-    offset = 0  # file offset of tail's first byte
-    while chunk := fh.read(_CHUNK_BYTES):
-        digest.update(chunk)
-        cut = chunk.rfind(b"\n") + 1
-        if not cut:
-            tail += chunk
-            continue
-        whole = tail + chunk[:cut]
-        yield from _decode(whole, path, offset)[:-1].split("\n")  # ends with \n
-        offset += len(whole)
-        tail = chunk[cut:]
-    if tail:
-        yield _decode(tail, path, offset)
-
-
-def _decode(data: bytes, path: Path, offset: int) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc, DatasetError, offset) from None
+def _decoded(fh, path: Path, digest) -> Iterator[str]:
+    """The binary file fh's lines, decoded, each updating digest. Bytes that
+    are not UTF-8 raise DatasetError, naming the file and the offset in it."""
+    offset = 0
+    for raw in fh:
+        digest.update(raw)
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc, DatasetError, offset) from None
+        offset += len(raw)
+        yield line
 
 
 def read_text(path: Path, error: "type[GridSigmaError]" = DatasetError) -> str:
     """The file's UTF-8 text, newlines translated as Path.read_text does;
-    bytes that are not UTF-8 raise ``error``, naming the file."""
+    bytes that are not UTF-8, or a file that cannot be read, raise
+    ``error``, naming the file."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc, error) from None
+    except OSError as exc:
+        raise unreadable(path, exc, error) from None
 
 
 def _config_doc(run: RunConfig) -> dict:
@@ -293,17 +278,12 @@ def run_experiment(
 
     Returns the metrics report under the configured invalid policy plus the
     run manifest (also written to out_dir when given). Examples come from
-    the train split only; any example ids are excluded from the targets.
+    the train split only, which shares no sample with the test split.
     """
     examples = promptkit.select_examples(
         dataset.split_samples("train"), run.prompt, dataset.stats
     )
-    example_ids = {s.id for s in examples}
-    targets = [
-        s for s in dataset.split_samples("test") if s.id not in example_ids
-    ]
-    if not targets:
-        raise DatasetError("test split is empty")
+    targets, _ = _test_split(dataset)
     hashes: list[str] = []
     bundles = promptkit.render_prompts(
         targets, dataset.stats, run.prompt, examples, dataset.layout
@@ -326,7 +306,7 @@ def run_experiment(
         INVALID_POLICIES,
         out_dir,
         manifest_name(run),
-        example_ids=sorted(example_ids),
+        example_ids=sorted(s.id for s in examples),
     )
     return reports[run.invalid_policy], manifest
 
@@ -342,16 +322,15 @@ def _keeping_hashes(
 
 
 def _dataset_digest_of(dataset: Dataset) -> str:
-    """sha256 of the dataset's JSONL form: the file's, hashed at load, or the
-    serialisation's for a dataset built in memory, hashed block by block."""
-    from .scenario import dataset_blocks
+    """sha256 of the dataset's JSONL form: the file's, hashed at load, or for
+    a dataset built in memory, that of the bytes write_dataset writes."""
+    from .scenario import write_dataset
 
     if dataset.jsonl_digest is not None:
         return dataset.jsonl_digest
-    digest = hashlib.sha256()
-    for jsonl, _ in dataset_blocks(dataset):
-        digest.update(jsonl.encode("utf-8"))
-    return digest.hexdigest()
+    jsonl = io.BytesIO()
+    write_dataset(dataset, jsonl, io.BytesIO())
+    return hashlib.sha256(jsonl.getbuffer()).hexdigest()
 
 
 def _file_label(run: RunConfig) -> str:

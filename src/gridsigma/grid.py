@@ -311,24 +311,21 @@ def solve_newton(
     max absolute P mismatch over non-slack buses and Q mismatch over PQ
     buses to fall to ``tol`` or below. Raises PowerFlowError on
     non-convergence, a singular Jacobian or a non-finite mismatch.
+    This is the one-hour case of ``solve_hours``.
     """
-    case.validate()
     n = len(case.buses)
-    if load_scale is None:
-        load_scale = np.ones(n)
-    load_scale = np.asarray(load_scale, dtype=float)
+    load_scale = np.asarray(np.ones(n) if load_scale is None else load_scale,
+                            dtype=float)
     if load_scale.shape != (n,):
         raise PowerFlowError(
             f"load_scale length {load_scale.shape} does not match bus count {n}"
         )
-    ybus, s_spec, v_mag, v_ang, pv, pq = _newton_setup(case, load_scale[None, :], tol)
-    v_mag, v_ang, s_calc, iterations, max_mismatch, errors = _newton_stack(
-        ybus, s_spec, v_mag, v_ang, pv, pq, tol, max_iter
-    )
+    sol, errors = solve_hours(case, load_scale[None, :], tol, max_iter)
     if errors[0] is not None:
         raise PowerFlowError(errors[0])
-    return _solution(
-        case, v_mag[0], v_ang[0], s_calc[0], int(iterations[0]), float(max_mismatch[0])
+    return PowerFlowSolution(
+        sol.v_mag[0], sol.v_ang[0], sol.p_inj[0], sol.q_inj[0], sol.p_flow_from[0],
+        sol.q_flow_from[0], int(sol.iterations[0]), float(sol.max_mismatch[0]),
     )
 
 
@@ -337,10 +334,9 @@ def solve_hours(
 ) -> tuple[PowerFlowSolution, list[str | None]]:
     """Solve the AC power flow of every hour in ``load_scale`` (hours, buses).
 
-    Each hour is solved as ``solve_newton`` solves it, but the case is
-    validated and its Ybus built once, and all hours iterate as one stack,
-    so the caller bounds the working memory by the number of hours it
-    passes. The solution's arrays gain a leading hour axis; iterations
+    The case is validated and its Ybus built once, and all hours iterate
+    as one stack, so the caller bounds the working memory by the number of
+    hours it passes. The solution's arrays gain a leading hour axis; iterations
     and max_mismatch become per-hour arrays. The list holds, per hour, None
     or the message ``solve_newton`` would raise; a failed hour's voltages,
     injections and flows are NaN and the other hours are unaffected.
@@ -358,10 +354,6 @@ def solve_hours(
     )
     failed = np.array([e is not None for e in errors], dtype=bool)
     v_mag[failed] = v_ang[failed] = s_calc[failed] = np.nan
-    return _solution(case, v_mag, v_ang, s_calc, iterations, max_mismatch), errors
-
-
-def _solution(case, v_mag, v_ang, s_calc, iterations, max_mismatch) -> PowerFlowSolution:
     s_from, _ = branch_flows(case, v_mag, v_ang)
     return PowerFlowSolution(
         v_mag=v_mag,
@@ -372,7 +364,7 @@ def _solution(case, v_mag, v_ang, s_calc, iterations, max_mismatch) -> PowerFlow
         q_flow_from=s_from.imag.copy(),
         iterations=iterations,
         max_mismatch=max_mismatch,
-    )
+    ), errors
 
 
 def _newton_stack(

@@ -306,15 +306,15 @@ def render_prompts(
         _anomaly_rule(n, config.variant, config.threshold),
     ]
     if examples:
-        ex_lines = ["**Examples**:"]
+        shown = ["**Examples**:"]
         for num, ex in enumerate(examples, start=1):
-            ex_lines.append(f"Example {num}:")
-            ex_lines.append(
+            shown.append(f"Example {num}:")
+            shown.append(
                 render_value_block(ex, stats, layout, config.variant, config.decimals)
             )
-            ex_lines.append(f"Label: {ex.label}")
-            ex_lines.append("")
-        parts.append("\n".join(ex_lines).rstrip())
+            shown.append(f"Label: {ex.label}")
+            shown.append("")
+        parts.append("\n".join(shown).rstrip())
     parts.append(VALUE_BLOCK_HEADING)
     prefix = "\n".join(parts) + "\n"
     if config.paradigm == HYBRID_SELECT:

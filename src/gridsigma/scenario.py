@@ -116,7 +116,8 @@ class Dataset:
                      master_seed: int) -> Dataset:
         """A dataset of these samples, for one built by hand. Sample i must
         have id i, a known label, one feature per layout sensor and one
-        delta per injected index."""
+        delta per injected index; the splits are checked as the loader
+        checks them."""
         features = np.empty((len(samples), len(layout)))
         for i, s in enumerate(samples):
             if s.id != i:
@@ -140,7 +141,7 @@ class Dataset:
                                        dtype=float)),
             ends=_read_only(np.cumsum([0] + [len(s.injected) for s in samples],
                                       dtype=np.int64)),
-            splits=_split_arrays(splits),
+            splits=_split_arrays(splits, len(samples)),
             layout=layout,
             stats=stats,
             master_seed=master_seed,
@@ -184,7 +185,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _split_arrays(splits: dict[str, Sequence[int]]) -> dict[str, np.ndarray]:
+def _split_arrays(splits: dict[str, Sequence[int]], n: int) -> dict[str, np.ndarray]:
+    """The splits as read-only int64 id arrays, once every id is an int (or
+    an int64, as a Dataset's splits hold) that names one of the n samples
+    and lies in one split only."""
+    seen: set = set()
+    for name, ids in splits.items():
+        for i in ids:
+            if type(i) not in (int, np.int64) or not 0 <= i < n:
+                raise DatasetError(f"{name} split id {i!r} names no sample")
+            if i in seen:
+                raise DatasetError(f"id {i} is listed more than once")
+            seen.add(i)
     return {name: _read_only(np.array(ids, dtype=np.int64))
             for name, ids in splits.items()}
 
@@ -456,7 +468,7 @@ _JSONL_LINE = (
 # line; the comma before them is a field of its own, left empty for a sample
 # with no features, whose row ends at its label as csv.writer writes it.
 _CSV_ROW = "%d,%d,%s%s%s\n"
-# Samples per block of dataset_blocks: bounds the text held between writes.
+# Samples per block of write_dataset: bounds the text held between writes.
 _BLOCK_ROWS = 256
 
 
@@ -474,58 +486,37 @@ def _check_rows(ds: Dataset) -> None:
         raise DatasetError(f"sample {int(np.argmax(bad))}: non-finite feature or delta")
 
 
-def dataset_blocks(ds: Dataset):
-    """The dataset.jsonl and features.csv texts as (jsonl_block, csv_block)
-    pairs of _BLOCK_ROWS samples each; the CSV header opens the first block.
-
-    Every sample is checked before this returns, so a refused dataset raises
-    before any block is made. Each sample's features are formatted once, and
-    that text goes into both its JSONL line and its CSV row. The JSONL made
-    so far is kept in memory for _blocks to read back from;
-    write_dataset_files reads it back from the file instead.
-    """
-    _check_rows(ds)
-    return _blocks_in_memory(ds)
-
-
-def _blocks_in_memory(ds: Dataset):
-    written = io.BytesIO()
-    for jsonl, rows in _blocks(ds, written):
-        written.write(jsonl.encode("utf-8"))
-        yield jsonl, rows
-
-
 def write_dataset_files(ds: Dataset, jsonl_path: Path, csv_path: Path) -> None:
-    """Write dataset.jsonl and features.csv block by block (see
-    dataset_blocks). Every sample is checked before either file, or its
-    directory, is made."""
+    """Write dataset.jsonl and features.csv (see write_dataset). Every sample
+    is checked before either file, or its directory, is made."""
     _check_rows(ds)
     jsonl_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with jsonl_path.open("w+b") as jsonl_file, csv_path.open("wb") as csv_file:
-        for jsonl, rows in _blocks(ds, jsonl_file):
-            jsonl_file.write(jsonl.encode("utf-8"))
-            csv_file.write(rows.encode("utf-8"))
+        write_dataset(ds, jsonl_file, csv_file)
 
 
-def _blocks(ds: Dataset, written):
-    """The blocks of dataset_blocks. written is a readable, seekable binary
-    file holding the JSONL blocks yielded so far: the caller writes each one
-    to it before pulling the next.
+def write_dataset(ds: Dataset, jsonl_file, csv_file) -> None:
+    """Write the dataset.jsonl and features.csv bytes into two open binary
+    files, _BLOCK_ROWS samples at a time, once every sample is checked.
+    jsonl_file must start empty and be readable and seekable too.
 
-    A sample at an hour seen before formats only the cells whose float64
-    bits differ from those of the first sample at that hour, its base (an
-    injected anomaly: its k changed cells), and takes the other cells' text
-    from its base's line. Bits, not ==, so that -0.0 and 0.0 keep their own
-    text. A base line in the current block is still at hand; an earlier one
-    is read back from written, at the offset and length kept for it. The
-    JSONL is ASCII, so its characters and bytes count alike.
+    Each sample's features are formatted once, and that text goes into both
+    its JSONL line and its CSV row. A sample at an hour seen before formats
+    only the cells whose float64 bits differ from those of the first sample
+    at that hour, its base (an injected anomaly: its k changed cells), and
+    takes the other cells' text from its base's line. Bits, not ==, so that
+    -0.0 and 0.0 keep their own text. A base line in the current block is
+    still at hand; an earlier one is read back from jsonl_file, at the
+    offset and length kept for it. The JSONL is ASCII, so its characters
+    and bytes count alike.
     """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(
+    _check_rows(ds)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(
         ["id", "hour", "label"] + ds.layout.names()
     )
-    header = out.getvalue()
+    csv_file.write(header.getvalue().encode("utf-8"))
     n = len(ds.features)
     _, first, inverse = np.unique(ds.hours, return_index=True, return_inverse=True)
     base_of = first[inverse]
@@ -533,10 +524,9 @@ def _blocks(ds: Dataset, written):
     text_len = np.empty(n, dtype=np.int64)
     bits = ds.features.view(np.uint64)
     line_at = 0  # where the next line starts in the JSONL
-    # max(n, 1): an empty dataset still yields the CSV header.
-    for start in range(0, max(n, 1), _BLOCK_ROWS):
+    for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        jsonl_lines, csv_rows = [], [] if start else [header]
+        lines, rows = [], []
         for i, hour, anomalous, base, (lo, hi) in zip(
             range(start, stop), ds.hours[start:stop].tolist(),
             ds.anomalous[start:stop].tolist(), base_of[start:stop].tolist(),
@@ -548,12 +538,12 @@ def _blocks(ds: Dataset, written):
             else:
                 length = int(text_len[base])
                 if base >= start:  # its line is in this block, not yet written
-                    line = jsonl_lines[base - start]
+                    line = lines[base - start]
                     text = line[len(line) - length - 3 : len(line) - 3]
                 else:
-                    written.seek(int(text_at[base]))  # flushes what is buffered
-                    text = written.read(length).decode("ascii")
-                    written.seek(0, io.SEEK_END)
+                    jsonl_file.seek(int(text_at[base]))  # flushes what is buffered
+                    text = jsonl_file.read(length).decode("ascii")
+                    jsonl_file.seek(0, io.SEEK_END)
                 texts = text.split(",")
                 for c in np.flatnonzero(bits[i] != bits[base]).tolist():
                     texts[c] = repr(float(values[c]))
@@ -567,15 +557,10 @@ def _blocks(ds: Dataset, written):
                 text_at[i] = line_at + len(line) - len(features) - 3
                 text_len[i] = len(features)
             line_at += len(line)
-            jsonl_lines.append(line)
-            csv_rows.append(_CSV_ROW % (
-                i, hour, label, "," if features else "", features))
-        yield "".join(jsonl_lines), "".join(csv_rows)
-
-
-def dataset_to_jsonl(ds: Dataset) -> str:
-    """One line per sample; refuses what dataset_blocks refuses."""
-    return "".join(jsonl for jsonl, _ in dataset_blocks(ds))
+            lines.append(line)
+            rows.append(_CSV_ROW % (i, hour, label, "," if features else "", features))
+        jsonl_file.write("".join(lines).encode("utf-8"))
+        csv_file.write("".join(rows).encode("utf-8"))
 
 
 def stats_to_dict(stats: FeatureStats) -> dict:
@@ -617,29 +602,10 @@ def meta_to_json(ds: Dataset) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def features_to_csv(ds: Dataset) -> str:
-    """A header row, then one row per sample; refuses what dataset_blocks
-    refuses."""
-    return "".join(rows for _, rows in dataset_blocks(ds))
-
-
-def _lines(text: str):
-    """The text's lines, without their newline, one at a time, so a loader
-    never holds a second copy of the text as a list of lines."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        if end == -1:
-            end = len(text)
-        yield text[start:end]
-        start = end + 1
-
-
-def dataset_from_files(
-    jsonl: "str | Iterable[str]", stats_text: str, meta_text: str
-) -> Dataset:
+def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str) -> Dataset:
     """Parse and check a dataset's three files; dataset.jsonl comes as its
-    text or as its lines, without their newlines, one at a time.
+    lines, with or without their newlines, one at a time (a text file or
+    io.StringIO yields them so).
 
     Line i of dataset.jsonl must hold sample id i with one finite feature per
     layout sensor; every split id must name a sample and lie in one split
@@ -676,20 +642,14 @@ def dataset_from_files(
             )
 
     columns = _parse_jsonl(
-        _lines(jsonl) if isinstance(jsonl, str) else jsonl,
+        jsonl,
         len(layout),
         sum(map(len, splits.values())),  # the sample count of a generated file
     )
-    n = len(columns["features"])
-    seen: set = set()
-    for name, ids in splits.items():
-        for i in ids:
-            if type(i) is not int or not 0 <= i < n:
-                raise DatasetError(f"meta.json: {name} split id {i!r} names no sample")
-            if i in seen:
-                raise DatasetError(f"meta.json: id {i} is listed more than once")
-            seen.add(i)
-    splits = _split_arrays(splits)
+    try:
+        splits = _split_arrays(splits, len(columns["features"]))
+    except DatasetError as exc:
+        raise DatasetError(f"meta.json: {exc}") from None
     train_stats = _train_stats(columns["features"], splits["train"])
     for name, ours, theirs in (
         ("n", stats.n, train_stats.n),
@@ -730,7 +690,8 @@ def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int) -> dict:
             continue
         n = len(hours)
         try:
-            rec = json.loads(line)
+            # Without its newline, a JSON error's position stays on line 1.
+            rec = json.loads(line.rstrip("\n"))
             label = rec["label"]
             if label not in (NORMAL, ANOMALY):
                 raise ValueError(

@@ -8,6 +8,10 @@ templated versions must produce the same bytes.
 A writer of the load-CSV format, which the package only reads: the tests
 write a profile and check that the package reads back exactly what was
 written.
+
+``written`` runs the package's own dataset writer into memory, so the
+tests can compare its texts with the reference writers', and ``from_texts``
+loads such texts as the loader reads the files.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 
 import numpy as np
 
-from gridsigma.scenario import STD_FLOOR, zscores
+from gridsigma.scenario import STD_FLOOR, dataset_from_files, write_dataset, zscores
 
 _COLUMNS = {
     "value": ("value",),
@@ -33,6 +37,20 @@ _GROUP_TITLES = {
     "q_flow": ("Qf", "reactive line flows"),
     "v_mag": ("V", "voltage magnitudes"),
 }
+
+
+def written(ds) -> tuple[str, str]:
+    """The dataset.jsonl and features.csv texts that scenario.write_dataset
+    writes for ds."""
+    jsonl, rows = io.BytesIO(), io.BytesIO()
+    write_dataset(ds, jsonl, rows)
+    return jsonl.getvalue().decode("utf-8"), rows.getvalue().decode("utf-8")
+
+
+def from_texts(jsonl: str, stats_text: str, meta_text: str):
+    """dataset_from_files with dataset.jsonl's text read line by line, as the
+    loader reads its file."""
+    return dataset_from_files(io.StringIO(jsonl), stats_text, meta_text)
 
 
 def dataset_to_jsonl(ds) -> str:

@@ -88,7 +88,7 @@ class TestGenerate:
         assert rc == 0 and ds.jsonl_digest is None
         digest = evalkit._dataset_digest_of(ds)
         assert digest == hashlib.sha256(
-            scenario.dataset_to_jsonl(ds).encode("utf-8")).hexdigest()
+            legacy_formats.written(ds)[0].encode("utf-8")).hexdigest()
         assert digest == evalkit.load_dataset_dir(tmp_path / "d").jsonl_digest
 
     @pytest.mark.parametrize("changes, message", [
@@ -182,7 +182,7 @@ class TestRunAndReport:
         jsonl = (pipeline_dir / "dataset.jsonl").read_bytes()
         digest = hashlib.sha256(jsonl).hexdigest()
         loaded = evalkit.load_dataset_dir(pipeline_dir)
-        assert scenario.dataset_to_jsonl(loaded).encode("utf-8") == jsonl
+        assert legacy_formats.written(loaded)[0].encode("utf-8") == jsonl
         path = pipeline_dir / "manifests" / "zero_shot_z_only_reference_rule.json"
         assert json.loads(path.read_text())["dataset_digest"] == digest
 
@@ -647,8 +647,10 @@ class TestErrors:
         assert calls == [1, 1]
 
     def test_missing_dataset_is_domain_error(self, tmp_path, capsys):
-        assert main(["run", "--data", str(tmp_path / "nope")]) == 1
-        assert "error:" in capsys.readouterr().err
+        data = tmp_path / "nope"
+        assert main(["run", "--data", str(data)]) == 1
+        assert (f"error: dataset not found under {data}: {data / 'dataset.jsonl'}"
+                in capsys.readouterr().err)
 
     def _corrupted_copy(self, pipeline_dir, tmp_path, name, edit):
         data = tmp_path / "data"
@@ -689,6 +691,43 @@ class TestErrors:
         (data / name).write_bytes(raw[:40] + b"\xff" + raw[40:])
         assert main([argv[0], "--data", str(data), *argv[1:]]) == 1
         assert f"{data / name}: not UTF-8 text (byte 40: invalid start byte)" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, argv", [
+        ("dataset.jsonl", ["run"]),
+        ("stats.json", ["train-dl"]),
+        ("meta.json", ["run"]),
+        ("model.json", ["hybrid", "--reference-topz"]),
+        ("load.csv", ["generate", "--samples", "80", "--load-csv"]),
+        ("manifests/x.json", ["report"]),
+    ], ids=["dataset", "stats", "meta", "model", "load-csv", "manifest"])
+    def test_directory_in_place_of_an_input_is_domain_error(
+            self, pipeline_dir, tmp_path, capsys, name, argv):
+        data = self._corrupted_copy(pipeline_dir, tmp_path, None, None)
+        path = data / name
+        if path.exists():
+            path.unlink()
+        path.mkdir(parents=True)
+        if argv[0] == "generate":
+            argv = [*argv, str(path), "--out", str(tmp_path / "out")]
+        else:
+            argv = [argv[0], "--data", str(data), *argv[1:]]
+        assert main(argv) == 1  # an uncaught IsADirectoryError would raise here
+        assert f"error: cannot read {path}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["stats.json", "meta.json", "load.csv"])
+    def test_missing_input_is_domain_error(self, pipeline_dir, tmp_path, capsys, name):
+        data = self._corrupted_copy(pipeline_dir, tmp_path, None, None)
+        path = data / name
+        path.unlink(missing_ok=True)
+        if name == "load.csv":
+            argv = ["generate", "--samples", "80", "--out", str(tmp_path / "out"),
+                    "--load-csv", str(path)]
+        else:
+            argv = ["run", "--data", str(data)]
+        assert main(argv) == 1
+        assert f"error: cannot read {path}: No such file or directory" in (
             capsys.readouterr().err)
 
     def test_non_utf8_load_csv_is_domain_error(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from gridsigma.scenario import (
     NORMAL,
     SplitSizes,
     build_dataset,
-    dataset_to_jsonl,
     meta_to_json,
     stats_to_json,
     synth_load_profile,
@@ -42,6 +43,7 @@ from gridsigma.scenario import (
 )
 from gridsigma.ruleoracle import three_sigma_label
 
+import legacy_formats
 from http_stub import endpoint_for
 
 INVALID = promptkit.INVALID
@@ -424,7 +426,8 @@ def tiny_files():
     ds = build_dataset(case, synth_load_profile(3, len(case.buses), seed=1),
                        default_layout(case),
                        sizes=SplitSizes(train=2, validation=2, test=2), seed=1)
-    return ds, dataset_to_jsonl(ds).encode(), stats_to_json(ds.stats), meta_to_json(ds)
+    jsonl = legacy_formats.written(ds)[0].encode()
+    return ds, jsonl, stats_to_json(ds.stats), meta_to_json(ds)
 
 
 def _same_samples(loaded, built):
@@ -436,17 +439,29 @@ def _same_samples(loaded, built):
 
 
 class TestStreamedLoader:
-    """load_dataset_dir with dataset.jsonl read a few bytes at a time, so
-    lines and characters fall across chunk boundaries."""
+    """load_dataset_dir reads dataset.jsonl line by line, each line's bytes
+    hashed and then decoded; the file is opened with a read buffer of a few
+    bytes, so lines and characters fall across the reads behind each line."""
 
     @pytest.fixture(autouse=True, params=[1, 5, 7])
-    def small_chunks(self, request, monkeypatch):
-        monkeypatch.setattr(evalkit, "_CHUNK_BYTES", request.param)
+    def small_reads(self, request, monkeypatch):
+        path_open = Path.open
+        opened = []
+
+        def small_buffer_open(path, mode="r", *args, **kwargs):
+            if mode != "rb":
+                return path_open(path, mode, *args, **kwargs)
+            opened.append(path.name)
+            return io.BufferedReader(io.FileIO(path), request.param)
+
+        monkeypatch.setattr(Path, "open", small_buffer_open)
+        yield
+        assert opened == ["dataset.jsonl"]
 
     def test_multibyte_character_across_chunks(self, tiny_files, tmp_path):
         ds, jsonl, stats_text, meta_text = tiny_files
         # Keys the loader does not read may hold any text: é, € and an emoji
-        # take 2, 3 and 4 bytes, so the small chunks split each of them.
+        # take 2, 3 and 4 bytes, so the small reads split each of them.
         jsonl = jsonl.replace(b'{"id":1,', '{"note":"é€\U0001F600","id":1,'.encode(), 1)
         assert "€".encode() in jsonl
         data = _write_dataset(tmp_path / "d", jsonl, stats_text, meta_text)
@@ -458,7 +473,8 @@ class TestStreamedLoader:
         lambda raw: raw.rstrip(b"\n"),
         lambda raw: b"\n" + raw.replace(b"\n", b"\n\n", 3) + b"\n  \n",
         lambda raw: raw.replace(b"\n", b"\r\n"),
-    ], ids=["no-final-newline", "blank-lines", "crlf"])
+        lambda raw: raw.replace(b"\n", b"\r\n").rstrip(b"\r\n"),
+    ], ids=["no-final-newline", "blank-lines", "crlf", "crlf-no-final-newline"])
     def test_line_endings(self, tiny_files, tmp_path, edit):
         ds, jsonl, stats_text, meta_text = tiny_files
         jsonl = edit(jsonl)
@@ -471,8 +487,9 @@ class TestStreamedLoader:
     def test_non_utf8_byte_gives_file_offset(self, tiny_files, tmp_path, where):
         _, jsonl, stats_text, meta_text = tiny_files
         # Inside a line; "last" makes it the last byte of a file that does
-        # not end in a newline.
+        # not end in a newline. The offset counts the lines before it.
         at = int(where * (len(jsonl) - 2)) + 1
+        assert (jsonl.count(b"\n", 0, at) > 0) == (where > 0)
         jsonl = jsonl[:at] + b"\xff" + jsonl[at:]
         data = _write_dataset(tmp_path / "d", jsonl.rstrip(b"\n"), stats_text,
                               meta_text)
@@ -490,18 +507,31 @@ class TestStreamedLoader:
             evalkit.load_dataset_dir(data)
 
 
+def test_line_longer_than_any_read_buffer(tiny_files, tmp_path):
+    ds, jsonl, stats_text, meta_text = tiny_files
+    note = "€" * (1 << 20)  # 3 MiB of text on line 2
+    jsonl = jsonl.replace(b'{"id":1,', f'{{"note":"{note}","id":1,'.encode(), 1)
+    data = _write_dataset(tmp_path / "d", jsonl, stats_text, meta_text)
+    loaded = evalkit.load_dataset_dir(data)
+    _same_samples(loaded, ds)
+    assert loaded.jsonl_digest == hashlib.sha256(jsonl).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def dir42(dataset42, tmp_path_factory):
     """The seed-42 dataset's files, as `generate` writes them."""
-    return _write_dataset(tmp_path_factory.mktemp("d42"),
-                          dataset_to_jsonl(dataset42).encode(),
-                          stats_to_json(dataset42.stats), meta_to_json(dataset42))
+    data = tmp_path_factory.mktemp("d42")
+    scenario.write_dataset_files(dataset42, data / "dataset.jsonl",
+                                 data / "features.csv")
+    (data / "stats.json").write_text(stats_to_json(dataset42.stats), encoding="utf-8")
+    (data / "meta.json").write_text(meta_to_json(dataset42), encoding="utf-8")
+    return data
 
 
 class TestLoadedDataset:
     def test_digest_is_that_of_the_file(self, dir42):
         raw = (dir42 / "dataset.jsonl").read_bytes()
-        assert len(raw) > 4 * evalkit._CHUNK_BYTES  # read in several chunks
+        assert len(raw) > 4 * io.DEFAULT_BUFFER_SIZE  # read in several buffers
         loaded = evalkit.load_dataset_dir(dir42)
         assert loaded.jsonl_digest == hashlib.sha256(raw).hexdigest()
 

@@ -149,6 +149,18 @@ class TestSolveNewton:
         assert sol.iterations <= 10
         assert sol.max_mismatch <= 1e-8
 
+    def test_one_hour_of_solve_hours(self, ieee14):
+        scale = np.linspace(0.7, 1.1, 14)
+        sol = solve_newton(ieee14, scale)
+        stacked, errors = solve_hours(ieee14, scale[None, :])
+        assert errors == [None]
+        assert type(sol.iterations) is int and type(sol.max_mismatch) is float
+        assert sol.iterations == stacked.iterations[0]
+        for name in ("v_mag", "v_ang", "p_inj", "q_inj", "p_flow_from", "q_flow_from"):
+            row = getattr(sol, name)
+            assert row.shape == getattr(stacked, name).shape[1:]
+            assert row.tobytes() == getattr(stacked, name)[0].tobytes()
+
     def test_ieee14_matches_reference_solver(self, ieee14):
         sol = solve_newton(ieee14, tol=1e-10)
         vm_ref, va_ref = solve_reference(ieee14)

@@ -16,8 +16,6 @@ from gridsigma.scenario import (
     FeatureStats,
     SplitSizes,
     build_dataset,
-    dataset_from_files,
-    dataset_to_jsonl,
     ingest_load_csv,
     meta_to_json,
     stats_to_json,
@@ -74,7 +72,7 @@ def tiny_files():
     ds = build_dataset(case, synth_load_profile(3, len(case.buses), seed=1),
                        default_layout(case),
                        sizes=SplitSizes(train=2, validation=2, test=2), seed=1)
-    return dataset_to_jsonl(ds), stats_to_json(ds.stats), meta_to_json(ds)
+    return legacy_formats.written(ds)[0], stats_to_json(ds.stats), meta_to_json(ds)
 
 
 def _tiny_model_json() -> str:
@@ -108,17 +106,17 @@ class TestDatasetFromFiles:
     def test_mutated_files(self, tiny_files, which, edits):
         files = list(tiny_files)
         files[which] = _mutate(files[which], edits)
-        _loads_or_refuses(dataset_from_files, *files)
+        _loads_or_refuses(legacy_formats.from_texts, *files)
 
     @settings(max_examples=150, deadline=None)
     @given(which=st.integers(0, 2), text=st.text())
     def test_arbitrary_text(self, tiny_files, which, text):
         files = list(tiny_files)
         files[which] = text
-        _loads_or_refuses(dataset_from_files, *files)
+        _loads_or_refuses(legacy_formats.from_texts, *files)
 
     def test_valid_files_load(self, tiny_files):
-        assert len(dataset_from_files(*tiny_files).samples) == 6
+        assert len(legacy_formats.from_texts(*tiny_files).samples) == 6
 
     @pytest.mark.parametrize("which, old, new, message", [
         (0, '"hour":0', '"hour":1e400', "dataset line 1: cannot convert float"),
@@ -132,7 +130,7 @@ class TestDatasetFromFiles:
         assert old in files[which]
         files[which] = files[which].replace(old, new, 1)
         with pytest.raises(DatasetError, match=message):
-            dataset_from_files(*files)
+            legacy_formats.from_texts(*files)
 
 
 class TestModelFromJson:

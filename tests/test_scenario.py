@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from dataclasses import replace
 
@@ -31,10 +32,6 @@ from gridsigma.scenario import (
     SplitSizes,
     build_dataset,
     compute_stats,
-    dataset_blocks,
-    dataset_from_files,
-    dataset_to_jsonl,
-    features_to_csv,
     ingest_load_csv,
     inject_anomaly,
     meta_to_json,
@@ -46,10 +43,15 @@ from gridsigma.scenario import (
 
 
 def with_samples(ds, samples, **changes):
-    """ds with these samples in place of its own."""
-    fields = {"splits": ds.splits, "layout": ds.layout, "stats": ds.stats,
+    """ds with these samples in place of its own; its splits keep the ids
+    that name one of them."""
+    splits = {name: ids[ids < len(samples)] for name, ids in ds.splits.items()}
+    fields = {"splits": splits, "layout": ds.layout, "stats": ds.stats,
               "master_seed": ds.master_seed, **changes}
     return Dataset.from_samples(tuple(samples), **fields)
+
+
+from_texts, written = legacy_formats.from_texts, legacy_formats.written
 
 
 def make_sample(values, sample_id=0, label=NORMAL):
@@ -215,6 +217,15 @@ class TestStats:
         text = stats_to_json(ds.stats)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
+    def test_dataset_files_bytes_pinned(self, dataset42, tmp_path):
+        jsonl_path, csv_path = tmp_path / "dataset.jsonl", tmp_path / "features.csv"
+        scenario.write_dataset_files(dataset42, jsonl_path, csv_path)
+        for path, sha256 in (
+            (jsonl_path, "758ab1f14506825bd1e71b1027ceb2c408c03e11f9d7cd8be63f84d701c44ac8"),
+            (csv_path, "2581f18924a5cbb35827ca7d5e419a72d14ebb0a843735cfdb5b803de31eae19"),
+        ):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256, path.name
+
 
 class TestZScores:
     def test_value_at_mean(self):
@@ -278,7 +289,7 @@ class TestBuildDataset:
     def test_deterministic(self, ieee14, layout68, dataset42):
         profile = synth_load_profile(800, 14, seed=42)
         again = build_dataset(ieee14, profile, layout68, seed=42)
-        assert dataset_to_jsonl(again) == dataset_to_jsonl(dataset42)
+        assert written(again) == written(dataset42)
         assert np.array_equal(again.stats.mean, dataset42.stats.mean)
         assert np.array_equal(again.stats.std, dataset42.stats.std)
 
@@ -381,7 +392,7 @@ class TestChunkHours:
             ds = build_dataset(ieee14, profile, layout68,
                                sizes=SplitSizes(300, 50, 50), seed=42)
             matrix = ds.features
-            text = "".join(jsonl + csv for jsonl, csv in dataset_blocks(ds))
+            text = "".join(written(ds))
             built.append((matrix.view(np.uint64), text))
         assert len(built[0][1]) > 0
         for matrix, text in built[1:]:
@@ -394,10 +405,10 @@ class TestChunkHours:
 
 class TestPersistence:
     def test_jsonl_stats_meta_round_trip(self, dataset42):
-        jsonl = dataset_to_jsonl(dataset42)
+        jsonl = written(dataset42)[0]
         stats_text = stats_to_json(dataset42.stats)
         meta = meta_to_json(dataset42)
-        again = dataset_from_files(jsonl, stats_text, meta)
+        again = from_texts(jsonl, stats_text, meta)
         assert len(again.samples) == len(dataset42.samples)
         assert again.splits.keys() == dataset42.splits.keys()
         for name, ids in again.splits.items():
@@ -408,19 +419,17 @@ class TestPersistence:
             assert a.id == b.id and a.label == b.label and a.hour == b.hour
             assert a.injected == b.injected and a.deltas == b.deltas
             assert np.array_equal(a.features, b.features)
-        assert dataset_to_jsonl(again) == jsonl
+        assert written(again)[0] == jsonl
 
     def test_inconsistent_record_rejected(self, dataset42):
         import json
 
-        jsonl = dataset_to_jsonl(dataset42)
+        jsonl = written(dataset42)[0]
         first = json.loads(jsonl.splitlines()[0])
         first["label"] = ANOMALY  # but injected stays empty
         broken = json.dumps(first) + "\n" + "\n".join(jsonl.splitlines()[1:])
         with pytest.raises(DatasetError, match="line 1"):
-            dataset_from_files(
-                broken, stats_to_json(dataset42.stats), meta_to_json(dataset42)
-            )
+            from_texts(broken, stats_to_json(dataset42.stats), meta_to_json(dataset42))
 
     def test_stats_json_round_trip(self, dataset42):
         text = stats_to_json(dataset42.stats)
@@ -429,7 +438,7 @@ class TestPersistence:
         assert np.array_equal(again.std, dataset42.stats.std)
 
     def test_features_csv_shape(self, dataset42):
-        text = features_to_csv(dataset42)
+        text = written(dataset42)[1]
         lines = text.strip().splitlines()
         assert len(lines) == 1601
         assert lines[0].startswith("id,hour,label,P_1,")
@@ -488,15 +497,15 @@ class TestTemplatedWriters:
     @settings(max_examples=200, deadline=None)
     @given(small_datasets())
     def test_bytes_match_json_and_csv_modules(self, ds):
-        jsonl = dataset_to_jsonl(ds)
+        jsonl, csv_text = written(ds)
         assert jsonl == legacy_formats.dataset_to_jsonl(ds)
-        assert features_to_csv(ds) == legacy_formats.features_to_csv(ds)
-        again = dataset_from_files(jsonl, stats_to_json(ds.stats), meta_to_json(ds))
-        assert dataset_to_jsonl(again) == jsonl
+        assert csv_text == legacy_formats.features_to_csv(ds)
+        again = from_texts(jsonl, stats_to_json(ds.stats), meta_to_json(ds))
+        assert written(again)[0] == jsonl
 
     def test_default_dataset_bytes_match(self, dataset42):
-        assert dataset_to_jsonl(dataset42) == legacy_formats.dataset_to_jsonl(dataset42)
-        assert features_to_csv(dataset42) == legacy_formats.features_to_csv(dataset42)
+        assert written(dataset42) == (legacy_formats.dataset_to_jsonl(dataset42),
+                                      legacy_formats.features_to_csv(dataset42))
 
     @pytest.mark.parametrize("where", ["features", "deltas"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -510,7 +519,7 @@ class TestTemplatedWriters:
             sample = replace(sample, deltas=(value,) + sample.deltas[1:])
         ds = with_samples(dataset42, [replace(sample, id=0)])
         with pytest.raises(DatasetError, match="non-finite"):
-            dataset_to_jsonl(ds)
+            written(ds)
 
 
 @pytest.fixture(scope="module")
@@ -522,6 +531,18 @@ def dataset82(ieee14):
 
 
 _B = scenario._BLOCK_ROWS
+
+
+class Writes(io.BytesIO):
+    """An in-memory binary file that keeps each write's bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return super().write(data)
 # Hours drawn for rows after the prefix: 0-2 are the first prefix rows' hours
 # (when there is a prefix), 7777 is no prefix row's hour.
 _HOURS = [0, 1, 2, 7777]
@@ -563,9 +584,8 @@ class TestDatasetBlocks:
                                                  layout, data):
         ds = data.draw(repeated_hour_datasets({"68": dataset42,
                                                "82": dataset82}[layout]))
-        blocks = list(dataset_blocks(ds))
-        assert "".join(j for j, _ in blocks) == legacy_formats.dataset_to_jsonl(ds)
-        assert "".join(c for _, c in blocks) == legacy_formats.features_to_csv(ds)
+        assert written(ds) == (legacy_formats.dataset_to_jsonl(ds),
+                               legacy_formats.features_to_csv(ds))
 
     def test_signed_zero_keeps_its_text(self, dataset42):
         # -0.0 == 0.0, so only a comparison of bits gives -0.0 its own text.
@@ -575,7 +595,7 @@ class TestDatasetBlocks:
         later[:2] = -0.0, 5e-324
         ds = with_samples(dataset42, [replace(first, features=base),
                                       replace(first, id=1, features=later)])
-        jsonl = dataset_to_jsonl(ds)
+        jsonl = written(ds)[0]
         assert jsonl == legacy_formats.dataset_to_jsonl(ds)
         assert '"features":[-0.0,5e-324,' in jsonl.splitlines()[1]
 
@@ -589,7 +609,7 @@ class TestDatasetBlocks:
             return floats_text(values)
 
         monkeypatch.setattr(scenario, "_floats_text", counting)
-        assert dataset_to_jsonl(dataset42) == legacy_formats.dataset_to_jsonl(dataset42)
+        assert written(dataset42)[0] == legacy_formats.dataset_to_jsonl(dataset42)
         # Features: once per normal row, whose hour is new; deltas: every row.
         assert formatted.count(len(dataset42.layout)) == 800
         assert formatted.count(3) == 800 and formatted.count(0) == 800
@@ -600,23 +620,22 @@ class TestDatasetBlocks:
         full = {"68": dataset42, "82": dataset82}[layout]
         assert len(full.layout) == int(layout)
         ds = with_samples(full, full.samples[:rows])
-        blocks = list(dataset_blocks(ds))
-        assert len(blocks) == -(-rows // _B)
-        for k, (jsonl, csv_text) in enumerate(blocks):
+        jsonl, csv_file = Writes(), Writes()
+        scenario.write_dataset(ds, jsonl, csv_file)
+        assert len(jsonl.writes) == -(-rows // _B)
+        assert csv_file.writes[0].count(b"\n") == 1  # the header
+        for k, (lines, csv_rows) in enumerate(zip(jsonl.writes, csv_file.writes[1:])):
             in_block = min(_B, rows - k * _B)
-            assert jsonl.count("\n") == in_block
-            assert csv_text.count("\n") == in_block + (k == 0)  # header
-        assert "".join(j for j, _ in blocks) == legacy_formats.dataset_to_jsonl(ds)
-        assert "".join(c for _, c in blocks) == legacy_formats.features_to_csv(ds)
-        assert dataset_to_jsonl(ds) == legacy_formats.dataset_to_jsonl(ds)
-        assert features_to_csv(ds) == legacy_formats.features_to_csv(ds)
+            assert lines.count(b"\n") == csv_rows.count(b"\n") == in_block
+        assert jsonl.getvalue().decode() == legacy_formats.dataset_to_jsonl(ds)
+        assert csv_file.getvalue().decode() == legacy_formats.features_to_csv(ds)
 
     def test_zero_feature_rows_end_at_the_label(self, dataset42):
         # Two samples at one hour, so the second reuses the first's text.
         first = replace(dataset42.samples[0], features=np.zeros(0))
         ds = with_samples(dataset42, [first, replace(first, id=1)],
                           layout=FeatureLayout(()))
-        csv_text = "".join(c for _, c in dataset_blocks(ds))
+        csv_text = written(ds)[1]
         assert csv_text == legacy_formats.features_to_csv(ds)
         assert csv_text.splitlines()[1:] == ["0,0,normal", "1,0,normal"]
 
@@ -633,9 +652,21 @@ class TestDatasetBlocks:
         with pytest.raises(DatasetError, match=message):
             with_samples(dataset42, [edit(anomaly)])
 
+    @pytest.mark.parametrize("splits, message", [
+        ({"train": [0, 99]}, "train split id 99 names no sample"),
+        ({"train": [0, 1], "test": [1]}, "id 1 is listed more than once"),
+        ({"train": [0, 1.0]}, "train split id 1.0 names no sample"),
+        ({"train": [0, -1]}, "train split id -1 names no sample"),
+        ({"train": [True]}, "train split id True names no sample"),
+    ], ids=["id-99-of-16", "id-in-two-splits", "float-id", "negative-id", "bool-id"])
+    def test_from_samples_checks_splits_as_the_loader(self, dataset42, splits,
+                                                      message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            with_samples(dataset42, dataset42.samples[:16], splits=splits)
+
     def test_empty_dataset_is_the_csv_header(self, dataset42):
         ds = with_samples(dataset42, [])
-        assert list(dataset_blocks(ds)) == [("", legacy_formats.features_to_csv(ds))]
+        assert written(ds) == ("", legacy_formats.features_to_csv(ds))
 
     @pytest.mark.parametrize("edit, by_writers", [
         (lambda s: replace(s, features=np.where(np.arange(len(s.features)) == 9,
@@ -650,11 +681,10 @@ class TestDatasetBlocks:
                 with_samples(dataset42, samples)
             return
         ds = with_samples(dataset42, samples)
+        jsonl, csv_file = Writes(), Writes()
         with pytest.raises(DatasetError, match="sample 1599"):
-            dataset_blocks(ds)  # raises on the call, not on the first next()
-        for writer in (dataset_to_jsonl, features_to_csv):
-            with pytest.raises(DatasetError, match="sample 1599"):
-                writer(ds)
+            scenario.write_dataset(ds, jsonl, csv_file)
+        assert jsonl.writes == csv_file.writes == []
 
 
 class TestWriteDatasetFiles:
@@ -697,7 +727,7 @@ class TestWriteDatasetFiles:
 def files42(dataset42):
     """The seed-42 dataset as its three files' texts."""
     return (
-        dataset_to_jsonl(dataset42),
+        written(dataset42)[0],
         stats_to_json(dataset42.stats),
         meta_to_json(dataset42),
     )
@@ -705,7 +735,7 @@ def files42(dataset42):
 
 class TestLoaderChecks:
     def test_by_id_is_positional(self, files42):
-        ds = dataset_from_files(*files42)
+        ds = from_texts(*files42)
         assert ds.by_id(1000).id == 1000
         for bad in (-1, len(ds.samples)):
             with pytest.raises(DatasetError, match=f"no sample with id {bad}"):
@@ -718,21 +748,21 @@ class TestLoaderChecks:
     ], ids=["crlf", "no-final-newline", "blank-lines"])
     def test_line_endings_tolerated(self, files42, edit):
         jsonl, stats_text, meta_text = files42
-        ds = dataset_from_files(edit(jsonl), stats_text, meta_text)
-        assert dataset_to_jsonl(ds) == jsonl
+        ds = from_texts(edit(jsonl), stats_text, meta_text)
+        assert written(ds)[0] == jsonl
 
     def test_swapped_lines_rejected(self, files42):
         jsonl, stats_text, meta_text = files42
         lines = jsonl.splitlines(keepends=True)
         lines[0], lines[1000] = lines[1000], lines[0]
         with pytest.raises(DatasetError, match="line 1: id 1000, expected 0"):
-            dataset_from_files("".join(lines), stats_text, meta_text)
+            from_texts("".join(lines), stats_text, meta_text)
 
     def _with_meta(self, files42, edit):
         jsonl, stats_text, meta_text = files42
         meta = json.loads(meta_text)
         edit(meta)
-        return dataset_from_files(jsonl, stats_text, json.dumps(meta))
+        return from_texts(jsonl, stats_text, json.dumps(meta))
 
     def test_samples_outside_the_splits_load(self, files42, dataset42):
         # The matrix is allocated for the 1400 split ids and grows to 1600 rows.
@@ -741,7 +771,7 @@ class TestLoaderChecks:
         assert ds.samples[0].features.base.shape == (1600, 68)
         for a, b in zip(ds.samples, dataset42.samples):
             assert a.features.tobytes() == b.features.tobytes()
-        assert dataset_to_jsonl(ds) == files42[0]
+        assert written(ds)[0] == files42[0]
 
     @pytest.mark.parametrize("bad_id", [99999, -1, 1600, 2.0, "3"])
     def test_split_id_out_of_range_rejected(self, files42, bad_id):
@@ -775,7 +805,7 @@ class TestLoaderChecks:
         edit(rec)
         lines[7] = json.dumps(rec)  # writes NaN / -Infinity tokens
         with pytest.raises(DatasetError, match="dataset line 8"):
-            dataset_from_files("\n".join(lines), stats_text, meta_text)
+            from_texts("\n".join(lines), stats_text, meta_text)
 
     def test_non_finite_delta_rejected(self, files42):
         jsonl, stats_text, meta_text = files42
@@ -784,7 +814,7 @@ class TestLoaderChecks:
         rec["deltas"][0] = float("inf")
         lines[1500] = json.dumps(rec)
         with pytest.raises(DatasetError, match="line 1501: non-finite"):
-            dataset_from_files("\n".join(lines), stats_text, meta_text)
+            from_texts("\n".join(lines), stats_text, meta_text)
 
     @pytest.mark.parametrize("edit", [
         lambda meta: meta.pop("master_seed"),
@@ -799,7 +829,7 @@ class TestLoaderChecks:
     def test_truncated_meta_rejected(self, files42):
         jsonl, stats_text, meta_text = files42
         with pytest.raises(DatasetError, match="meta.json: JSONDecodeError"):
-            dataset_from_files(jsonl, stats_text, meta_text[:200])
+            from_texts(jsonl, stats_text, meta_text[:200])
 
     @pytest.mark.parametrize("edit", [
         lambda text: text[:200],
@@ -814,7 +844,7 @@ class TestLoaderChecks:
     def test_bad_stats_rejected(self, files42, edit):
         jsonl, stats_text, meta_text = files42
         with pytest.raises(DatasetError, match="stats.json"):
-            dataset_from_files(jsonl, edit(stats_text), meta_text)
+            from_texts(jsonl, edit(stats_text), meta_text)
 
     def test_hand_edited_mean_rejected(self, files42):
         jsonl, stats_text, meta_text = files42
@@ -822,14 +852,14 @@ class TestLoaderChecks:
         doc["mean"][17] = float(np.nextafter(doc["mean"][17], np.inf))
         with pytest.raises(DatasetError, match="stats.json: mean differs from "
                                                "that of the 1200 train samples"):
-            dataset_from_files(jsonl, json.dumps(doc), meta_text)
+            from_texts(jsonl, json.dumps(doc), meta_text)
 
     def test_hand_edited_std_rejected(self, files42):
         jsonl, stats_text, meta_text = files42
         doc = json.loads(stats_text)
         doc["std"][0] *= 2
         with pytest.raises(DatasetError, match="stats.json: std differs"):
-            dataset_from_files(jsonl, json.dumps(doc), meta_text)
+            from_texts(jsonl, json.dumps(doc), meta_text)
 
     def test_train_id_moved_without_new_stats_rejected(self, files42):
         def move(meta):
