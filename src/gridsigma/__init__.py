@@ -48,7 +48,6 @@ from .promptkit import (
     PromptBundle,
     PromptConfig,
     parse_verdict,
-    render_prompt,
     render_prompts,
     render_value_block,
     select_examples,

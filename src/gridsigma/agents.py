@@ -24,11 +24,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AgentError, not_utf8
+from .errors import AgentError, not_utf8, unreadable
 from . import promptkit, ruleoracle
 from .promptkit import ZERO_SHOT, AgentVerdict, PromptBundle, PromptConfig
-from .scenario import ANOMALY, FeatureStats
-from .grid import FeatureLayout
+from .scenario import ANOMALY, NORMAL, Dataset
 
 logger = logging.getLogger(__name__)
 
@@ -132,6 +131,8 @@ class ResponseCache:
             # Not an AgentError: a corrupt entry stops the run instead of
             # becoming an invalid verdict.
             raise not_utf8(path, exc) from None
+        except OSError as exc:
+            raise unreadable(path, exc) from None
 
     def put(self, key: str, text: str) -> None:
         with self._write_lock:
@@ -292,13 +293,11 @@ def run_batch(
 
 
 def export_finetune_dataset(
-    train: list,
-    stats: FeatureStats,
-    layout: FeatureLayout,
-    config: PromptConfig | None = None,
+    dataset: Dataset, config: PromptConfig | None = None
 ) -> Iterator[str]:
     """JSONL chat records supervising both the gold label and a rationale,
-    one line per train sample, yielded as each is rendered.
+    one line per sample of the dataset's train split, yielded as each is
+    rendered.
 
     The user message is the zero-shot rendering of each train sample; the
     assistant message carries the ground-truth injection label with the rule
@@ -308,24 +307,27 @@ def export_finetune_dataset(
     empty split raises AgentError at the call; a sample with no gold answer
     raises it when its line is pulled.
     """
-    if not train:
+    train = dataset.split_ids("train")
+    if not len(train):
         raise AgentError("train split is empty")
     if config is None:
         config = PromptConfig(paradigm=ZERO_SHOT)
-    bundles = promptkit.render_prompts(train, stats, config, [], layout)
+    bundles = promptkit.render_prompts(dataset, train, config)
 
     def lines() -> Iterator[str]:
-        for sample, bundle in zip(train, bundles):
+        for i, bundle in zip(train.tolist(), bundles):
             agent_view = ruleoracle.reference_agent(bundle)
             if agent_view.parse_mode == promptkit.FAILED:
                 raise AgentError(
-                    f"could not render a gold answer for sample {sample.id}: "
+                    f"could not render a gold answer for sample {i}: "
                     f"{agent_view.rationale}"
                 )
             rationale = agent_view.rationale
-            if sample.label == ANOMALY and agent_view.label != ANOMALY:
-                rationale = ruleoracle.missed_rationale(bundle, sample.injected)
-            answer = f"{sample.label}\n{rationale}"
+            label = ANOMALY if dataset.anomalous[i] else NORMAL
+            if label == ANOMALY and agent_view.label != ANOMALY:
+                injected = dataset.injected[dataset.ends[i] : dataset.ends[i + 1]]
+                rationale = ruleoracle.missed_rationale(bundle, injected.tolist())
+            answer = f"{label}\n{rationale}"
             record = {
                 "messages": [
                     {"role": "user", "content": bundle.text},

@@ -183,9 +183,10 @@ def _cmd_render(args) -> int:
         example_seed=args.example_seed,
         m_select=args.m,
     )
-    sample = ds.by_id(args.sample)
-    examples = promptkit.select_examples(ds.split_samples("train"), cfg, ds.stats)
-    bundle = promptkit.render_prompt(sample, ds.stats, cfg, examples, ds.layout)
+    if not 0 <= args.sample < len(ds.features):
+        raise DatasetError(f"no sample with id {args.sample}")
+    examples = promptkit.select_examples(ds, cfg)
+    bundle = next(promptkit.render_prompts(ds, [args.sample], cfg, examples))
     print(bundle.text, end="")
     return 0
 
@@ -262,9 +263,7 @@ def _cmd_hybrid(args) -> int:
 def _cmd_export_finetune(args) -> int:
     ds = evalkit.load_dataset_dir(args.data)
     cfg = promptkit.PromptConfig(variant=args.variant)
-    lines = agents.export_finetune_dataset(
-        ds.split_samples("train"), ds.stats, ds.layout, cfg
-    )
+    lines = agents.export_finetune_dataset(ds, cfg)
     # Records stream into a temporary file beside the output, which replaces
     # the output only once every record is written.
     out = Path(args.out)

@@ -25,7 +25,7 @@ from .errors import (
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
 from .ruleoracle import top_abs_z
-from .scenario import ANOMALY, NORMAL, Dataset, Sample, zscores
+from .scenario import ANOMALY, NORMAL, Dataset, FeatureStats, zscores
 
 logger = logging.getLogger(__name__)
 
@@ -232,7 +232,7 @@ def _metrics_doc(report: MetricsReport) -> dict:
 def _score_and_persist(
     config: dict,
     dataset: Dataset,
-    targets: list[Sample],
+    targets: np.ndarray,
     preds: list[str],
     records: list[dict],
     policies: tuple[str, ...],
@@ -240,13 +240,14 @@ def _score_and_persist(
     name: str,
     **extra,
 ) -> tuple[dict[str, MetricsReport], dict]:
-    """Score preds against the injection labels and build the run manifest.
+    """Score preds, one per target id, against the injection labels and
+    build the run manifest.
 
     Each sample record gets id, label and truth ahead of the runner's own
     fields. With out_dir, the manifest is written to out_dir/name and its
     "path" set.
     """
-    truths = [s.label for s in targets]
+    truths = [ANOMALY if a else NORMAL for a in dataset.anomalous[targets].tolist()]
     reports = {}
     for policy in policies:
         counts, invalid = confusion(preds, truths, policy)
@@ -255,8 +256,8 @@ def _score_and_persist(
         "config": config,
         "dataset_digest": _dataset_digest_of(dataset),
         "samples": [
-            {"id": s.id, "label": p, "truth": s.label, **record}
-            for s, p, record in zip(targets, preds, records)
+            {"id": i, "label": p, "truth": truth, **record}
+            for i, p, truth, record in zip(targets.tolist(), preds, truths, records)
         ],
         "metrics": {policy: _metrics_doc(rep) for policy, rep in reports.items()},
         **extra,
@@ -280,14 +281,10 @@ def run_experiment(
     run manifest (also written to out_dir when given). Examples come from
     the train split only, which shares no sample with the test split.
     """
-    examples = promptkit.select_examples(
-        dataset.split_samples("train"), run.prompt, dataset.stats
-    )
+    examples = promptkit.select_examples(dataset, run.prompt)
     targets, _ = _test_split(dataset)
     hashes: list[str] = []
-    bundles = promptkit.render_prompts(
-        targets, dataset.stats, run.prompt, examples, dataset.layout
-    )
+    bundles = promptkit.render_prompts(dataset, targets, run.prompt, examples)
     verdicts = agents.run_batch(
         _keeping_hashes(bundles, hashes), run.agent, run.endpoint, cache
     )
@@ -306,7 +303,7 @@ def run_experiment(
         INVALID_POLICIES,
         out_dir,
         manifest_name(run),
-        example_ids=sorted(s.id for s in examples),
+        example_ids=sorted(examples),
     )
     return reports[run.invalid_policy], manifest
 
@@ -375,8 +372,9 @@ def run_hybrid_experiment(
     reference selector directly when use_reference_selector is set). An
     agent reply that failed or names no known sensor scores all sensors
     (source 'full'), with a warning in the run log. A model whose input
-    stats are not exactly the dataset's raises DatasetError. The selection
-    prompt config renders the prompts and is the one the manifest records.
+    stats are not exactly the dataset's raises DatasetError naming what
+    differs (see ``_stats_difference``). The selection prompt config
+    renders the prompts and is the one the manifest records.
     """
     run = replace(run, prompt=replace(
         run.prompt, paradigm=promptkit.HYBRID_SELECT,
@@ -385,13 +383,10 @@ def run_hybrid_experiment(
     m = run.prompt.m_select
     if model.threshold is None:
         raise GridSigmaError("hybrid needs a calibrated detector model")
-    trained, current = model.input_stats, dataset.stats
-    if (trained.n != current.n or trained.mean.tolist() != current.mean.tolist()
-            or trained.std.tolist() != current.std.tolist()):
-        raise DatasetError(
-            f"the model was trained on other stats (n={trained.n}) than the "
-            f"dataset's stats.json (n={current.n}); rerun train-dl"
-        )
+    differs = _stats_difference(model.input_stats, dataset)
+    if differs:
+        raise DatasetError(f"the model was trained on other stats {differs}; "
+                           "rerun train-dl")
     tau_h = detectors.calibrate_hybrid_threshold(
         model, dataset.split_features("validation"),
         dataset.anomalous[dataset.split_ids("validation")], dataset.stats, m=m,
@@ -403,18 +398,16 @@ def run_hybrid_experiment(
         sources = [SOURCE_REFERENCE] * len(targets)
     else:
         selector, file_label = agent_label(run.agent), _file_label(run)
-        bundles = promptkit.render_prompts(
-            targets, dataset.stats, run.prompt, [], dataset.layout
-        )
+        bundles = promptkit.render_prompts(dataset, targets, run.prompt)
         replies = agents.complete_batch(bundles, run.agent, run.endpoint, cache)
         selections = []
-        for s, reply in zip(targets, replies):
+        for i, reply in zip(targets.tolist(), replies):
             failed = isinstance(reply, AgentError)
             ranked = () if failed else promptkit.parse_selection(
                 reply, dataset.layout, m
             )
             if not ranked:
-                logger.warning("selection for sample %d fell back to full: %s", s.id,
+                logger.warning("selection for sample %d fell back to full: %s", i,
                                reply if failed else "no known sensor named")
             selections.append(ranked)
         sources = [SOURCE_LLM if ranked else SOURCE_FULL for ranked in selections]
@@ -435,10 +428,29 @@ def run_hybrid_experiment(
     return reports[run.invalid_policy], manifest
 
 
-def _test_split(dataset: Dataset) -> tuple[list[Sample], np.ndarray]:
-    """The test samples and their (n, d) feature matrix."""
-    targets = dataset.split_samples("test")
-    if not targets:
+def _stats_difference(trained: FeatureStats, dataset: Dataset) -> str | None:
+    """Where a model's input stats first differ from the dataset's: n, with
+    both counts, else the first sensor whose mean or std differs, by name,
+    with both values; None when they are equal."""
+    current = dataset.stats
+    if trained.n != current.n:
+        return f"(n={trained.n}) than the dataset's stats.json (n={current.n})"
+    for field in ("mean", "std"):
+        ours, theirs = getattr(trained, field), getattr(current, field)
+        if ours.shape != theirs.shape:
+            return (f"than the dataset's stats.json ({len(ours)} sensors "
+                    f"against {len(theirs)})")
+        for i in np.flatnonzero(ours != theirs)[:1].tolist():
+            return (f"than the dataset's stats.json ({field} of "
+                    f"{dataset.layout.entries[i].name}: "
+                    f"{float(ours[i])!r} against {float(theirs[i])!r})")
+    return None
+
+
+def _test_split(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The test sample ids and their (n, d) feature matrix."""
+    targets = dataset.split_ids("test")
+    if not len(targets):
         raise DatasetError("test split is empty")
     return targets, dataset.split_features("test")
 

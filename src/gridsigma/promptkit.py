@@ -1,22 +1,23 @@
 """Prompt rendering, example selection, and agent-output parsing.
 
-Rendering is byte-deterministic: the same (sample, stats, config, examples)
-always produces the same text and content hash. The value-block table
-grammar defined here is also what the deterministic reference agent parses.
+Rendering is byte-deterministic: the same (dataset, sample id, config,
+example ids) always produces the same text and content hash. The
+value-block table grammar defined here is also what the deterministic
+reference agent parses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PromptError
 from .grid import FeatureLayout
-from .scenario import ANOMALY, NORMAL, STD_FLOOR, FeatureStats, Sample, zscores
+from .scenario import ANOMALY, NORMAL, STD_FLOOR, Dataset, FeatureStats, zscores
 
 ZERO_SHOT = "zero_shot"
 FEW_SHOT = "few_shot"
@@ -91,9 +92,7 @@ class PromptConfig:
 @dataclass(frozen=True)
 class PromptBundle:
     text: str
-    sample_id: int
     config: PromptConfig
-    example_ids: tuple[int, ...]
     content_hash: str
 
 
@@ -116,27 +115,28 @@ class AgentVerdict:
 
 
 def render_value_block(
-    sample: Sample,
+    values: np.ndarray,
     stats: FeatureStats,
     layout: FeatureLayout,
     variant: str,
     decimals: int = 4,
 ) -> str:
-    """Plain-text sensor table, grouped by sensor kind, columns per variant.
+    """Plain-text sensor table of one feature row, grouped by sensor kind,
+    columns per variant.
 
     Each column is formatted in one pass; each row is one %-format that pads
     the sensor name and every cell to its column's width.
     """
     if variant not in _VARIANT_COLUMNS:
         raise PromptError(f"unknown variant {variant!r}")
-    if len(stats.mean) != len(layout) or len(sample.features) != len(layout):
+    if len(stats.mean) != len(layout) or len(values) != len(layout):
         raise PromptError("sample/stats length does not match layout")
     columns = _VARIANT_COLUMNS[variant]
-    cell_sources = {"value": sample.features, "mean": stats.mean}
+    cell_sources = {"value": values, "mean": stats.mean}
     if "std" in columns:
         cell_sources["std"] = np.maximum(stats.std, STD_FLOOR)
     if "|z|" in columns:
-        cell_sources["|z|"] = np.abs(zscores(sample.features, stats))
+        cell_sources["|z|"] = np.abs(zscores(values, stats))
 
     cell_format = f"%.{decimals}f"
     col_cells = [
@@ -280,25 +280,26 @@ def _output_format_select(m: int) -> str:
 
 
 def render_prompts(
-    samples: Iterable[Sample],
-    stats: FeatureStats,
+    dataset: Dataset,
+    ids: Iterable[int],
     config: PromptConfig,
-    examples: list[Sample],
-    layout: FeatureLayout,
+    examples: Sequence[int] = (),
 ) -> Iterator[PromptBundle]:
-    """Assemble one prompt per sample in fixed block order, lazily.
+    """Assemble one prompt per sample id in fixed block order, lazily.
 
-    The arguments are checked and the blocks every prompt shares (role,
+    Features, stats, layout and example labels come from the dataset. The
+    arguments are checked and the blocks every prompt shares (role,
     context, rule, examples and the Value Block heading) rendered at the
-    call; the returned iterator renders each sample's value block and the
-    output format as it is pulled, so a caller holds only the prompts it
-    keeps.
+    call; the returned iterator pulls each id and renders its value block
+    and the output format as it is pulled, so a caller holds only the
+    prompts it keeps.
     """
     if len(examples) != config.k_examples:
         raise PromptError(
             f"{config.paradigm} expects {config.k_examples} examples, "
             f"got {len(examples)}"
         )
+    stats, layout = dataset.stats, dataset.layout
     n = len(layout)
     parts = [
         _ROLE_SELECT if config.paradigm == HYBRID_SELECT else _ROLE_CLASSIFY,
@@ -309,10 +310,10 @@ def render_prompts(
         shown = ["**Examples**:"]
         for num, ex in enumerate(examples, start=1):
             shown.append(f"Example {num}:")
-            shown.append(
-                render_value_block(ex, stats, layout, config.variant, config.decimals)
-            )
-            shown.append(f"Label: {ex.label}")
+            shown.append(render_value_block(
+                dataset.features[ex], stats, layout, config.variant, config.decimals
+            ))
+            shown.append(f"Label: {ANOMALY if dataset.anomalous[ex] else NORMAL}")
             shown.append("")
         parts.append("\n".join(shown).rstrip())
     parts.append(VALUE_BLOCK_HEADING)
@@ -321,40 +322,23 @@ def render_prompts(
         suffix = "\n" + _output_format_select(config.m_select) + "\n"
     else:
         suffix = "\n" + _OUTPUT_FORMAT_CLASSIFY + "\n"
-    example_ids = tuple(ex.id for ex in examples)
     # Each content hash continues a copy of the prefix's sha256: the prefix
     # is hashed once, and no encoded copy of a whole prompt is made.
     prefix_digest = hashlib.sha256(prefix.encode("utf-8"))
     suffix_bytes = suffix.encode("utf-8")
 
     def bundles() -> Iterator[PromptBundle]:
-        for sample in samples:
+        for i in ids:
             block = render_value_block(
-                sample, stats, layout, config.variant, config.decimals
+                dataset.features[i], stats, layout, config.variant, config.decimals
             )
             digest = prefix_digest.copy()
             digest.update(block.encode("utf-8"))
             digest.update(suffix_bytes)
-            yield PromptBundle(
-                text=prefix + block + suffix,
-                sample_id=sample.id,
-                config=config,
-                example_ids=example_ids,
-                content_hash=digest.hexdigest(),
-            )
+            yield PromptBundle(text=prefix + block + suffix, config=config,
+                               content_hash=digest.hexdigest())
 
     return bundles()
-
-
-def render_prompt(
-    sample: Sample,
-    stats: FeatureStats,
-    config: PromptConfig,
-    examples: list[Sample],
-    layout: FeatureLayout,
-) -> PromptBundle:
-    """The prompt for one sample; see render_prompts."""
-    return next(render_prompts([sample], stats, config, examples, layout))
 
 
 def target_value_block(prompt_text: str) -> str:
@@ -373,12 +357,8 @@ def target_value_block(prompt_text: str) -> str:
 # Example selection
 
 
-def select_examples(
-    train: list[Sample],
-    config: PromptConfig,
-    stats: FeatureStats,
-) -> list[Sample]:
-    """Pick labeled exemplars from the train split, deterministically.
+def select_examples(dataset: Dataset, config: PromptConfig) -> tuple[int, ...]:
+    """Pick labeled exemplar ids from the train split, deterministically.
 
     Few-shot: one normal and one anomalous. ICL: k/2 normal plus anomalous
     cases stratified across max-|z| quartiles so anomaly strengths vary.
@@ -386,47 +366,37 @@ def select_examples(
     """
     k = config.k_examples
     if k == 0:
-        return []
-    normals = [s for s in train if s.label == NORMAL]
-    anomalies = [s for s in train if s.label == ANOMALY]
+        return ()
+    normals = dataset.split_ids("train", NORMAL)
+    anomalies = dataset.split_ids("train", ANOMALY)
     n_normal = k // 2
     n_anomalous = k - n_normal
-    if len(normals) < n_normal:
-        raise PromptError(
-            f"train split has {len(normals)} normal samples, need {n_normal}"
-        )
-    if len(anomalies) < n_anomalous:
-        raise PromptError(
-            f"train split has {len(anomalies)} anomalous samples, need {n_anomalous}"
-        )
+    for ids, need, kind in ((normals, n_normal, "normal"),
+                            (anomalies, n_anomalous, "anomalous")):
+        if len(ids) < need:
+            raise PromptError(f"train split has {len(ids)} {kind} samples, need {need}")
     rng = np.random.default_rng(np.random.SeedSequence([config.example_seed, 4]))
-    picked_normal = [
-        normals[i] for i in rng.choice(len(normals), size=n_normal, replace=False)
-    ]
+    chosen = rng.choice(len(normals), size=n_normal, replace=False)
+    picked_normal = normals[chosen].tolist()
 
-    # Rank anomalies by max |z| and spread picks across four strength bins.
-    strength = [float(np.max(np.abs(zscores(s.features, stats)))) for s in anomalies]
-    order = sorted(range(len(anomalies)), key=lambda i: (strength[i], anomalies[i].id))
-    bins = [list(b) for b in np.array_split(np.asarray(order), 4)]
-    per_bin = [n_anomalous // 4] * 4
-    for i in range(n_anomalous % 4):
-        per_bin[i] += 1
-    picked_anomalous: list[Sample] = []
+    # Rank anomalies by max |z|, ties by id, and spread picks across four
+    # strength bins.
+    strength = np.abs(zscores(dataset.features[anomalies], dataset.stats)).max(axis=1)
+    bins = np.array_split(np.lexsort((anomalies, strength)), 4)
+    per_bin = [n_anomalous // 4 + (i < n_anomalous % 4) for i in range(4)]
+    picked_anomalous: list[int] = []
     for b, want in zip(bins, per_bin):
         if want == 0:
             continue
         if len(b) < want:
             raise PromptError("not enough anomalous samples to stratify")
         chosen = rng.choice(len(b), size=want, replace=False)
-        picked_anomalous.extend(anomalies[b[int(c)]] for c in sorted(chosen))
+        picked_anomalous.extend(anomalies[b[np.sort(chosen)]].tolist())
 
-    out: list[Sample] = []
+    out: list[int] = []
     for i in range(max(n_normal, n_anomalous)):
-        if i < n_normal:
-            out.append(picked_normal[i])
-        if i < n_anomalous:
-            out.append(picked_anomalous[i])
-    return out
+        out += picked_normal[i : i + 1] + picked_anomalous[i : i + 1]
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

@@ -36,8 +36,10 @@ STD_FLOOR = 1e-12
 # Train rows per chunk of the stats sums: bounds the rows they copy at once.
 _STATS_ROWS = 256
 # Hours per stacked power-flow solve: bounds the memory of its Jacobian stack
-# and solution arrays (about 24 KB of Jacobian temporaries per hour). The
-# chunk size never changes the dataset's bytes.
+# and solution arrays (about 24 KB of Jacobian temporaries per hour). On
+# OpenBLAS's SkylakeX kernel the chunk size never changes the dataset's bytes;
+# on others, such as Haswell, the product in grid._bus_currents rounds
+# differently for different stack heights, so the bytes may move with it.
 _CHUNK_HOURS = 128
 A_FLOOR = 0.05  # pu; minimum injected deviation so near-zero sensors move
 
@@ -110,48 +112,6 @@ class Dataset:
     # for a dataset built in memory.
     jsonl_digest: str | None = None
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample], splits: dict[str, Sequence[int]],
-                     layout: FeatureLayout, stats: FeatureStats,
-                     master_seed: int) -> Dataset:
-        """A dataset of these samples, for one built by hand. Sample i must
-        have id i, a known label, one feature per layout sensor and one
-        delta per injected index; the splits are checked as the loader
-        checks them."""
-        features = np.empty((len(samples), len(layout)))
-        for i, s in enumerate(samples):
-            if s.id != i:
-                raise DatasetError(f"sample {s.id} at position {i}: ids are positions")
-            if s.label not in (NORMAL, ANOMALY):
-                raise DatasetError(f"sample {i}: label {s.label!r}")
-            if np.shape(s.features) != (len(layout),):
-                raise DatasetError(f"sample {i}: features of shape "
-                                   f"{np.shape(s.features)}, layout has {len(layout)}")
-            if len(s.deltas) != len(s.injected):
-                raise DatasetError(f"sample {i}: deltas and injected lengths differ")
-            features[i] = s.features
-        return cls(
-            features=_read_only(features),
-            hours=_read_only(np.array([s.hour for s in samples], dtype=np.int64)),
-            anomalous=_read_only(np.array([s.label == ANOMALY for s in samples],
-                                          dtype=bool)),
-            injected=_read_only(np.array([i for s in samples for i in s.injected],
-                                         dtype=np.int32)),
-            deltas=_read_only(np.array([d for s in samples for d in s.deltas],
-                                       dtype=float)),
-            ends=_read_only(np.cumsum([0] + [len(s.injected) for s in samples],
-                                      dtype=np.int64)),
-            splits=_split_arrays(splits, len(samples)),
-            layout=layout,
-            stats=stats,
-            master_seed=master_seed,
-        )
-
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        """Every sample, built now."""
-        return tuple(map(self.by_id, range(len(self.features))))
-
     def by_id(self, sample_id: int) -> Sample:
         if not 0 <= sample_id < len(self.features):
             raise DatasetError(f"no sample with id {sample_id}")
@@ -186,13 +146,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _split_arrays(splits: dict[str, Sequence[int]], n: int) -> dict[str, np.ndarray]:
-    """The splits as read-only int64 id arrays, once every id is an int (or
-    an int64, as a Dataset's splits hold) that names one of the n samples
-    and lies in one split only."""
+    """The splits as read-only int64 id arrays, once every id is an int (not
+    a bool or float) that names one of the n samples and lies in one split
+    only."""
     seen: set = set()
     for name, ids in splits.items():
         for i in ids:
-            if type(i) not in (int, np.int64) or not 0 <= i < n:
+            if type(i) is not int or not 0 <= i < n:
                 raise DatasetError(f"{name} split id {i!r} names no sample")
             if i in seen:
                 raise DatasetError(f"id {i} is listed more than once")
@@ -279,33 +239,18 @@ def inject_anomaly(
     return out, tuple(int(i) for i in indices), tuple(deltas)
 
 
-def compute_stats(samples: Sequence[Sample]) -> FeatureStats:
-    """Per-feature population mean and std over the given train samples."""
-    features = [s.features for s in samples]
-    return _stats(len(features), len(features[0]) if features else 0,
-                  lambda start, stop, out: np.stack(features[start:stop], out=out))
+def compute_stats(matrix: np.ndarray, ids: Sequence[int]) -> FeatureStats:
+    """Per-feature population mean and std of the train rows matrix[ids],
+    with the bits of numpy's mean(axis=0) and std(axis=0) over those rows
+    stacked, though no more than _STATS_ROWS of them are ever copied at once.
 
-
-def _train_stats(matrix: np.ndarray, ids: Sequence[int]) -> FeatureStats:
-    """compute_stats of the samples whose features are matrix[ids]."""
-    ids = np.asarray(ids, dtype=np.intp)
-    # mode="clip" takes straight into out; every id is a row of matrix.
-    return _stats(len(ids), matrix.shape[1],
-                  lambda start, stop, out: np.take(matrix, ids[start:stop], axis=0,
-                                                   out=out, mode="clip"))
-
-
-def _stats(n: int, d: int, gather) -> FeatureStats:
-    """The mean and population std of n rows of d features, with the bits of
-    numpy's mean(axis=0) and std(axis=0) over the rows stacked, though no
-    more than _STATS_ROWS of them are ever copied at once.
-
-    gather(start, stop, out) copies rows [start, stop) into out. numpy sums
-    an (n, d) matrix down its columns one row after another, starting from
-    0.0, so each chunk is summed with the running sum as its first row.
-    A single column it sums pairwise instead, so that is gathered whole: one
-    float per row.
+    numpy sums an (n, d) matrix down its columns one row after another,
+    starting from 0.0, so each chunk is summed with the running sum as its
+    first row. A single column it sums pairwise instead, so that is taken
+    whole: one float per row.
     """
+    ids = np.asarray(ids, dtype=np.intp)
+    n, d = len(ids), matrix.shape[1]
     if not n:
         raise DatasetError("cannot compute stats of an empty sample list")
     step = n if d == 1 else _STATS_ROWS
@@ -317,7 +262,8 @@ def _stats(n: int, d: int, gather) -> FeatureStats:
         for start in range(0, n, step):
             stop = min(start + step, n)
             rows = chunk[1 : 1 + stop - start]
-            gather(start, stop, rows)
+            # mode="clip" takes straight into rows; every id is a row of matrix.
+            np.take(matrix, ids[start:stop], axis=0, out=rows, mode="clip")
             if mean is not None:
                 rows -= mean
                 rows *= rows
@@ -449,7 +395,7 @@ def build_dataset(
         ends=_read_only(k_inject * np.maximum(np.arange(n_total + 1) - n_normal, 0)),
         splits=splits,
         layout=layout,
-        stats=_train_stats(matrix, splits["train"]),
+        stats=compute_stats(matrix, splits["train"]),
         master_seed=seed,
     )
 
@@ -650,7 +596,7 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str) ->
         splits = _split_arrays(splits, len(columns["features"]))
     except DatasetError as exc:
         raise DatasetError(f"meta.json: {exc}") from None
-    train_stats = _train_stats(columns["features"], splits["train"])
+    train_stats = compute_stats(columns["features"], splits["train"])
     for name, ours, theirs in (
         ("n", stats.n, train_stats.n),
         ("mean", stats.mean, train_stats.mean),

@@ -12,6 +12,9 @@ written.
 ``written`` runs the package's own dataset writer into memory, so the
 tests can compare its texts with the reference writers', and ``from_texts``
 loads such texts as the loader reads the files.
+
+``dataset_of`` builds a Dataset from Sample objects, for the tests that make
+one by hand, and ``samples`` turns a Dataset back into its Sample objects.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ import json
 
 import numpy as np
 
-from gridsigma.scenario import STD_FLOOR, dataset_from_files, write_dataset, zscores
+from gridsigma.scenario import (
+    ANOMALY, STD_FLOOR, Dataset, compute_stats, dataset_from_files, write_dataset,
+    zscores,
+)
 
 _COLUMNS = {
     "value": ("value",),
@@ -53,6 +59,41 @@ def from_texts(jsonl: str, stats_text: str, meta_text: str):
     return dataset_from_files(io.StringIO(jsonl), stats_text, meta_text)
 
 
+def samples(ds) -> tuple:
+    """Every sample of ds, as Dataset.by_id builds it."""
+    return tuple(map(ds.by_id, range(len(ds.features))))
+
+
+def dataset_of(samples, layout, splits=None, stats=None, master_seed=0) -> Dataset:
+    """A Dataset whose row i holds samples[i] (its id is not read). splits
+    default to every row in train, and stats to compute_stats over the train
+    split. Nothing is checked: a test may build what the loader refuses."""
+    samples = list(samples)
+    n = len(samples)
+
+    def column(values, dtype=float):
+        array = np.array(values, dtype=dtype)
+        array.flags.writeable = False
+        return array
+
+    features = column([s.features for s in samples]).reshape(n, len(layout))
+    if splits is None:
+        splits = {"train": range(n), "validation": (), "test": ()}
+    splits = {name: column(list(ids), np.int64) for name, ids in splits.items()}
+    return Dataset(
+        features=features,
+        hours=column([s.hour for s in samples], np.int64),
+        anomalous=column([s.label == ANOMALY for s in samples], bool),
+        injected=column([i for s in samples for i in s.injected], np.int32),
+        deltas=column([d for s in samples for d in s.deltas]),
+        ends=column(np.cumsum([0] + [len(s.injected) for s in samples]), np.int64),
+        splits=splits,
+        layout=layout,
+        stats=compute_stats(features, splits["train"]) if stats is None else stats,
+        master_seed=master_seed,
+    )
+
+
 def dataset_to_jsonl(ds) -> str:
     return "".join(
         json.dumps(
@@ -67,7 +108,7 @@ def dataset_to_jsonl(ds) -> str:
             separators=(",", ":"),
         )
         + "\n"
-        for s in ds.samples
+        for s in samples(ds)
     )
 
 
@@ -75,18 +116,18 @@ def features_to_csv(ds) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", "hour", "label"] + ds.layout.names())
-    for s in ds.samples:
+    for s in samples(ds):
         writer.writerow([s.id, s.hour, s.label] + [repr(float(v)) for v in s.features])
     return out.getvalue()
 
 
-def render_value_block(sample, stats, layout, variant, decimals=4) -> str:
+def render_value_block(values, stats, layout, variant, decimals=4) -> str:
     columns = _COLUMNS[variant]
     cell_sources = {
-        "value": sample.features,
+        "value": values,
         "mean": stats.mean,
         "std": np.maximum(stats.std, STD_FLOOR),
-        "|z|": np.abs(zscores(sample.features, stats)),
+        "|z|": np.abs(zscores(values, stats)),
     }
     groups: list[tuple[str, list[int]]] = []
     for i, entry in enumerate(layout.entries):

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import legacy_formats
 from gridsigma import agents, detectors, evalkit, promptkit, ruleoracle
 from gridsigma.cli import main
 from gridsigma.grid import builtin_ieee14, solve_newton
@@ -176,10 +177,10 @@ def test_criterion_7_gradient_check():
 def test_criterion_8_injection_audit(dataset42):
     start = time.perf_counter()
     normals_by_hour = {
-        s.hour: s for s in dataset42.samples if s.label == NORMAL
+        s.hour: s for s in legacy_formats.samples(dataset42) if s.label == NORMAL
     }
     checked = 0
-    for s in dataset42.samples:
+    for s in legacy_formats.samples(dataset42):
         if s.label == NORMAL:
             assert s.injected == () and s.deltas == ()
             continue
@@ -202,11 +203,10 @@ def test_criterion_9_prompt_stability(dataset42):
     # Byte-stable goldens: rendered twice from scratch, compared to disk.
     from test_promptkit import fixture_samples
     from gridsigma.grid import default_layout
-    from gridsigma.scenario import compute_stats
 
     layout = default_layout(builtin_ieee14())
     samples = fixture_samples(layout)
-    stats = compute_stats(samples)
+    ds = legacy_formats.dataset_of(samples, layout)
     target = samples[11]
     rendered = {}
     for _ in range(2):
@@ -217,9 +217,9 @@ def test_criterion_9_prompt_stability(dataset42):
                 ("icl", samples[:10]),
             ):
                 cfg = PromptConfig(paradigm=paradigm, variant=variant)
-                text = promptkit.render_prompt(
-                    target, stats, cfg, examples, layout
-                ).text
+                text = next(promptkit.render_prompts(
+                    ds, [target.id], cfg, [s.id for s in examples]
+                )).text
                 key = f"{paradigm}_{variant}"
                 assert rendered.setdefault(key, text) == text
     for key, text in rendered.items():
@@ -229,7 +229,7 @@ def test_criterion_9_prompt_stability(dataset42):
     # Strictly nested column sets across the zero-shot variants.
     tables = {
         v: parse_value_block(
-            promptkit.render_value_block(target, stats, layout, v)
+            promptkit.render_value_block(target.features, ds.stats, layout, v)
         )
         for v in VARIANTS
     }

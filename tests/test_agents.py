@@ -4,7 +4,9 @@ import re
 import sys
 import threading
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gridsigma import agents, promptkit, ruleoracle
@@ -18,7 +20,7 @@ from gridsigma.agents import (
     export_finetune_dataset,
     run_batch,
 )
-from gridsigma.errors import AgentError
+from gridsigma.errors import AgentError, GridSigmaError
 from gridsigma.promptkit import PromptConfig
 from gridsigma.scenario import ANOMALY, NORMAL
 
@@ -28,10 +30,7 @@ from http_stub import endpoint_for
 @pytest.fixture(scope="module")
 def bundles(dataset42):
     cfg = PromptConfig(paradigm="zero_shot", variant="z_only")
-    return [
-        promptkit.render_prompt(s, dataset42.stats, cfg, [], dataset42.layout)
-        for s in dataset42.split_samples("test")[:12]
-    ]
+    return list(promptkit.render_prompts(dataset42, dataset42.split_ids("test")[:12], cfg))
 
 
 class TestMocks:
@@ -104,6 +103,14 @@ class TestCache:
         assert errors == []
         assert caches[0].get(key) in texts
         assert list((tmp_path / "cache").rglob("*.tmp")) == []
+
+    def test_directory_at_an_entry_path_is_domain_error(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        key = cache_key("prompt", "model", 0.0)
+        entry = tmp_path / "cache" / key[:2] / f"{key}.txt"
+        entry.mkdir(parents=True)
+        with pytest.raises(GridSigmaError, match=f"^cannot read {re.escape(str(entry))}: "):
+            cache.get(key)
 
     def test_memory_cache(self):
         cache = ResponseCache()
@@ -388,7 +395,7 @@ class TestStreaming:
         original = ruleoracle.reference_agent
 
         def recording(bundle):
-            calls.append(bundle.sample_id)
+            calls.append(bundle.text)
             return original(bundle)
 
         monkeypatch.setattr(ruleoracle, "reference_agent", recording)
@@ -396,11 +403,13 @@ class TestStreaming:
         assert calls == []
         next(lines)
         next(lines)
-        assert calls == [s.id for s in dataset42.split_samples("train")[:2]]
+        first_two = dataset42.split_ids("train")[:2]
+        assert calls == [b.text for b in promptkit.render_prompts(
+            dataset42, first_two, PromptConfig())]
 
 
 def train_export_lines(ds):
-    return export_finetune_dataset(ds.split_samples("train"), ds.stats, ds.layout)
+    return export_finetune_dataset(ds)
 
 
 def train_export(ds):
@@ -468,9 +477,10 @@ class TestFinetuneExport:
         train = dataset42.split_samples("train")
         for sample, line in list(zip(train, text.splitlines()))[::50]:
             user = json.loads(line)["messages"][0]["content"]
-            assert user == promptkit.render_prompt(
-                sample, dataset42.stats, cfg, [], dataset42.layout).text
+            assert user == next(promptkit.render_prompts(dataset42, [sample.id], cfg)).text
 
     def test_empty_train_rejected(self, dataset42):
-        with pytest.raises(AgentError):
-            agents.export_finetune_dataset([], dataset42.stats, dataset42.layout)
+        no_train = replace(dataset42, splits={**dataset42.splits,
+                                              "train": np.empty(0, dtype=np.int64)})
+        with pytest.raises(AgentError, match="train split is empty"):
+            agents.export_finetune_dataset(no_train)

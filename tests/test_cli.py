@@ -7,7 +7,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,17 +50,17 @@ def _write_train_stats(data):
     `generate` computes it."""
     meta = json.loads((data / "meta.json").read_text())
     lines = (data / "dataset.jsonl").read_text().splitlines()
-    train = [SimpleNamespace(features=np.asarray(json.loads(lines[i])["features"]))
-             for i in meta["splits"]["train"]]
+    train = np.array([json.loads(lines[i])["features"] for i in meta["splits"]["train"]])
     (data / "stats.json").write_text(
-        scenario.stats_to_json(scenario.compute_stats(train)))
+        scenario.stats_to_json(scenario.compute_stats(train, range(len(train)))))
 
 
 def _spoil_last_sample(changes):
     def edit(ds):
-        last = replace(ds.samples[-1], **changes(ds.samples[-1]))
-        return scenario.Dataset.from_samples(ds.samples[:-1] + (last,), ds.splits,
-                                             ds.layout, ds.stats, ds.master_seed)
+        samples = legacy_formats.samples(ds)
+        last = replace(samples[-1], **changes(samples[-1]))
+        return legacy_formats.dataset_of(samples[:-1] + (last,), ds.layout, ds.splits,
+                                         ds.stats, ds.master_seed)
     return edit
 
 
@@ -72,7 +71,7 @@ class TestGenerate:
         out = tmp_path / "d"
         rc, ds = _generate_capturing(monkeypatch, out, "--samples", "640", *flags)
         assert rc == 0
-        assert len(ds.samples) > 2 * scenario._BLOCK_ROWS
+        assert len(ds.features) > 2 * scenario._BLOCK_ROWS
         assert (out / "dataset.jsonl").read_text(encoding="utf-8") == (
             legacy_formats.dataset_to_jsonl(ds))
         assert (out / "features.csv").read_text(encoding="utf-8") == (
@@ -95,13 +94,12 @@ class TestGenerate:
         (lambda s: {"features": np.where(np.arange(len(s.features)) == 4,
                                          np.nan, s.features)},
          "non-finite feature or delta"),
-        (lambda s: {"label": "suspect"}, "label 'suspect'"),
-    ], ids=["nan-feature", "unknown-label"])
+        (lambda s: {"deltas": (np.inf,) + s.deltas[1:]}, "non-finite feature or delta"),
+    ], ids=["nan-feature", "inf-delta"])
     def test_refused_dataset_leaves_no_files(self, tmp_path, monkeypatch, capsys,
                                              changes, message):
         out = tmp_path / "d"
-        # A label the dataset cannot hold is refused as the edit builds it;
-        # a non-finite feature, by the writers.
+        # The writers refuse the spoilt last sample before any file is made.
         rc, _ = _generate_capturing(monkeypatch, out, "--samples", "640",
                                     edit=_spoil_last_sample(changes))
         assert rc == 1
@@ -501,9 +499,7 @@ class TestOtherCommands:
         assert capsys.readouterr().out == f"wrote {out_file}\nrecords: 300\n"
         ds = evalkit.load_dataset_dir(pipeline_dir)
         assert out_file.read_text(encoding="utf-8") == "".join(
-            agents.export_finetune_dataset(
-                ds.split_samples("train"), ds.stats, ds.layout
-            )
+            agents.export_finetune_dataset(ds)
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ft.jsonl"]
 
@@ -517,7 +513,7 @@ class TestOtherCommands:
         original = ruleoracle.reference_agent
 
         def failing_at_5(bundle):
-            calls.append(bundle.sample_id)
+            calls.append(bundle.content_hash)
             if len(calls) == 5:
                 return promptkit.AgentVerdict(
                     label=promptkit.INVALID, rationale="no label line", raw="",

@@ -68,9 +68,9 @@ def validation(dataset):
 def fit(samples, hyper=Hyper(), **kwargs):
     """Train on all but the last 12 samples, stopping early on those 12, with
     stats over all of them."""
-    return train_autoencoder(matrix(samples[:-12]), hyper,
-                             val_normals=matrix(samples[-12:]),
-                             stats=compute_stats(samples), **kwargs)
+    rows = matrix(samples)
+    return train_autoencoder(rows[:-12], hyper, val_normals=rows[-12:],
+                             stats=compute_stats(rows, range(len(rows))), **kwargs)
 
 
 def score_model(threshold=None):
@@ -165,7 +165,7 @@ class TestTraining:
         with pytest.raises(DetectorError, match="val_normals is empty"):
             train_autoencoder(matrix(samples), Hyper(epochs=2), seed=0,
                               val_normals=np.empty((0, 6)),
-                              stats=compute_stats(samples),
+                              stats=compute_stats(matrix(samples), range(len(samples))),
                               layer_dims=(6, 4, 2, 4, 6))
 
 

@@ -270,6 +270,28 @@ def _hybrid_records(dataset, model, n, agent=agents.REFERENCE_RULE, endpoint=Non
     return head.split_samples("test"), manifest["samples"]
 
 
+class TestHybridStatsCheck:
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_differing_sensor_named_with_both_values(self, dataset42, model42, field):
+        ours = getattr(model42.input_stats, field).copy()
+        ours[17] = np.nextafter(ours[17], np.inf)
+        model = replace(model42, input_stats=replace(model42.input_stats, **{field: ours}))
+        theirs = getattr(dataset42.stats, field)[17]
+        name = dataset42.layout.entries[17].name
+        with pytest.raises(DatasetError, match=re.escape(
+                "the model was trained on other stats than the dataset's "
+                f"stats.json ({field} of {name}: {float(ours[17])!r} against "
+                f"{float(theirs)!r}); rerun train-dl")):
+            run_hybrid_experiment(RunConfig(), model, dataset42)
+
+    def test_differing_count_gives_both_counts(self, dataset42, model42):
+        model = replace(model42, input_stats=replace(model42.input_stats, n=600))
+        with pytest.raises(DatasetError, match=re.escape(
+                "trained on other stats (n=600) than the dataset's stats.json "
+                "(n=1200); rerun train-dl")):
+            run_hybrid_experiment(RunConfig(), model, dataset42)
+
+
 class TestHybridSelection:
     def test_llm_selection_matches_reference(self, dataset42, model42):
         targets, records = _hybrid_records(dataset42, model42, 40)
@@ -312,10 +334,8 @@ class TestHybridSelection:
             paradigm=promptkit.HYBRID_SELECT, variant=promptkit.VARIANT_Z_ONLY,
             m_select=8, decimals=evalkit.SELECTION_DECIMALS,
         )
-        slow = dataset42.split_samples("test")[1]
-        slow_text = promptkit.render_prompt(
-            slow, dataset42.stats, config, [], dataset42.layout
-        ).text
+        slow = dataset42.split_ids("test")[1]
+        slow_text = next(promptkit.render_prompts(dataset42, [slow], config)).text
 
         def behavior(text, n):
             if text == slow_text:
@@ -431,8 +451,8 @@ def tiny_files():
 
 
 def _same_samples(loaded, built):
-    assert len(loaded.samples) == len(built.samples)
-    for a, b in zip(loaded.samples, built.samples):
+    assert len(loaded.features) == len(built.features)
+    for a, b in zip(legacy_formats.samples(loaded), legacy_formats.samples(built)):
         assert (a.id, a.hour, a.label, a.injected, a.deltas) == (
             b.id, b.hour, b.label, b.injected, b.deltas)
         assert a.features.tobytes() == b.features.tobytes()
@@ -539,10 +559,10 @@ class TestLoadedDataset:
         loaded = evalkit.load_dataset_dir(dir42)
         _same_samples(loaded, dataset42)
         for ds in (loaded, dataset42):
-            first, last = ds.samples[0].features, ds.samples[-1].features
+            first, last = ds.by_id(0).features, ds.by_id(len(ds.features) - 1).features
             # Row views of one (n, d) matrix.
             assert first.base is last.base is not None
-            assert first.base.shape == (len(ds.samples), len(ds.layout))
+            assert first.base.shape == (len(ds.features), len(ds.layout))
             with pytest.raises(ValueError, match="read-only"):
                 last[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):

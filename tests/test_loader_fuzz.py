@@ -116,7 +116,7 @@ class TestDatasetFromFiles:
         _loads_or_refuses(legacy_formats.from_texts, *files)
 
     def test_valid_files_load(self, tiny_files):
-        assert len(legacy_formats.from_texts(*tiny_files).samples) == 6
+        assert len(legacy_formats.from_texts(*tiny_files).features) == 6
 
     @pytest.mark.parametrize("which, old, new, message", [
         (0, '"hour":0', '"hour":1e400', "dataset line 1: cannot convert float"),

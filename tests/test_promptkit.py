@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from gridsigma.promptkit import (
     parse_selection,
     parse_value_block,
     parse_verdict,
-    render_prompt,
     render_prompts,
     render_value_block,
     select_examples,
 )
-from gridsigma.scenario import ANOMALY, NORMAL, Sample, compute_stats
+from gridsigma.scenario import ANOMALY, NORMAL, Sample, compute_stats, zscores
 
 from conftest import GOLDEN_DIR
 
@@ -44,12 +44,12 @@ def fixture_samples(layout):
                 values[i] += delta
                 deltas.append(delta)
             samples.append(
-                Sample(id=100 + k, features=values, label=ANOMALY,
+                Sample(id=k, features=values, label=ANOMALY,
                        injected=injected, deltas=tuple(deltas), hour=k)
             )
         else:
             samples.append(
-                Sample(id=100 + k, features=values, label=NORMAL,
+                Sample(id=k, features=values, label=NORMAL,
                        injected=(), deltas=(), hour=k)
             )
     return samples
@@ -57,45 +57,50 @@ def fixture_samples(layout):
 
 @pytest.fixture(scope="module")
 def fixture_world():
-    case = builtin_ieee14()
-    layout = default_layout(case)
-    samples = fixture_samples(layout)
-    stats = compute_stats(samples)
-    return layout, samples, stats
+    """The fixture samples as a dataset; its stats are those of all twelve."""
+    layout = default_layout(builtin_ieee14())
+    return legacy_formats.dataset_of(fixture_samples(layout), layout)
+
+
+def block(ds, sample_id, variant):
+    return render_value_block(ds.features[sample_id], ds.stats, ds.layout, variant)
+
+
+def render_one(ds, sample_id, cfg, examples=()):
+    return next(render_prompts(ds, [sample_id], cfg, examples))
+
+
+def labels_of(ds, ids):
+    return [ANOMALY if ds.anomalous[i] else NORMAL for i in ids]
 
 
 class TestValueBlock:
     def test_z_only_has_no_mean_std_headers(self, fixture_world):
-        layout, samples, stats = fixture_world
-        text = render_value_block(samples[0], stats, layout, "z_only")
+        text = block(fixture_world, 0, "z_only")
         assert "mean" not in text
         assert "std" not in text
         assert "|z|" in text
 
     def test_full_variant_has_four_numeric_columns(self, fixture_world):
-        layout, samples, stats = fixture_world
-        text = render_value_block(samples[0], stats, layout, "mean_std_value_z")
+        text = block(fixture_world, 0, "mean_std_value_z")
         table = parse_value_block(text)
         assert table.columns == ("value", "mean", "std", "|z|")
         data_rows = len(table.names)
         assert data_rows == 68
 
     def test_deterministic(self, fixture_world):
-        layout, samples, stats = fixture_world
-        a = render_value_block(samples[3], stats, layout, "mean_std_value")
-        b = render_value_block(samples[3], stats, layout, "mean_std_value")
+        a = block(fixture_world, 3, "mean_std_value")
+        b = block(fixture_world, 3, "mean_std_value")
         assert a == b
 
     def test_groups_cover_all_kinds(self, fixture_world):
-        layout, samples, stats = fixture_world
-        text = render_value_block(samples[0], stats, layout, "value")
+        text = block(fixture_world, 0, "value")
         for tag in ("[P]", "[Q]", "[Pf]", "[Qf]"):
             assert tag in text
 
     def test_column_nesting_across_variants(self, fixture_world):
-        layout, samples, stats = fixture_world
         tables = {
-            v: parse_value_block(render_value_block(samples[1], stats, layout, v))
+            v: parse_value_block(block(fixture_world, 1, v))
             for v in VARIANTS
         }
         c1 = tables["value"].columns
@@ -114,11 +119,11 @@ class TestValueBlock:
                 assert tables["mean_std_value"].cells[col] == tables["mean_std_value_z"].cells[col]
 
     def test_round_trip_values(self, fixture_world):
-        layout, samples, stats = fixture_world
-        text = render_value_block(samples[2], stats, layout, "mean_std_value_z")
+        ds = fixture_world
+        text = block(ds, 2, "mean_std_value_z")
         table = parse_value_block(text)
-        assert table.names == tuple(layout.names())
-        expected = [round(float(v), 4) for v in samples[2].features]
+        assert table.names == tuple(ds.layout.names())
+        expected = [round(float(v), 4) for v in ds.features[2]]
         assert list(table.cells["value"]) == pytest.approx(expected, abs=1e-9)
 
     def test_parse_rejects_garbage(self):
@@ -126,10 +131,10 @@ class TestValueBlock:
             parse_value_block("this is not\na table at all")
 
     def test_length_mismatch_rejected(self, fixture_world):
-        layout, samples, stats = fixture_world
-        short = compute_stats([Sample(0, np.zeros(3), NORMAL, (), (), 0)])
+        ds = fixture_world
+        short = compute_stats(np.zeros((1, 3)), [0])
         with pytest.raises(PromptError):
-            render_value_block(samples[0], short, layout, "value")
+            render_value_block(ds.features[0], short, ds.layout, "value")
 
 
 class TestPromptConfig:
@@ -155,47 +160,37 @@ class TestPromptConfig:
 class TestSelectExamples:
     def test_few_shot_one_of_each(self, dataset42):
         cfg = PromptConfig(paradigm=FEW_SHOT)
-        picked = select_examples(
-            dataset42.split_samples("train"), cfg, dataset42.stats
-        )
-        labels = [s.label for s in picked]
+        picked = select_examples(dataset42, cfg)
+        labels = labels_of(dataset42, picked)
         assert sorted(labels) == [ANOMALY, NORMAL]
 
     def test_icl_composition_and_determinism(self, dataset42):
         cfg = PromptConfig(paradigm=ICL, example_seed=11)
-        train = dataset42.split_samples("train")
-        a = select_examples(train, cfg, dataset42.stats)
-        b = select_examples(train, cfg, dataset42.stats)
-        assert [s.id for s in a] == [s.id for s in b]
-        labels = [s.label for s in a]
+        a = select_examples(dataset42, cfg)
+        b = select_examples(dataset42, cfg)
+        assert a == b
+        labels = labels_of(dataset42, a)
         assert labels.count(NORMAL) == 5
         assert labels.count(ANOMALY) == 5
 
     def test_icl_five_total(self, dataset42):
         cfg = PromptConfig(paradigm=ICL, k_examples=5, example_seed=11)
-        picked = select_examples(
-            dataset42.split_samples("train"), cfg, dataset42.stats
-        )
-        labels = [s.label for s in picked]
+        picked = select_examples(dataset42, cfg)
+        labels = labels_of(dataset42, picked)
         assert len(picked) == 5
         assert labels.count(NORMAL) == 2
         assert labels.count(ANOMALY) == 3
 
     def test_icl_spreads_anomaly_strengths(self, dataset42):
-        from gridsigma.scenario import zscores
-
         cfg = PromptConfig(paradigm=ICL, example_seed=3)
-        train = dataset42.split_samples("train")
-        picked = select_examples(train, cfg, dataset42.stats)
-        strengths = sorted(
-            float(np.max(np.abs(zscores(s.features, dataset42.stats))))
-            for s in picked
-            if s.label == ANOMALY
-        )
+        picked = select_examples(dataset42, cfg)
+
+        def strength(i):
+            return float(np.max(np.abs(zscores(dataset42.features[i], dataset42.stats))))
+
+        strengths = sorted(strength(i) for i in picked if dataset42.anomalous[i])
         anom_strengths = sorted(
-            float(np.max(np.abs(zscores(s.features, dataset42.stats))))
-            for s in train
-            if s.label == ANOMALY
+            strength(i) for i in dataset42.split_ids("train", ANOMALY).tolist()
         )
         quartiles = np.percentile(anom_strengths, [25, 50, 75])
         # at least one pick below the median and one above
@@ -203,39 +198,46 @@ class TestSelectExamples:
 
     def test_all_normal_split_errors(self, dataset42):
         cfg = PromptConfig(paradigm=ICL)
-        normals = [s for s in dataset42.split_samples("train") if s.label == NORMAL]
-        with pytest.raises(PromptError):
-            select_examples(normals, cfg, dataset42.stats)
+        normals = dataset42.split_ids("train", NORMAL)
+        ds = replace(dataset42, splits={**dataset42.splits, "train": normals})
+        with pytest.raises(PromptError, match="0 anomalous samples, need 5"):
+            select_examples(ds, cfg)
 
     def test_different_seeds_differ(self, dataset42):
-        train = dataset42.split_samples("train")
-        a = select_examples(
-            train, PromptConfig(paradigm=ICL, example_seed=1), dataset42.stats
-        )
-        b = select_examples(
-            train, PromptConfig(paradigm=ICL, example_seed=2), dataset42.stats
-        )
-        assert [s.id for s in a] != [s.id for s in b]
+        a = select_examples(dataset42, PromptConfig(paradigm=ICL, example_seed=1))
+        b = select_examples(dataset42, PromptConfig(paradigm=ICL, example_seed=2))
+        assert a != b
+
+    @pytest.mark.parametrize("paradigm, k, seed, ids", [
+        (FEW_SHOT, 2, 7, (411, 1166)),
+        (ICL, 10, 7, (225, 804, 409, 1500, 165, 1184, 514, 1388, 587, 1269)),
+        (ICL, 5, 7, (411, 1416, 165, 1487, 1265)),
+        (ICL, 10, 3, (710, 1261, 357, 1081, 192, 1277, 451, 1020, 8, 1300)),
+    ], ids=["few-shot-seed7", "icl10-seed7", "icl5-seed7", "icl10-seed3"])
+    def test_picks_pinned(self, dataset42, paradigm, k, seed, ids):
+        # The ids, in their interleaved order, that the selection made when
+        # it still ranked Sample objects one by one.
+        cfg = PromptConfig(paradigm=paradigm, k_examples=k, example_seed=seed)
+        picked = select_examples(dataset42, cfg)
+        assert picked == ids
+        assert all(type(i) is int for i in picked)
 
 
 class TestRenderPrompt:
     def test_zero_shot_has_no_example_section(self, fixture_world):
-        layout, samples, stats = fixture_world
         cfg = PromptConfig(paradigm=ZERO_SHOT, variant="z_only")
-        bundle = render_prompt(samples[0], stats, cfg, [], layout)
+        bundle = render_one(fixture_world, 0, cfg)
         assert "Example" not in bundle.text
 
     def test_few_shot_has_exactly_two_example_blocks(self, fixture_world):
-        layout, samples, stats = fixture_world
         cfg = PromptConfig(paradigm=FEW_SHOT, variant="z_only")
-        bundle = render_prompt(samples[0], stats, cfg, [samples[1], samples[2]], layout)
+        bundle = render_one(fixture_world, 0, cfg, (1, 2))
         assert bundle.text.count("Example ") == 2
         assert bundle.text.count("Label: ") >= 2
 
     def test_required_phrases_present(self, fixture_world):
-        layout, samples, stats = fixture_world
         cfg = PromptConfig(paradigm=ZERO_SHOT, variant="mean_std_value_z")
-        text = render_prompt(samples[0], stats, cfg, [], layout).text
+        text = render_one(fixture_world, 0, cfg).text
         assert "You are a power system analyst" in text
         assert "with 68 features per sample" in text
         assert "std := max(std, 1e-12)" in text
@@ -243,17 +245,15 @@ class TestRenderPrompt:
         assert "must be exactly two lines" in text
 
     def test_example_count_mismatch_rejected(self, fixture_world):
-        layout, samples, stats = fixture_world
         cfg = PromptConfig(paradigm=FEW_SHOT, variant="value")
         with pytest.raises(PromptError):
-            render_prompt(samples[0], stats, cfg, [samples[1]], layout)
+            render_one(fixture_world, 0, cfg, (1,))
 
     def test_rerender_reproduces_hash(self, fixture_world):
-        layout, samples, stats = fixture_world
         cfg = PromptConfig(paradigm=ICL, variant="z_only", k_examples=10)
-        examples = samples[:10]
-        a = render_prompt(samples[11], stats, cfg, examples, layout)
-        b = render_prompt(samples[11], stats, cfg, examples, layout)
+        examples = tuple(range(10))
+        a = render_one(fixture_world, 11, cfg, examples)
+        b = render_one(fixture_world, 11, cfg, examples)
         assert a.text == b.text
         assert a.content_hash == b.content_hash
         assert a.content_hash == hashlib.sha256(a.text.encode()).hexdigest()
@@ -264,10 +264,9 @@ class TestRenderPrompt:
         cfgs = [
             PromptConfig(paradigm=ZERO_SHOT, variant=v) for v in VARIANTS
         ]
-        test = dataset42.split_samples("test")
+        test = dataset42.split_ids("test")
         for cfg in cfgs:
-            for s in test:
-                b = render_prompt(s, dataset42.stats, cfg, [], dataset42.layout)
+            for b in render_prompts(dataset42, test, cfg):
                 if b.content_hash in seen:
                     assert seen[b.content_hash] == b.text
                 seen[b.content_hash] = b.text
@@ -279,69 +278,61 @@ class TestRenderPrompts:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_equals_one_prompt_at_a_time(self, dataset42, paradigm, variant):
         cfg = PromptConfig(paradigm=paradigm, variant=variant)
-        examples = select_examples(dataset42.split_samples("train"), cfg, dataset42.stats)
-        test = dataset42.split_samples("test")
-        batch = list(
-            render_prompts(test, dataset42.stats, cfg, examples, dataset42.layout)
-        )
-        assert batch == [
-            render_prompt(s, dataset42.stats, cfg, examples, dataset42.layout)
-            for s in test
-        ]
+        examples = select_examples(dataset42, cfg)
+        test = dataset42.split_ids("test")
+        batch = list(render_prompts(dataset42, test, cfg, examples))
+        assert batch == [render_one(dataset42, i, cfg, examples) for i in test]
         for bundle in batch:
             assert bundle.content_hash == hashlib.sha256(
                 bundle.text.encode("utf-8")
             ).hexdigest()
 
     def test_examples_rendered_once_per_call(self, fixture_world, monkeypatch):
-        layout, samples, stats = fixture_world
+        ds = fixture_world
         calls = []
         original = promptkit.render_value_block
 
-        def counting(sample, *args):
-            calls.append(sample.id)
-            return original(sample, *args)
+        def counting(values, *args):
+            calls.append(values)
+            return original(values, *args)
 
         monkeypatch.setattr(promptkit, "render_value_block", counting)
         cfg = PromptConfig(paradigm=ICL, variant="mean_std_value_z")
-        bundles = list(render_prompts(samples[10:], stats, cfg, samples[:10], layout))
+        bundles = list(render_prompts(ds, [10, 11], cfg, tuple(range(10))))
         assert len(bundles) == 2
-        assert calls == [s.id for s in samples]
+        assert np.array_equal(np.stack(calls), ds.features)
 
     def test_wrong_example_count_raises_at_the_call(self, fixture_world):
-        layout, samples, stats = fixture_world
         pulled = []
 
         def targets():
-            for s in samples:
-                pulled.append(s.id)
-                yield s
+            for i in range(12):
+                pulled.append(i)
+                yield i
 
         with pytest.raises(PromptError, match="expects 2 examples"):
-            render_prompts(targets(), stats, PromptConfig(paradigm=FEW_SHOT),
-                           samples[:1], layout)
+            render_prompts(fixture_world, targets(), PromptConfig(paradigm=FEW_SHOT),
+                           (0,))
         assert pulled == []
 
     def test_samples_pulled_one_per_prompt(self, fixture_world):
-        layout, samples, stats = fixture_world
         pulled = []
 
         def targets():
-            for s in samples:
-                pulled.append(s.id)
-                yield s
+            for i in range(12):
+                pulled.append(i)
+                yield i
 
-        bundles = render_prompts(targets(), stats, PromptConfig(), [], layout)
+        bundles = render_prompts(fixture_world, targets(), PromptConfig())
         assert pulled == []
-        assert next(bundles).sample_id == samples[0].id
-        assert pulled == [samples[0].id]
+        assert next(bundles) == render_one(fixture_world, 0, PromptConfig())
+        assert pulled == [0]
 
     def test_no_samples_no_prompts(self, fixture_world):
-        layout, samples, stats = fixture_world
         cfg = PromptConfig(paradigm=FEW_SHOT)
-        assert list(render_prompts([], stats, cfg, samples[:2], layout)) == []
+        assert list(render_prompts(fixture_world, [], cfg, (0, 1))) == []
         with pytest.raises(PromptError, match="expects 2 examples"):
-            render_prompts([], stats, cfg, samples[:1], layout)
+            render_prompts(fixture_world, [], cfg, (0,))
 
 
 class TestValueBlockFormatting:
@@ -350,12 +341,11 @@ class TestValueBlockFormatting:
     def test_matches_per_cell_formatting(self, dataset42, variant, decimals):
         # Wide values, signed zeros and a NaN exercise the column widths and
         # the "-0.0000" cells.
-        base = dataset42.by_id(1234).features.copy()
+        base = dataset42.features[1234].copy()
         base[[0, 20, 40, 60]] = [-0.0, -1e-9, 1.5e7, np.nan]
-        sample = Sample(id=0, features=base, label=NORMAL, injected=(),
-                        deltas=(), hour=0)
-        for s in (sample, *dataset42.split_samples("test")[:20]):
-            args = (s, dataset42.stats, dataset42.layout, variant, decimals)
+        test = dataset42.features[dataset42.split_ids("test")[:20]]
+        for values in (base, *test):
+            args = (values, dataset42.stats, dataset42.layout, variant, decimals)
             assert render_value_block(*args) == legacy_formats.render_value_block(*args)
 
 
@@ -363,22 +353,18 @@ class TestGoldenSnapshots:
     """Byte-frozen canonical renderings for every paradigm x variant."""
 
     def _bundles(self, fixture_world):
-        layout, samples, stats = fixture_world
-        target = samples[11]
+        ds = fixture_world
+        target = 11
         out = {}
         for variant in VARIANTS:
             zero = PromptConfig(paradigm=ZERO_SHOT, variant=variant)
-            out[f"zero_shot_{variant}"] = render_prompt(target, stats, zero, [], layout)
+            out[f"zero_shot_{variant}"] = render_one(ds, target, zero)
             few = PromptConfig(paradigm=FEW_SHOT, variant=variant)
-            out[f"few_shot_{variant}"] = render_prompt(
-                target, stats, few, [samples[0], samples[2]], layout
-            )
+            out[f"few_shot_{variant}"] = render_one(ds, target, few, (0, 2))
             icl = PromptConfig(paradigm=ICL, variant=variant)
-            out[f"icl_{variant}"] = render_prompt(
-                target, stats, icl, samples[:10], layout
-            )
+            out[f"icl_{variant}"] = render_one(ds, target, icl, tuple(range(10)))
         select = PromptConfig(paradigm=HYBRID_SELECT, variant="z_only", m_select=8)
-        out["hybrid_select_z_only"] = render_prompt(target, stats, select, [], layout)
+        out["hybrid_select_z_only"] = render_one(ds, target, select)
         return out
 
     def test_golden_snapshots(self, fixture_world, update_golden):

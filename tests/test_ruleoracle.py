@@ -87,9 +87,9 @@ class TestReferenceAgent:
     def stats(self, dataset42):
         return dataset42.stats
 
-    def _bundle(self, sample, stats, layout, variant):
+    def _bundle(self, ds, sample_id, variant):
         cfg = PromptConfig(paradigm="zero_shot", variant=variant)
-        return promptkit.render_prompt(sample, stats, cfg, [], layout)
+        return next(promptkit.render_prompts(ds, [sample_id], cfg))
 
     def test_variant4_matches_oracle_with_rationale(self, dataset42):
         anomalous = next(
@@ -97,7 +97,7 @@ class TestReferenceAgent:
             for s in dataset42.split_samples("test")
             if three_sigma_label(zscores(s.features, dataset42.stats)).label == ANOMALY
         )
-        bundle = self._bundle(anomalous, dataset42.stats, dataset42.layout, "z_only")
+        bundle = self._bundle(dataset42, anomalous.id, "z_only")
         verdict = ruleoracle.reference_agent(bundle)
         assert verdict.label == ANOMALY
         assert verdict.parse_mode == "strict"
@@ -108,9 +108,10 @@ class TestReferenceAgent:
     @pytest.mark.parametrize("variant", ["mean_std_value", "mean_std_value_z", "z_only"])
     def test_agreement_with_direct_rule_full_dataset(self, dataset42, variant):
         mismatches = 0
-        for s in dataset42.samples:
-            direct = three_sigma_label(zscores(s.features, dataset42.stats)).label
-            bundle = self._bundle(s, dataset42.stats, dataset42.layout, variant)
+        cfg = PromptConfig(paradigm="zero_shot", variant=variant)
+        ids = range(len(dataset42.features))
+        for i, bundle in zip(ids, promptkit.render_prompts(dataset42, ids, cfg)):
+            direct = three_sigma_label(zscores(dataset42.features[i], dataset42.stats)).label
             got = ruleoracle.reference_agent(bundle).label
             mismatches += got != direct
         assert mismatches == 0
@@ -119,7 +120,7 @@ class TestReferenceAgent:
         # Variant 1 carries no stats; the agent infers them across the block,
         # so its labels mirror the rule applied to within-sample z-scores.
         sample = dataset42.split_samples("test")[0]
-        bundle = self._bundle(sample, dataset42.stats, dataset42.layout, "value")
+        bundle = self._bundle(dataset42, sample.id, "value")
         verdict = ruleoracle.reference_agent(bundle)
         values = sample.features
         z = (values - values.mean()) / max(values.std(), 1e-12)
@@ -127,15 +128,9 @@ class TestReferenceAgent:
 
     def test_corrupted_table_yields_invalid(self, dataset42):
         sample = dataset42.split_samples("test")[0]
-        bundle = self._bundle(sample, dataset42.stats, dataset42.layout, "z_only")
+        bundle = self._bundle(dataset42, sample.id, "z_only")
         corrupted = bundle.text.replace("**Value Block**:\n", "**Value Block**:\n@@garbage row@@\n")
-        broken = PromptBundle(
-            text=corrupted,
-            sample_id=bundle.sample_id,
-            config=bundle.config,
-            example_ids=(),
-            content_hash="x",
-        )
+        broken = PromptBundle(text=corrupted, config=bundle.config, content_hash="x")
         verdict = ruleoracle.reference_agent(broken)
         assert verdict.label == promptkit.INVALID
         assert verdict.parse_mode == promptkit.FAILED
@@ -151,13 +146,13 @@ class TestReferenceAgent:
         ],
     )
     def test_nan_feature_yields_invalid(self, dataset42, paradigm, variant):
-        sample = dataset42.split_samples("test")[0]
-        features = sample.features.copy()
-        features[5] = np.nan
+        sample_id = dataset42.split_ids("test")[0]
+        features = dataset42.features.copy()
+        features[sample_id, 5] = np.nan
         cfg = PromptConfig(paradigm=paradigm, variant=variant)
-        bundle = promptkit.render_prompt(
-            replace(sample, features=features), dataset42.stats, cfg, [], dataset42.layout
-        )
+        bundle = next(promptkit.render_prompts(
+            replace(dataset42, features=features), [sample_id], cfg
+        ))
         verdict = ruleoracle.reference_agent(bundle)
         assert verdict.label == promptkit.INVALID
         assert verdict.parse_mode == promptkit.FAILED
@@ -168,7 +163,7 @@ class TestReferenceAgent:
 
     def test_raw_output_reparses_to_same_label(self, dataset42):
         for s in dataset42.split_samples("test")[:20]:
-            bundle = self._bundle(s, dataset42.stats, dataset42.layout, "z_only")
+            bundle = self._bundle(dataset42, s.id, "z_only")
             verdict = ruleoracle.reference_agent(bundle)
             reparsed = promptkit.parse_verdict(verdict.raw)
             assert reparsed.label == verdict.label

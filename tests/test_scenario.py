@@ -27,7 +27,6 @@ from gridsigma.grid import (
 from gridsigma.scenario import (
     ANOMALY,
     NORMAL,
-    Dataset,
     Sample,
     SplitSizes,
     build_dataset,
@@ -48,21 +47,17 @@ def with_samples(ds, samples, **changes):
     splits = {name: ids[ids < len(samples)] for name, ids in ds.splits.items()}
     fields = {"splits": splits, "layout": ds.layout, "stats": ds.stats,
               "master_seed": ds.master_seed, **changes}
-    return Dataset.from_samples(tuple(samples), **fields)
+    return legacy_formats.dataset_of(samples, **fields)
 
 
 from_texts, written = legacy_formats.from_texts, legacy_formats.written
+samples_of = legacy_formats.samples
 
 
-def make_sample(values, sample_id=0, label=NORMAL):
-    return Sample(
-        id=sample_id,
-        features=np.asarray(values, dtype=float),
-        label=label,
-        injected=(),
-        deltas=(),
-        hour=0,
-    )
+def stats_of(rows):
+    """compute_stats over every row of this (n, d) matrix."""
+    rows = np.asarray(rows, dtype=float)
+    return compute_stats(rows, range(len(rows)))
 
 
 class TestSynthProfile:
@@ -157,28 +152,27 @@ class TestInjectAnomaly:
 
 class TestStats:
     def test_single_sample_zero_std(self):
-        stats = compute_stats([make_sample([1.0, -2.0, 3.5])])
+        stats = stats_of([[1.0, -2.0, 3.5]])
         assert np.array_equal(stats.std, np.zeros(3))
 
     def test_two_samples_hand_computed(self):
-        stats = compute_stats([make_sample([0.0]), make_sample([2.0])])
+        stats = stats_of([[0.0], [2.0]])
         assert stats.mean[0] == 1.0
         assert stats.std[0] == 1.0  # population std
 
     def test_constant_feature(self):
-        samples = [make_sample([7.0, i]) for i in range(5)]
-        stats = compute_stats(samples)
+        stats = stats_of([[7.0, i] for i in range(5)])
         assert stats.std[0] == 0.0
 
     def test_empty_input(self):
         with pytest.raises(DatasetError):
-            compute_stats([])
+            compute_stats(np.empty((0, 3)), [])
 
     def test_recompute_bit_identical(self):
         rng = np.random.default_rng(1)
-        samples = [make_sample(rng.normal(size=68)) for _ in range(50)]
-        a = compute_stats(samples)
-        b = compute_stats(samples)
+        rows = rng.normal(size=(50, 68))
+        a = stats_of(rows)
+        b = stats_of(rows)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.std, b.std)
 
@@ -201,8 +195,7 @@ class TestStats:
             matrix[:, -1] = -0.0
         ids = np.sort(rng.choice(2 * rows, size=rows, replace=False))
         stacked = np.stack([matrix[i] for i in ids])
-        for stats in (compute_stats([make_sample(matrix[i]) for i in ids]),
-                      scenario._train_stats(matrix, ids)):
+        for stats in (stats_of(stacked), compute_stats(matrix, ids)):
             assert stats.mean.tobytes() == stacked.mean(axis=0).tobytes()
             assert stats.std.tobytes() == stacked.std(axis=0).tobytes()
             assert stats.n == rows
@@ -229,20 +222,20 @@ class TestStats:
 
 class TestZScores:
     def test_value_at_mean(self):
-        stats = compute_stats([make_sample([0.0]), make_sample([2.0])])
+        stats = stats_of([[0.0], [2.0]])
         assert zscores(np.array([1.0]), stats)[0] == 0.0
 
     def test_three_sigma_point(self):
-        stats = compute_stats([make_sample([0.0]), make_sample([2.0])])
+        stats = stats_of([[0.0], [2.0]])
         assert zscores(np.array([4.0]), stats)[0] == pytest.approx(3.0)
 
     def test_zero_std_floor(self):
-        stats = compute_stats([make_sample([5.0]), make_sample([5.0])])
+        stats = stats_of([[5.0], [5.0]])
         z = zscores(np.array([5.0 + 1e-6]), stats)
         assert z[0] == pytest.approx(1e6)
 
     def test_length_mismatch(self):
-        stats = compute_stats([make_sample([1.0, 2.0])])
+        stats = stats_of([[1.0, 2.0]])
         with pytest.raises(DatasetError):
             zscores(np.zeros(3), stats)
 
@@ -257,21 +250,19 @@ class TestZScores:
         b = a * b_over_a
         rng = np.random.default_rng(123)
         raw = rng.normal(size=(30, 4))
-        samples = [make_sample(row) for row in raw]
-        stats = compute_stats(samples)
-        z_before = np.stack([zscores(s.features, stats) for s in samples])
+        stats = stats_of(raw)
+        z_before = np.stack([zscores(row, stats) for row in raw])
 
         scaled = raw.copy()
         scaled[:, 2] = a * raw[:, 2] + b
-        samples2 = [make_sample(row) for row in scaled]
-        stats2 = compute_stats(samples2)
-        z_after = np.stack([zscores(s.features, stats2) for s in samples2])
+        stats2 = stats_of(scaled)
+        z_after = np.stack([zscores(row, stats2) for row in scaled])
         assert np.max(np.abs(z_after[:, 2] - z_before[:, 2])) <= 1e-12
 
 
 class TestBuildDataset:
     def test_default_shape_and_balance(self, dataset42):
-        assert len(dataset42.samples) == 1600
+        assert len(dataset42.features) == 1600
         assert len(dataset42.splits["train"]) == 1200
         assert len(dataset42.splits["validation"]) == 200
         assert len(dataset42.splits["test"]) == 200
@@ -284,7 +275,7 @@ class TestBuildDataset:
         for ids in dataset42.splits.values():
             assert not (all_ids & set(ids))
             all_ids |= set(ids)
-        assert all_ids == {s.id for s in dataset42.samples}
+        assert all_ids == {s.id for s in samples_of(dataset42)}
 
     def test_deterministic(self, ieee14, layout68, dataset42):
         profile = synth_load_profile(800, 14, seed=42)
@@ -294,7 +285,7 @@ class TestBuildDataset:
         assert np.array_equal(again.stats.std, dataset42.stats.std)
 
     def test_anomalous_have_three_injections(self, dataset42):
-        for s in dataset42.samples:
+        for s in samples_of(dataset42):
             if s.label == ANOMALY:
                 assert len(s.injected) == 3
             else:
@@ -302,10 +293,11 @@ class TestBuildDataset:
 
     def test_injection_audit_reconstructs_exactly(self, dataset42):
         """base + deltas reproduces features bitwise via the hour twin."""
+        samples = samples_of(dataset42)
         by_hour = {
-            s.hour: s for s in dataset42.samples if s.label == NORMAL
+            s.hour: s for s in samples if s.label == NORMAL
         }
-        for s in dataset42.samples:
+        for s in samples:
             if s.label != ANOMALY:
                 continue
             twin = by_hour[s.hour]
@@ -315,8 +307,8 @@ class TestBuildDataset:
             assert np.array_equal(s.features, expected)
 
     def test_stats_from_train_split_only(self, dataset42):
-        train = dataset42.split_samples("train")
-        recomputed = compute_stats(train)
+        train = np.stack([s.features for s in dataset42.split_samples("train")])
+        recomputed = stats_of(train)
         assert np.array_equal(recomputed.mean, dataset42.stats.mean)
         assert np.array_equal(recomputed.std, dataset42.stats.std)
         assert dataset42.stats.n == 1200
@@ -351,7 +343,7 @@ class TestBuildDataset:
             "hour 9 skipped: no convergence in 4 iterations (mismatch 1.703e-03)",
             "hour 11 skipped: non-finite mismatch at iteration 0",
         ]
-        normals = [s for s in ds.samples if s.label == NORMAL]
+        normals = [s for s in samples_of(ds) if s.label == NORMAL]
         assert [s.hour for s in normals] == [0, 1, 3, 4, 6, 7, 8, 10, 12, 13]
         for s in normals:
             sol = solve_newton(ieee14, profile.scale[s.hour], max_iter=4)
@@ -399,7 +391,7 @@ class TestChunkHours:
             assert np.array_equal(matrix, built[0][0])
             assert text == built[0][1]
         if failed:
-            hours = {s.hour for s in ds.samples}
+            hours = set(ds.hours.tolist())
             assert hours.isdisjoint(failed) and len(hours) == 200
 
 
@@ -409,13 +401,13 @@ class TestPersistence:
         stats_text = stats_to_json(dataset42.stats)
         meta = meta_to_json(dataset42)
         again = from_texts(jsonl, stats_text, meta)
-        assert len(again.samples) == len(dataset42.samples)
+        assert len(again.features) == len(dataset42.features)
         assert again.splits.keys() == dataset42.splits.keys()
         for name, ids in again.splits.items():
             assert np.array_equal(ids, dataset42.splits[name])
         assert again.layout == dataset42.layout
         assert again.master_seed == dataset42.master_seed
-        for a, b in zip(again.samples, dataset42.samples):
+        for a, b in zip(samples_of(again), samples_of(dataset42)):
             assert a.id == b.id and a.label == b.label and a.hour == b.hour
             assert a.injected == b.injected and a.deltas == b.deltas
             assert np.array_equal(a.features, b.features)
@@ -483,13 +475,11 @@ def small_datasets(draw):
         ))
     # The loader checks stats.json against the train split. One train sample
     # keeps its stats exact (mean = the sample, std = 0) for any finite floats.
-    return Dataset.from_samples(
-        tuple(samples),
+    return legacy_formats.dataset_of(
+        samples,
+        layout,
         splits={"train": (0,), "validation": tuple(range(1, len(samples))),
                 "test": ()},
-        layout=layout,
-        stats=compute_stats(samples[:1]),
-        master_seed=0,
     )
 
 
@@ -556,7 +546,7 @@ def repeated_hour_datasets(draw, full):
     random cells set to an edge float, negated (0.0 <-> -0.0) or moved one
     float toward zero (a repr of another length)."""
     n = len(full.layout)
-    samples = list(full.samples[: draw(st.sampled_from([0, _B - 1, _B]))])
+    samples = [full.by_id(i) for i in range(draw(st.sampled_from([0, _B - 1, _B])))]
     last = {}
     for _ in range(draw(st.integers(1, 12))):
         hour = draw(st.sampled_from(_HOURS))
@@ -589,7 +579,7 @@ class TestDatasetBlocks:
 
     def test_signed_zero_keeps_its_text(self, dataset42):
         # -0.0 == 0.0, so only a comparison of bits gives -0.0 its own text.
-        first = dataset42.samples[0]
+        first = dataset42.by_id(0)
         base, later = first.features.copy(), first.features.copy()
         base[:2] = 0.0, 5e-324
         later[:2] = -0.0, 5e-324
@@ -619,7 +609,7 @@ class TestDatasetBlocks:
     def test_blocks_equal_legacy_writers(self, dataset42, dataset82, layout, rows):
         full = {"68": dataset42, "82": dataset82}[layout]
         assert len(full.layout) == int(layout)
-        ds = with_samples(full, full.samples[:rows])
+        ds = with_samples(full, [full.by_id(i) for i in range(rows)])
         jsonl, csv_file = Writes(), Writes()
         scenario.write_dataset(ds, jsonl, csv_file)
         assert len(jsonl.writes) == -(-rows // _B)
@@ -632,55 +622,25 @@ class TestDatasetBlocks:
 
     def test_zero_feature_rows_end_at_the_label(self, dataset42):
         # Two samples at one hour, so the second reuses the first's text.
-        first = replace(dataset42.samples[0], features=np.zeros(0))
+        first = replace(dataset42.by_id(0), features=np.zeros(0))
         ds = with_samples(dataset42, [first, replace(first, id=1)],
                           layout=FeatureLayout(()))
         csv_text = written(ds)[1]
         assert csv_text == legacy_formats.features_to_csv(ds)
         assert csv_text.splitlines()[1:] == ["0,0,normal", "1,0,normal"]
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda s: replace(s, id=1), "sample 1 at position 0: ids are positions"),
-        (lambda s: replace(s, features=s.features[:-1]),
-         r"sample 0: features of shape \(67,\), layout has 68"),
-        (lambda s: replace(s, deltas=s.deltas[:-1]),
-         "sample 0: deltas and injected lengths differ"),
-    ], ids=["id-not-position", "short-features", "short-deltas"])
-    def test_from_samples_refuses_what_the_columns_cannot_hold(self, dataset42,
-                                                               edit, message):
-        anomaly = replace(dataset42.by_id(1500), id=0)
-        with pytest.raises(DatasetError, match=message):
-            with_samples(dataset42, [edit(anomaly)])
-
-    @pytest.mark.parametrize("splits, message", [
-        ({"train": [0, 99]}, "train split id 99 names no sample"),
-        ({"train": [0, 1], "test": [1]}, "id 1 is listed more than once"),
-        ({"train": [0, 1.0]}, "train split id 1.0 names no sample"),
-        ({"train": [0, -1]}, "train split id -1 names no sample"),
-        ({"train": [True]}, "train split id True names no sample"),
-    ], ids=["id-99-of-16", "id-in-two-splits", "float-id", "negative-id", "bool-id"])
-    def test_from_samples_checks_splits_as_the_loader(self, dataset42, splits,
-                                                      message):
-        with pytest.raises(DatasetError, match=f"^{message}$"):
-            with_samples(dataset42, dataset42.samples[:16], splits=splits)
-
     def test_empty_dataset_is_the_csv_header(self, dataset42):
         ds = with_samples(dataset42, [])
         assert written(ds) == ("", legacy_formats.features_to_csv(ds))
 
-    @pytest.mark.parametrize("edit, by_writers", [
-        (lambda s: replace(s, features=np.where(np.arange(len(s.features)) == 9,
-                                                np.nan, s.features)), True),
-        (lambda s: replace(s, label="Anomaly"), False),
-    ], ids=["nan-feature", "unknown-label"])
-    def test_last_sample_refused_before_any_block(self, dataset42, edit, by_writers):
-        samples = dataset42.samples[:-1] + (edit(dataset42.samples[-1]),)
-        if not by_writers:
-            # The label column holds only normal and anomaly.
-            with pytest.raises(DatasetError, match="sample 1599: label 'Anomaly'"):
-                with_samples(dataset42, samples)
-            return
-        ds = with_samples(dataset42, samples)
+    @pytest.mark.parametrize("edit", [
+        lambda s: replace(s, features=np.where(np.arange(len(s.features)) == 9,
+                                               np.nan, s.features)),
+        lambda s: replace(s, deltas=(np.inf,) + s.deltas[1:]),
+    ], ids=["nan-feature", "inf-delta"])
+    def test_last_sample_refused_before_any_block(self, dataset42, edit):
+        samples = samples_of(dataset42)
+        ds = with_samples(dataset42, samples[:-1] + (edit(samples[-1]),))
         jsonl, csv_file = Writes(), Writes()
         with pytest.raises(DatasetError, match="sample 1599"):
             scenario.write_dataset(ds, jsonl, csv_file)
@@ -715,7 +675,7 @@ class TestWriteDatasetFiles:
 
     def test_refused_dataset_creates_neither_file(self, dataset42, tmp_path):
         last = dataset42.by_id(1599)
-        ds = with_samples(dataset42, dataset42.samples[:-1] + (
+        ds = with_samples(dataset42, samples_of(dataset42)[:-1] + (
             replace(last, deltas=(np.inf,) + last.deltas[1:]),))
         out = tmp_path / "d"
         with pytest.raises(DatasetError, match="sample 1599: non-finite"):
@@ -737,7 +697,7 @@ class TestLoaderChecks:
     def test_by_id_is_positional(self, files42):
         ds = from_texts(*files42)
         assert ds.by_id(1000).id == 1000
-        for bad in (-1, len(ds.samples)):
+        for bad in (-1, len(ds.features)):
             with pytest.raises(DatasetError, match=f"no sample with id {bad}"):
                 ds.by_id(bad)
 
@@ -767,13 +727,13 @@ class TestLoaderChecks:
     def test_samples_outside_the_splits_load(self, files42, dataset42):
         # The matrix is allocated for the 1400 split ids and grows to 1600 rows.
         ds = self._with_meta(files42, lambda meta: meta["splits"].update(test=[]))
-        assert len(ds.samples) == 1600
-        assert ds.samples[0].features.base.shape == (1600, 68)
-        for a, b in zip(ds.samples, dataset42.samples):
+        assert len(ds.features) == 1600
+        assert ds.by_id(0).features.base.shape == (1600, 68)
+        for a, b in zip(samples_of(ds), samples_of(dataset42)):
             assert a.features.tobytes() == b.features.tobytes()
         assert written(ds)[0] == files42[0]
 
-    @pytest.mark.parametrize("bad_id", [99999, -1, 1600, 2.0, "3"])
+    @pytest.mark.parametrize("bad_id", [99999, -1, 1600, 2.0, "3", True])
     def test_split_id_out_of_range_rejected(self, files42, bad_id):
         def edit(meta):
             meta["splits"]["test"][0] = bad_id
@@ -796,8 +756,9 @@ class TestLoaderChecks:
         lambda rec: rec.update(features=rec["features"][:-1]),
         lambda rec: rec.update(features=[rec["features"]]),
         lambda rec: rec.pop("hour"),
+        lambda rec: rec["deltas"].append(0.5),
     ], ids=["label-case", "label-null", "feature-nan", "feature-inf",
-            "feature-short", "feature-nested", "missing-key"])
+            "feature-short", "feature-nested", "missing-key", "deltas-long"])
     def test_bad_record_rejected(self, files42, edit):
         jsonl, stats_text, meta_text = files42
         lines = jsonl.splitlines()
