@@ -71,7 +71,7 @@ class EndpointConfig:
             raise AgentError("max_in_flight must be >= 1")
 
     @classmethod
-    def from_env(cls, **overrides) -> "EndpointConfig":
+    def from_env(cls) -> "EndpointConfig":
         base_url = os.environ.get(ENV_BASE_URL)
         model = os.environ.get(ENV_MODEL)
         if not base_url or not model:
@@ -82,7 +82,6 @@ class EndpointConfig:
             base_url=base_url,
             model_name=model,
             api_key=os.environ.get(ENV_API_KEY, ""),
-            **overrides,
         )
 
 
@@ -107,21 +106,16 @@ class ResponseCache:
     """Content-addressed completion store: <dir>/<first-2-hex>/<digest>.txt.
 
     Concurrent readers are lock-free; writes are serialized and atomic.
-    With no directory the cache lives in memory for the process lifetime.
     """
 
-    def __init__(self, directory: "str | Path | None" = None):
-        self.directory = Path(directory) if directory is not None else None
-        self._memory: dict[str, str] = {}
+    def __init__(self, directory: "str | Path"):
+        self.directory = Path(directory)
         self._write_lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
-        assert self.directory is not None
         return self.directory / key[:2] / f"{key}.txt"
 
     def get(self, key: str) -> str | None:
-        if self.directory is None:
-            return self._memory.get(key)
         path = self._path(key)
         if not path.exists():
             return None
@@ -136,9 +130,6 @@ class ResponseCache:
 
     def put(self, key: str, text: str) -> None:
         with self._write_lock:
-            if self.directory is None:
-                self._memory[key] = text
-                return
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             # Per process and thread, so writers that share the directory
@@ -198,12 +189,12 @@ def _mock_complete(prompt: PromptBundle, agent: AgentKind) -> str:
     if agent.kind == REFERENCE_RULE:
         return ruleoracle.reference_agent(prompt).raw
     if agent.kind == ALWAYS_NORMAL:
-        return "normal\nNo measurement exceeds the rule."
+        return f"{NORMAL}\nNo measurement exceeds the rule."
     if agent.kind == COIN_FLIP:
         digest = hashlib.sha256(
             f"{agent.seed}\x00".encode("utf-8") + prompt.text.encode("utf-8")
         ).digest()
-        label = ANOMALY if digest[0] % 2 else "normal"
+        label = ANOMALY if digest[0] % 2 else NORMAL
         return f"{label}\nCoin-flip verdict."
     raise AgentError(f"not a mock agent: {agent.kind}")
 
@@ -261,8 +252,6 @@ def complete_batch(
     else:
         if endpoint is None:
             raise AgentError("http_endpoint agent requires an endpoint config")
-        if cache is None:
-            cache = ResponseCache()
         replies = []
         window: deque[Future] = deque()
         with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:

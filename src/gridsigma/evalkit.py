@@ -33,8 +33,6 @@ AS_WRONG = "as_wrong"
 EXCLUDED = "excluded"
 INVALID_POLICIES = (AS_WRONG, EXCLUDED)
 
-SELECTION_DECIMALS = 6  # so table rounding cannot reorder the |z| ranking
-
 # Where a hybrid sample's selection came from, as its manifest record says.
 SOURCE_LLM = "llm"
 SOURCE_REFERENCE = "reference_topz"
@@ -377,8 +375,7 @@ def run_hybrid_experiment(
     renders the prompts and is the one the manifest records.
     """
     run = replace(run, prompt=replace(
-        run.prompt, paradigm=promptkit.HYBRID_SELECT,
-        variant=promptkit.VARIANT_Z_ONLY, decimals=SELECTION_DECIMALS,
+        run.prompt, paradigm=promptkit.HYBRID_SELECT, variant=promptkit.VARIANT_Z_ONLY,
     ))
     m = run.prompt.m_select
     if model.threshold is None:

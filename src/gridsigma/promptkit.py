@@ -60,6 +60,9 @@ _GROUP_TITLES = {
 
 _DEFAULT_K = {ZERO_SHOT: 0, FEW_SHOT: 2, ICL: 10, HYBRID_SELECT: 0}
 
+THRESHOLD = 3.0  # the 3-sigma rule: anomaly iff some |z| >= THRESHOLD
+SELECTION_DECIMALS = 6  # so table rounding cannot reorder the |z| ranking
+
 
 @dataclass(frozen=True)
 class PromptConfig:
@@ -67,15 +70,17 @@ class PromptConfig:
     variant: str = VARIANT_Z_ONLY
     k_examples: int = -1  # -1 resolves to the paradigm default
     example_seed: int = 7
-    decimals: int = 4
     m_select: int = 8  # sensors requested by hybrid selection prompts
-    threshold: float = 3.0
 
     def __post_init__(self):
         if self.paradigm not in PARADIGMS:
             raise PromptError(f"unknown paradigm {self.paradigm!r}")
         if self.variant not in VARIANTS:
             raise PromptError(f"unknown variant {self.variant!r}")
+        if self.paradigm == HYBRID_SELECT and self.variant != VARIANT_Z_ONLY:
+            raise PromptError(
+                f"hybrid_select requires variant z_only, got {self.variant!r}"
+            )
         if self.k_examples == -1:
             object.__setattr__(self, "k_examples", _DEFAULT_K[self.paradigm])
         k = self.k_examples
@@ -87,6 +92,12 @@ class PromptConfig:
             raise PromptError(f"icl requires k_examples in (10, 5), got {k}")
         if self.m_select < 1:
             raise PromptError(f"m_select must be >= 1, got {self.m_select}")
+
+    @property
+    def decimals(self) -> int:
+        """Value-block decimals: SELECTION_DECIMALS for hybrid selection
+        prompts, 4 for every other paradigm."""
+        return SELECTION_DECIMALS if self.paradigm == HYBRID_SELECT else 4
 
 
 @dataclass(frozen=True)
@@ -234,13 +245,7 @@ def _system_context(n_features: int) -> str:
     )
 
 
-def format_threshold(threshold: float) -> str:
-    s = f"{threshold:g}"
-    return s if ("." in s or "e" in s) else s + ".0"
-
-
-def _anomaly_rule(n_features: int, variant: str, threshold: float) -> str:
-    thr = format_threshold(threshold)
+def _anomaly_rule(n_features: int, variant: str) -> str:
     return "\n".join(
         [
             "**Anomaly Rule**: 3-sigma",
@@ -249,9 +254,9 @@ def _anomaly_rule(n_features: int, variant: str, threshold: float) -> str:
             "them from the available values before making a decision.",
             "- Decision procedure:",
             "  - For each measurement i, compute z-score = (value - mean) / "
-            "std, where std := max(std, 1e-12).",
+            f"std, where std := max(std, {STD_FLOOR:g}).",
             f'  - Label as "anomaly" if at least one measurement satisfies '
-            f'|z| >= {thr}; otherwise, label as "normal".',
+            f'|z| >= {THRESHOLD}; otherwise, label as "normal".',
             f"  - The Value Block below lists {_VARIANT_DESCRIPTION[variant]} "
             "for each measurement, grouped by sensor category.",
         ]
@@ -304,7 +309,7 @@ def render_prompts(
     parts = [
         _ROLE_SELECT if config.paradigm == HYBRID_SELECT else _ROLE_CLASSIFY,
         _system_context(n),
-        _anomaly_rule(n, config.variant, config.threshold),
+        _anomaly_rule(n, config.variant),
     ]
     if examples:
         shown = ["**Examples**:"]

@@ -18,12 +18,11 @@ from .promptkit import (
     HYBRID_SELECT,
     INVALID,
     STRICT,
+    THRESHOLD,
     AgentVerdict,
     PromptBundle,
 )
 from .scenario import ANOMALY, NORMAL, STD_FLOOR
-
-DEFAULT_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,11 @@ class RuleVerdict:
     max_abs_z: float
 
 
-def three_sigma_label(z, threshold: float = DEFAULT_THRESHOLD) -> RuleVerdict:
-    """Anomaly iff any |z[i]| >= threshold (inclusive); lists all violators.
+def three_sigma_label(z) -> RuleVerdict:
+    """Anomaly iff any |z[i]| >= THRESHOLD (inclusive); lists all violators.
 
     A NaN z has no verdict: it raises ValueError, as an empty vector does.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("empty z vector")
@@ -47,7 +44,7 @@ def three_sigma_label(z, threshold: float = DEFAULT_THRESHOLD) -> RuleVerdict:
     if nan_at.size:
         raise ValueError(f"NaN z at index {nan_at[0]}")
     abs_z = np.abs(z)
-    violating = frozenset(int(i) for i in np.nonzero(abs_z >= threshold)[0])
+    violating = frozenset(int(i) for i in np.nonzero(abs_z >= THRESHOLD)[0])
     return RuleVerdict(
         label=ANOMALY if violating else NORMAL,
         violating=violating,
@@ -84,18 +81,12 @@ def _abs_z_from_table(table: promptkit.ValueBlockTable) -> np.ndarray:
     return np.abs((values - mean) / np.maximum(std, STD_FLOOR))
 
 
-def rationale_for(
-    verdict: RuleVerdict,
-    names: list[str],
-    abs_z,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> str:
+def rationale_for(verdict: RuleVerdict, names: list[str], abs_z) -> str:
     """One-line explanation naming the first violating sensor (or none)."""
-    thr = promptkit.format_threshold(threshold)
     if verdict.label == ANOMALY:
         first = min(verdict.violating)
-        return f"sensor {names[first]} |z|={abs_z[first]:.4f} exceeds {thr}"
-    return f"all measurements lie within {thr} standard deviations"
+        return f"sensor {names[first]} |z|={abs_z[first]:.4f} exceeds {THRESHOLD}"
+    return f"all measurements lie within {THRESHOLD} standard deviations"
 
 
 def missed_rationale(prompt: PromptBundle, injected) -> str:
@@ -109,8 +100,8 @@ def missed_rationale(prompt: PromptBundle, injected) -> str:
     """
     table, abs_z = _read_abs_z(prompt)
     strongest = min(injected, key=lambda i: (-abs_z[i], i))
-    thr = promptkit.format_threshold(prompt.config.threshold)
-    return f"sensor {table.names[strongest]} |z|={abs_z[strongest]:.4f} is below {thr}"
+    return (f"sensor {table.names[strongest]} |z|={abs_z[strongest]:.4f} "
+            f"is below {THRESHOLD}")
 
 
 def _invalid(problem: str, detail: str) -> AgentVerdict:
@@ -143,8 +134,8 @@ def reference_agent(prompt: PromptBundle) -> AgentVerdict:
         return AgentVerdict(
             label=NORMAL, rationale="selection reply", raw=raw, parse_mode=STRICT
         )
-    verdict = three_sigma_label(abs_z, prompt.config.threshold)
-    rationale = rationale_for(verdict, list(table.names), abs_z, prompt.config.threshold)
+    verdict = three_sigma_label(abs_z)
+    rationale = rationale_for(verdict, list(table.names), abs_z)
     return AgentVerdict(
         label=verdict.label,
         rationale=rationale,

@@ -299,7 +299,6 @@ def build_dataset(
     seed: int = 42,
     k_inject: int = 3,
     magnitude: float = 0.15,
-    tol: float = 1e-8,
     max_iter: int = 20,
 ) -> Dataset:
     """Run the measurement pipeline over the profile's hours and assemble a
@@ -340,9 +339,7 @@ def build_dataset(
     while len(hours_used) < n_normal and hour < profile.hours:
         stop = min(hour + n_normal - len(hours_used), hour + _CHUNK_HOURS,
                    profile.hours)
-        sol, errors = solve_hours(
-            case, profile.scale[hour:stop], tol=tol, max_iter=max_iter
-        )
+        sol, errors = solve_hours(case, profile.scale[hour:stop], max_iter=max_iter)
         for h, features, error in zip(
             range(hour, stop), extract_features(sol, layout), errors
         ):

@@ -112,12 +112,6 @@ class TestCache:
         with pytest.raises(GridSigmaError, match=f"^cannot read {re.escape(str(entry))}: "):
             cache.get(key)
 
-    def test_memory_cache(self):
-        cache = ResponseCache()
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        assert cache.get("missing") is None
-
     def test_key_depends_on_model_and_temperature(self):
         base = cache_key("p", "m", 0.0)
         assert cache_key("p", "m2", 0.0) != base

@@ -13,7 +13,7 @@ import pytest
 
 import gridsigma
 import legacy_formats
-from gridsigma import agents, cli, evalkit, promptkit, ruleoracle, scenario
+from gridsigma import agents, cli, detectors, evalkit, promptkit, ruleoracle, scenario
 from gridsigma.cli import main
 
 
@@ -481,6 +481,33 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "You are a power system analyst" in out
         assert out.count("Example ") == 10
+
+    def test_render_hybrid_prints_the_prompt_hybrid_sends(self, pipeline_dir, capsys,
+                                                          monkeypatch):
+        ds = evalkit.load_dataset_dir(pipeline_dir)
+        model = detectors.model_from_json((pipeline_dir / "model.json").read_text())
+        sent = []
+        complete = agents.complete
+
+        def recording(prompt, *args, **kwargs):
+            sent.append(prompt.text)
+            return complete(prompt, *args, **kwargs)
+
+        monkeypatch.setattr(agents, "complete", recording)
+        run = evalkit.RunConfig(prompt=promptkit.PromptConfig(
+            paradigm=promptkit.HYBRID_SELECT, m_select=4))
+        evalkit.run_hybrid_experiment(run, model, ds)
+        test = ds.split_ids("test").tolist()
+        assert len(sent) == len(test)
+        assert main(["render", "--data", str(pipeline_dir), "--sample", str(test[3]),
+                     "--paradigm", "hybrid", "--m", "4"]) == 0
+        assert capsys.readouterr().out == sent[3]
+
+    def test_render_hybrid_refuses_other_variants(self, pipeline_dir, capsys):
+        assert main(["render", "--data", str(pipeline_dir), "--sample", "1",
+                     "--paradigm", "hybrid", "--variant", "value"]) == 1
+        assert ("hybrid_select requires variant z_only, got 'value'"
+                in capsys.readouterr().err)
 
     def test_export_finetune(self, pipeline_dir, tmp_path, capsys):
         out_file = tmp_path / "ft.jsonl"

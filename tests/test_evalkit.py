@@ -240,7 +240,7 @@ class TestRunIdentity:
         _, manifest = run_hybrid_experiment(
             run, model42, head, use_reference_selector=use_reference_selector)
         config = manifest["config"]
-        assert config["decimals"] == evalkit.SELECTION_DECIMALS == 6
+        assert config["decimals"] == promptkit.SELECTION_DECIMALS == 6
         assert (config["paradigm"], config["variant"]) == ("hybrid_select", "z_only")
         assert (config["k_examples"], config["m_select"]) == (0, 5)
 
@@ -331,8 +331,7 @@ class TestHybridSelection:
         self, dataset42, model42, stub_server
     ):
         config = promptkit.PromptConfig(
-            paradigm=promptkit.HYBRID_SELECT, variant=promptkit.VARIANT_Z_ONLY,
-            m_select=8, decimals=evalkit.SELECTION_DECIMALS,
+            paradigm=promptkit.HYBRID_SELECT, variant=promptkit.VARIANT_Z_ONLY, m_select=8,
         )
         slow = dataset42.split_ids("test")[1]
         slow_text = next(promptkit.render_prompts(dataset42, [slow], config)).text

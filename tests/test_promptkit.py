@@ -156,6 +156,11 @@ class TestPromptConfig:
         with pytest.raises(PromptError):
             PromptConfig(paradigm="chain_of_thought")
 
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "z_only"])
+    def test_hybrid_select_requires_z_only(self, variant):
+        with pytest.raises(PromptError, match="hybrid_select requires variant z_only"):
+            PromptConfig(paradigm=HYBRID_SELECT, variant=variant)
+
 
 class TestSelectExamples:
     def test_few_shot_one_of_each(self, dataset42):
@@ -274,8 +279,10 @@ class TestRenderPrompt:
 
 
 class TestRenderPrompts:
-    @pytest.mark.parametrize("paradigm", promptkit.PARADIGMS)
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant, paradigm", [
+        (variant, paradigm) for variant in VARIANTS for paradigm in promptkit.PARADIGMS
+        if paradigm != HYBRID_SELECT or variant == "z_only"
+    ])
     def test_equals_one_prompt_at_a_time(self, dataset42, paradigm, variant):
         cfg = PromptConfig(paradigm=paradigm, variant=variant)
         examples = select_examples(dataset42, cfg)

@@ -55,10 +55,6 @@ class TestThreeSigma:
         with pytest.raises(ValueError, match="NaN z at index"):
             three_sigma_label(np.array(z))
 
-    def test_custom_threshold(self):
-        verdict = three_sigma_label(np.array([1.5]), threshold=1.5)
-        assert verdict.label == ANOMALY
-
     def test_brute_force_equivalence_1000(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
