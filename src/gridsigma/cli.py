@@ -153,11 +153,16 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     jsonl_path, csv_path = out / "dataset.jsonl", out / "features.csv"
     with writing(out):
-        scenario.write_dataset_files(ds, jsonl_path, csv_path)
+        jsonl_digest = scenario.write_dataset_files(ds, jsonl_path, csv_path)
     print(f"wrote {jsonl_path}")
     _write(out / "stats.json", scenario.stats_to_json(ds.stats))
     _write(out / "meta.json", scenario.meta_to_json(ds))
     print(f"wrote {csv_path}")
+    # The loader's columns, cached (see scenario.read_columns).
+    columns_path = out / scenario.COLUMNS_FILE
+    with writing(columns_path):
+        scenario.write_columns(ds, columns_path, jsonl_digest)
+    print(f"wrote {columns_path}")
     return 0
 
 

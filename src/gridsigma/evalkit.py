@@ -147,26 +147,63 @@ def agent_label(agent: agents.AgentKind) -> str:
 def load_dataset_dir(data_dir: "str | Path") -> Dataset:
     """Load and check a dataset directory (see ``dataset_from_files``).
 
+    The columns come from dataset.columns, the cache ``generate`` writes
+    beside dataset.jsonl, when its header holds the sha256 of dataset.jsonl,
+    which is then only hashed, in 1 MiB chunks, and the cache passes
+    ``scenario.read_columns``'s checks. A cache that is there but cannot be
+    used logs one warning naming it and why. Without a usable cache,
     dataset.jsonl is streamed: read line by line, each line updating its
     sha256 and parsed as it arrives.
     """
-    from .scenario import dataset_from_files
+    from .scenario import COLUMNS_FILE, dataset_from_files
 
     root = Path(data_dir)
     path = root / "dataset.jsonl"
     digest = hashlib.sha256()
     try:
         with path.open("rb") as fh:
+            columns, cached_digest = _cached_columns(root / COLUMNS_FILE, fh)
             dataset = dataset_from_files(
                 _decoded(fh, path, digest),
                 read_text(root / "stats.json"),
                 read_text(root / "meta.json"),
+                columns=columns,
             )
     except FileNotFoundError as exc:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
     except OSError as exc:
         raise unreadable(path, exc, DatasetError) from None
-    return replace(dataset, jsonl_digest=digest.hexdigest())
+    # Both hash the whole file; the lines are hashed only if they were parsed.
+    return replace(dataset, jsonl_digest=cached_digest or digest.hexdigest())
+
+
+_DIGEST_CHUNK = 1 << 20
+
+
+def _cached_columns(path: Path, jsonl) -> "tuple[dict | None, str | None]":
+    """The columns in the dataset.columns file at path, and the sha256 hex
+    of the open binary dataset.jsonl file, when the one is the other's
+    cache; (None, None) when there is no file at path, or, after a warning
+    naming it and why, when it cannot be used. jsonl is left at its start."""
+    from .scenario import read_columns
+
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None, None
+    except OSError as exc:
+        logger.warning("%s not used: cannot read it: %s", path, exc.strerror or exc)
+        return None, None
+    with fh:
+        digest = hashlib.sha256()
+        while chunk := jsonl.read(_DIGEST_CHUNK):
+            digest.update(chunk)
+        jsonl.seek(0)
+        try:
+            return read_columns(fh, digest.hexdigest()), digest.hexdigest()
+        except (OSError, ValueError) as exc:
+            logger.warning("%s not used: %s", path, exc)
+            return None, None
 
 
 def _decoded(fh, path: Path, digest) -> Iterator[str]:
@@ -371,11 +408,13 @@ def run_hybrid_experiment(
     agent reply that failed or names no known sensor scores all sensors
     (source 'full'), with a warning in the run log. A model whose input
     stats are not exactly the dataset's raises DatasetError naming what
-    differs (see ``_stats_difference``). The selection prompt config
-    renders the prompts and is the one the manifest records.
+    differs (see ``_stats_difference``). The selection prompt config, the
+    run's prompt as a z_only hybrid_select prompt with no examples, renders
+    the prompts and is the one the manifest records.
     """
     run = replace(run, prompt=replace(
         run.prompt, paradigm=promptkit.HYBRID_SELECT, variant=promptkit.VARIANT_Z_ONLY,
+        k_examples=0,
     ))
     m = run.prompt.m_select
     if model.threshold is None:

@@ -8,10 +8,12 @@ across runs regardless of evaluation order.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
 import math
+import os
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -429,20 +431,23 @@ def _check_rows(ds: Dataset) -> None:
         raise DatasetError(f"sample {int(np.argmax(bad))}: non-finite feature or delta")
 
 
-def write_dataset_files(ds: Dataset, jsonl_path: Path, csv_path: Path) -> None:
-    """Write dataset.jsonl and features.csv (see write_dataset). Every sample
-    is checked before either file, or its directory, is made."""
+def write_dataset_files(ds: Dataset, jsonl_path: Path, csv_path: Path) -> str:
+    """Write dataset.jsonl and features.csv (see write_dataset) and return
+    the sha256 hex of the dataset.jsonl bytes. Every sample is checked
+    before either file, or its directory, is made."""
     _check_rows(ds)
     jsonl_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with jsonl_path.open("w+b") as jsonl_file, csv_path.open("wb") as csv_file:
-        write_dataset(ds, jsonl_file, csv_file)
+        return write_dataset(ds, jsonl_file, csv_file)
 
 
-def write_dataset(ds: Dataset, jsonl_file, csv_file) -> None:
+def write_dataset(ds: Dataset, jsonl_file, csv_file) -> str:
     """Write the dataset.jsonl and features.csv bytes into two open binary
-    files, _BLOCK_ROWS samples at a time, once every sample is checked.
-    jsonl_file must start empty and be readable and seekable too.
+    files, _BLOCK_ROWS samples at a time, once every sample is checked, and
+    return the sha256 hex of the dataset.jsonl bytes, each block hashed as
+    it is written. jsonl_file must start empty and be readable and seekable
+    too.
 
     Each sample's features are formatted once, and that text goes into both
     its JSONL line and its CSV row. A sample at an hour seen before formats
@@ -466,6 +471,7 @@ def write_dataset(ds: Dataset, jsonl_file, csv_file) -> None:
     text_at = np.empty(n, dtype=np.int64)  # a base's features text in the JSONL
     text_len = np.empty(n, dtype=np.int64)
     bits = ds.features.view(np.uint64)
+    digest = hashlib.sha256()
     line_at = 0  # where the next line starts in the JSONL
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
@@ -502,8 +508,11 @@ def write_dataset(ds: Dataset, jsonl_file, csv_file) -> None:
             line_at += len(line)
             lines.append(line)
             rows.append(_CSV_ROW % (i, hour, label, "," if features else "", features))
-        jsonl_file.write("".join(lines).encode("utf-8"))
+        block = "".join(lines).encode("utf-8")
+        digest.update(block)
+        jsonl_file.write(block)
         csv_file.write("".join(rows).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def stats_to_dict(stats: FeatureStats) -> dict:
@@ -545,7 +554,8 @@ def meta_to_json(ds: Dataset) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str) -> Dataset:
+def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str,
+                       columns: "dict | None" = None) -> Dataset:
     """Parse and check a dataset's three files; dataset.jsonl comes as its
     lines, with or without their newlines, one at a time (a text file or
     io.StringIO yields them so).
@@ -556,7 +566,10 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str) ->
     equal, exactly, compute_stats over the train split.
 
     The features go into one read-only (n, d) matrix, and the other fields
-    into the Dataset's flat columns.
+    into the Dataset's flat columns. columns, when given, are those columns
+    as read_columns read them from dataset.jsonl's cache: they stand in for
+    parsing jsonl, which is then never read, unless their width is not the
+    layout's or an injected index lies outside it (a warning says which).
     """
     try:
         meta = json.loads(meta_text)
@@ -584,11 +597,21 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str) ->
                 f"stats.json: {name} must hold {len(layout)} finite values"
             )
 
-    columns = _parse_jsonl(
-        jsonl,
-        len(layout),
-        sum(map(len, splits.values())),  # the sample count of a generated file
-    )
+    if columns is not None:
+        width = columns["features"].shape[1]
+        injected = columns["injected"]
+        if width != len(layout) or not (
+                injected.size == 0 or 0 <= injected.min() <= injected.max() < width):
+            logger.warning("%s not used: its %d features or injected indices do "
+                           "not fit the %d-sensor layout", COLUMNS_FILE, width,
+                           len(layout))
+            columns = None
+    if columns is None:
+        columns = _parse_jsonl(
+            jsonl,
+            len(layout),
+            sum(map(len, splits.values())),  # the sample count of a generated file
+        )
     try:
         splits = _split_arrays(splits, len(columns["features"]))
     except DatasetError as exc:
@@ -686,3 +709,115 @@ def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int) -> dict:
         "deltas": _read_only(np.array(deltas, dtype=float)),
         "ends": _read_only(np.array(ends, dtype=np.int64)),
     }
+
+
+# --------------------------------------------------------------------------
+# dataset.columns: the loader's columns, cached beside dataset.jsonl
+
+COLUMNS_FILE = "dataset.columns"
+_COLUMNS_FORMAT = 1
+# The file's np.save records, in file order: column, dtype, dimensions.
+_COLUMNS = (
+    ("features", np.dtype("<f8"), 2),
+    ("hours", np.dtype("<i8"), 1),
+    ("anomalous", np.dtype("|b1"), 1),
+    ("injected", np.dtype("<i4"), 1),
+    ("deltas", np.dtype("<f8"), 1),
+    ("ends", np.dtype("<i8"), 1),
+)
+_HEADER_BYTES = 4096  # the header line is read up to this many bytes
+
+
+def _raw(array: np.ndarray) -> memoryview:
+    """The C-contiguous array's data bytes, not copied."""
+    return memoryview(array.reshape(-1)).cast("B")
+
+
+def write_columns(ds: Dataset, path: Path, jsonl_digest: str) -> None:
+    """Write ds's columns to path as the cache of the dataset.jsonl whose
+    bytes have the sha256 hex jsonl_digest (see read_columns). Each column
+    is hashed and then written straight from the dataset, not copied."""
+    parts = []
+    for name, dtype, _ in _COLUMNS:
+        array = np.ascontiguousarray(getattr(ds, name), dtype=dtype)
+        head = io.BytesIO()  # the npy header np.save writes before the data
+        np.lib.format.write_array_header_1_0(
+            head, np.lib.format.header_data_from_array_1_0(array))
+        parts += [head.getvalue(), _raw(array)]
+    payload = hashlib.sha256()
+    for part in parts:
+        payload.update(part)
+    header = {"format": _COLUMNS_FORMAT, "dataset.jsonl": jsonl_digest,
+              "payload": payload.hexdigest()}
+    with path.open("wb") as fh:
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        fh.writelines(parts)
+
+
+def read_columns(fh, jsonl_digest: str) -> dict:
+    """The Dataset columns in the open binary dataset.columns file fh, as
+    read-only arrays, once the file is shown to be the cache of the
+    dataset.jsonl whose bytes have the sha256 hex jsonl_digest.
+
+    The file is one JSON header line, {"format": 1, "dataset.jsonl": <sha256
+    hex>, "payload": <sha256 hex of the records>}, then, in _COLUMNS order,
+    each column as np.save writes it (npy format 1.0). A file that is not
+    so, or whose columns the loader would not build from any dataset.jsonl,
+    raises ValueError naming the first reason. A record is read into
+    an array of the size its header declares only if the file holds that
+    many bytes.
+    """
+    try:
+        header = json.loads(fh.readline(_HEADER_BYTES))
+    except (ValueError, RecursionError):
+        header = None
+    if type(header) is not dict or header.get("format") != _COLUMNS_FORMAT:
+        raise ValueError(f"its first line is not a format-{_COLUMNS_FORMAT} header")
+    if header.get("dataset.jsonl") != jsonl_digest:
+        raise ValueError("it was written for other dataset.jsonl bytes")
+    size = os.fstat(fh.fileno()).st_size
+    payload = hashlib.sha256()
+    columns = {}
+    for name, dtype, ndim in _COLUMNS:
+        start = fh.tell()
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not an npy 1.0 record")
+            shape, fortran_order, found = np.lib.format.read_array_header_1_0(fh)
+        except Exception as exc:  # numpy's parser of the header's Python literal
+            # raises ValueError, SyntaxError, tokenize.TokenError and more on
+            # bytes it cannot read.
+            raise ValueError(f"{name}: {type(exc).__name__}: {exc}") from None
+        if found != dtype or len(shape) != ndim or fortran_order:
+            raise ValueError(f"{name} is a {found.str} record of shape {shape}, "
+                             f"not {dtype.str} in {ndim} dimensions")
+        data_at = fh.tell()
+        if min(shape) < 0 or math.prod(shape) * dtype.itemsize > size - data_at:
+            raise ValueError(f"{name} runs past the end of the file")
+        array = np.empty(shape, dtype)
+        fh.seek(start)
+        payload.update(fh.read(data_at - start))
+        raw = _raw(array)
+        if fh.readinto(raw) != len(raw):
+            raise ValueError(f"{name} runs past the end of the file")
+        payload.update(raw)
+        columns[name] = _read_only(array)
+    if fh.read(1):
+        raise ValueError("bytes follow the last record")
+    if payload.hexdigest() != header.get("payload"):
+        raise ValueError("its records do not have the payload digest")
+    n = len(columns["features"])
+    ends, injected = columns["ends"], columns["injected"]
+    lengths = (len(columns["hours"]), len(columns["anomalous"]), len(ends),
+               len(columns["deltas"]))
+    if lengths != (n, n, n + 1, len(injected)) or ends[0] != 0 or ends[-1] != len(injected):
+        raise ValueError("its column lengths disagree")
+    if not (np.isfinite(columns["features"]).all()
+            and np.isfinite(columns["deltas"]).all()):
+        raise ValueError("it holds a non-finite feature or delta")
+    counts = np.diff(ends)
+    if (counts < 0).any():
+        raise ValueError("its offsets decrease")
+    if not np.array_equal(columns["anomalous"], counts > 0):
+        raise ValueError("its labels disagree with the injected indices")
+    return columns

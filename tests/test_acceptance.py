@@ -245,6 +245,7 @@ def test_criterion_9_prompt_stability(dataset42):
 def test_criterion_10_pipeline_determinism(tmp_path):
     artifacts = [
         "dataset.jsonl",
+        "dataset.columns",
         "stats.json",
         "meta.json",
         "features.csv",

@@ -78,7 +78,8 @@ class TestGenerate:
             legacy_formats.features_to_csv(ds))
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out / name}"
-            for name in ("dataset.jsonl", "stats.json", "meta.json", "features.csv")
+            for name in ("dataset.jsonl", "stats.json", "meta.json", "features.csv",
+                         "dataset.columns")
         ]
 
     def test_in_memory_digest_is_written_file_digest(self, tmp_path, monkeypatch,
@@ -890,6 +891,15 @@ class TestErrors:
 
 
 class TestDeterminism:
+    def test_run_manifest_same_without_the_columns_cache(self, pipeline_dir, tmp_path):
+        data = Path(shutil.copytree(pipeline_dir, tmp_path / "data"))
+        (data / scenario.COLUMNS_FILE).unlink()
+        name = "manifests/zero_shot_z_only_reference_rule.json"
+        (data / name).unlink()
+        assert main(["run", "--data", str(data), "--paradigm", "zero-shot",
+                     "--variant", "z_only", "--agent", "reference"]) == 0
+        assert (data / name).read_bytes() == (pipeline_dir / name).read_bytes()
+
     def test_full_pipeline_byte_identical(self, tmp_path):
         dirs = []
         for name in ("a", "b"):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import shutil
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsigma import agents, evalkit, promptkit, scenario
+from gridsigma import agents, cli, evalkit, promptkit, scenario
 from gridsigma.errors import DatasetError, GridSigmaError
 from gridsigma.grid import builtin_ieee14, default_layout
 from gridsigma.ruleoracle import top_abs_z
@@ -243,6 +244,17 @@ class TestRunIdentity:
         assert config["decimals"] == promptkit.SELECTION_DECIMALS == 6
         assert (config["paradigm"], config["variant"]) == ("hybrid_select", "z_only")
         assert (config["k_examples"], config["m_select"]) == (0, 5)
+
+    @pytest.mark.parametrize("paradigm", ["few_shot", "icl"])
+    def test_hybrid_drops_the_examples_of_a_run_prompt(self, dataset42, model42,
+                                                       paradigm):
+        head = replace(dataset42, splits={**dataset42.splits,
+                                          "test": dataset42.splits["test"][:10]})
+        zero_shot = run_hybrid_experiment(RunConfig(), model42, head)
+        with_examples = run_hybrid_experiment(
+            RunConfig(prompt=promptkit.PromptConfig(paradigm=paradigm)), model42, head)
+        assert with_examples == zero_shot
+        assert with_examples[1]["config"]["k_examples"] == 0
 
     @pytest.mark.parametrize("paradigm, k, agent, name", [
         ("icl", -1, agents.AgentKind(agents.REFERENCE_RULE),
@@ -604,3 +616,207 @@ class TestLoadedDataset:
         assert blocks < 1000  # no object per sample
         assert peak < 2 * matrix
 
+
+
+# --------------------------------------------------------------------------
+# dataset.columns, the cache of the loader's columns that `generate` writes
+
+_COLUMN_NAMES = [name for name, _, _ in scenario._COLUMNS]
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """Directories `generate` wrote at 80 samples, by seed (42 and 43)."""
+    dirs = {}
+    for seed in (42, 43):
+        data = tmp_path_factory.mktemp(f"gen{seed}") / "data"
+        assert cli.main(["generate", "--samples", "80", "--seed", str(seed),
+                         "--out", str(data)]) == 0
+        dirs[seed] = data
+    return dirs
+
+
+def _copy(data, tmp_path, cache=True) -> Path:
+    """A copy of the dataset directory data, with or without dataset.columns."""
+    copy = Path(shutil.copytree(data, tmp_path / "copy"))
+    if not cache:
+        (copy / scenario.COLUMNS_FILE).unlink()
+    return copy
+
+
+@pytest.fixture(scope="module")
+def parsed42(generated, tmp_path_factory):
+    """The seed-42 directory loaded by parsing dataset.jsonl: no cache."""
+    return evalkit.load_dataset_dir(
+        _copy(generated[42], tmp_path_factory.mktemp("parsed42"), cache=False))
+
+
+def _assert_same_load(a, b):
+    arrays = [(name, getattr(a, name), getattr(b, name)) for name in _COLUMN_NAMES]
+    arrays += [(f"splits[{name!r}]", a.splits[name], b.splits[name]) for name in b.splits]
+    arrays += [(f"stats.{name}", getattr(a.stats, name), getattr(b.stats, name))
+               for name in ("mean", "std")]
+    for name, x, y in arrays:
+        assert (x.dtype, x.shape, x.flags.writeable) == (
+            y.dtype, y.shape, y.flags.writeable), name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.splits.keys() == b.splits.keys()
+    assert (a.stats.n, a.stats.split, a.layout, a.master_seed, a.jsonl_digest) == (
+        b.stats.n, b.stats.split, b.layout, b.master_seed, b.jsonl_digest)
+
+
+def _edited(name, change):
+    """An edit of a dataset directory: the file name's bytes changed by change."""
+    def edit(data):
+        path = data / name
+        raw = path.read_bytes()
+        path.write_bytes(change(raw))
+        assert path.read_bytes() != raw
+
+    return edit
+
+
+class TestColumnsCache:
+    def test_header_then_an_np_save_record_per_column(self, generated, parsed42):
+        data = generated[42]
+        head, records = (data / scenario.COLUMNS_FILE).read_bytes().split(b"\n", 1)
+        assert json.loads(head) == {
+            "format": 1,
+            "dataset.jsonl": hashlib.sha256(
+                (data / "dataset.jsonl").read_bytes()).hexdigest(),
+            "payload": hashlib.sha256(records).hexdigest(),
+        }
+        saved = io.BytesIO()
+        for name in _COLUMN_NAMES:
+            np.save(saved, getattr(parsed42, name), allow_pickle=False)
+        assert records == saved.getvalue()
+
+    def test_cache_load_equals_the_parse(self, generated, parsed42, monkeypatch,
+                                         caplog):
+        def no_parse(*args):
+            raise AssertionError("dataset.jsonl was parsed")
+
+        monkeypatch.setattr(scenario, "_parse_jsonl", no_parse)
+        with caplog.at_level("WARNING", logger="gridsigma"):
+            loaded = evalkit.load_dataset_dir(generated[42])
+        _assert_same_load(loaded, parsed42)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("spoil, warnings", [
+        (lambda cache, other: cache.unlink(), 0),
+        (lambda cache, other: shutil.copyfile(other, cache), 1),
+        (lambda cache, other: cache.write_bytes(cache.read_bytes()[:-100]), 1),
+        (lambda cache, other: cache.write_bytes(_flip(cache.read_bytes(), 0.5)), 1),
+        (lambda cache, other: cache.write_bytes(
+            b"not a header\n" + cache.read_bytes().split(b"\n", 1)[1]), 1),
+        (lambda cache, other: (cache.unlink(), cache.mkdir()), 1),
+        (lambda cache, other: cache.write_bytes(cache.read_bytes() + b"\0"), 1),
+        # numpy's header parser raises tokenize.TokenError on this one.
+        (lambda cache, other: cache.write_bytes(
+            cache.read_bytes().replace(b"{'descr'", b"}'descr'", 1)), 1),
+    ], ids=["absent", "stale", "truncated", "flipped-payload-byte", "garbage-header",
+            "directory", "trailing-byte", "npy-header-unparsable"])
+    def test_unusable_cache_falls_back_to_the_parse(self, generated, parsed42,
+                                                     tmp_path, caplog, spoil,
+                                                     warnings):
+        data = _copy(generated[42], tmp_path)
+        cache = data / scenario.COLUMNS_FILE
+        spoil(cache, generated[43] / scenario.COLUMNS_FILE)
+        with caplog.at_level("WARNING", logger="gridsigma"):
+            loaded = evalkit.load_dataset_dir(data)
+        _assert_same_load(loaded, parsed42)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == warnings
+        assert all(m.startswith(f"{cache} not used: ") for m in messages)
+
+    @pytest.mark.parametrize("name, change, reason", [
+        ("anomalous", lambda c: ~c, "its labels disagree with the injected indices"),
+        ("hours", lambda c: c[:-1], "its column lengths disagree"),
+        ("injected", lambda c: c[:-1], "its column lengths disagree"),
+        ("ends", lambda c: np.concatenate((c[:-2], c[-1:] + 1, c[-1:])),
+         "its offsets decrease"),
+        ("features", lambda c: np.where(np.arange(c.size).reshape(c.shape) == 5,
+                                        np.nan, c),
+         "it holds a non-finite feature or delta"),
+        ("hours", lambda c: c.astype("<i4"),
+         "hours is a <i4 record of shape (80,), not <i8 in 1 dimensions"),
+        ("anomalous", lambda c: c.astype("u1"),
+         "anomalous is a |u1 record of shape (80,), not |b1 in 1 dimensions"),
+        ("features", lambda c: c.ravel(),
+         "features is a <f8 record of shape (5440,), not <f8 in 2 dimensions"),
+        ("features", lambda c: {"descr": "<f8", "fortran_order": False,
+                                "shape": (1 << 40, 68)},
+         "features runs past the end of the file"),
+    ], ids=["labels", "hours-short", "injected-short", "ends-decrease", "nan-feature",
+            "hours-int32", "anomalous-uint8", "features-flat", "features-huge"])
+    def test_cache_of_other_columns_falls_back(self, generated, parsed42, tmp_path,
+                                               caplog, name, change, reason):
+        # Both digests hold; a dict stands for a bare npy header, with no data.
+        records = io.BytesIO()
+        for n in _COLUMN_NAMES:
+            column = getattr(parsed42, n)
+            changed = change(column) if n == name else column
+            if isinstance(changed, dict):
+                np.lib.format.write_array_header_1_0(records, changed)
+            else:
+                np.save(records, changed, allow_pickle=False)
+        header = {"format": 1, "dataset.jsonl": parsed42.jsonl_digest,
+                  "payload": hashlib.sha256(records.getvalue()).hexdigest()}
+        data = _copy(generated[42], tmp_path)
+        cache = data / scenario.COLUMNS_FILE
+        cache.write_bytes(json.dumps(header).encode() + b"\n" + records.getvalue())
+        with caplog.at_level("WARNING", logger="gridsigma"):
+            loaded = evalkit.load_dataset_dir(data)
+        _assert_same_load(loaded, parsed42)
+        assert [r.getMessage() for r in caplog.records] == [f"{cache} not used: {reason}"]
+
+    @pytest.mark.parametrize("edit", [
+        _edited("dataset.jsonl",
+                lambda raw: raw.replace(b'"label":"normal"', b'"label":"ok"', 1)),
+        _edited("dataset.jsonl", lambda raw: re.sub(
+            rb'(anomaly","injected":\[)\d+', rb"\g<1>68", raw, count=1)),
+        _edited("dataset.jsonl", lambda raw: raw.replace(b'{"id":0,', b'{"id":1,', 1)),
+        _edited("dataset.jsonl",
+                lambda raw: raw.replace(b'"features":[', b'"features":[NaN,', 1)),
+        _edited("dataset.jsonl", lambda raw: raw[:40] + b"\xff" + raw[40:]),
+        lambda data: _drop_last_sensor(data),
+    ], ids=["label", "injected-index", "id", "nan-feature", "not-utf8",
+            "sensor-dropped-from-meta-and-stats"])
+    def test_hand_edit_raises_what_the_parse_raises(self, generated, tmp_path, edit):
+        data = _copy(generated[42], tmp_path)
+        edit(data)
+        with pytest.raises(DatasetError) as with_cache:
+            evalkit.load_dataset_dir(data)
+        (data / scenario.COLUMNS_FILE).unlink()
+        with pytest.raises(DatasetError) as without:
+            evalkit.load_dataset_dir(data)
+        assert str(with_cache.value) == str(without.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                    st.integers(0, 255)), min_size=1, max_size=3))
+    def test_any_byte_edit_still_loads_as_the_parse(self, generated, parsed42,
+                                                    tmp_path_factory, edits):
+        data = _copy(generated[42], tmp_path_factory.mktemp("fuzz"))
+        cache = data / scenario.COLUMNS_FILE
+        raw = bytearray(cache.read_bytes())
+        for where, value in edits:
+            raw[int(where * len(raw))] = value
+        cache.write_bytes(bytes(raw))
+        _assert_same_load(evalkit.load_dataset_dir(data), parsed42)
+
+
+def _flip(raw: bytes, where: float) -> bytes:
+    """raw with the bits of the byte at the fraction where of it flipped."""
+    at = int(where * len(raw))
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
+
+
+def _drop_last_sensor(data):
+    """Drop the last sensor from meta.json's layout and from stats.json, so
+    that both still agree and only dataset.jsonl has a feature too many."""
+    for name, key in (("meta.json", "layout"), ("stats.json", "mean"),
+                      ("stats.json", "std")):
+        doc = json.loads((data / name).read_text())
+        doc[key].pop()
+        (data / name).write_text(json.dumps(doc, indent=2))
