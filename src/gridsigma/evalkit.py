@@ -147,24 +147,26 @@ def agent_label(agent: agents.AgentKind) -> str:
 def load_dataset_dir(data_dir: "str | Path") -> Dataset:
     """Load and check a dataset directory (see ``dataset_from_files``).
 
-    The columns come from dataset.columns, the cache ``generate`` writes
-    beside dataset.jsonl, when its header holds the sha256 of dataset.jsonl,
-    which is then only hashed, in 1 MiB chunks, and the cache passes
-    ``scenario.read_columns``'s checks. A cache that is there but cannot be
-    used logs one warning naming it and why. Without a usable cache,
-    dataset.jsonl is streamed: read line by line, each line updating its
-    sha256 and parsed as it arrives.
+    dataset.jsonl is first hashed, once, in 1 MiB chunks. The columns then
+    come from dataset.columns, the cache ``generate`` writes beside it, when
+    its header holds that sha256 and it passes ``scenario.read_columns``'s
+    checks. A cache that is there but cannot be used logs one warning naming
+    it and why. Without a usable cache, dataset.jsonl is streamed: read line
+    by line and parsed as each line arrives.
     """
     from .scenario import COLUMNS_FILE, dataset_from_files
 
     root = Path(data_dir)
     path = root / "dataset.jsonl"
-    digest = hashlib.sha256()
     try:
         with path.open("rb") as fh:
-            columns, cached_digest = _cached_columns(root / COLUMNS_FILE, fh)
+            digest = hashlib.sha256()
+            while chunk := fh.read(_DIGEST_CHUNK):
+                digest.update(chunk)
+            fh.seek(0)
+            columns = _cached_columns(root / COLUMNS_FILE, digest.hexdigest())
             dataset = dataset_from_files(
-                _decoded(fh, path, digest),
+                _decoded(fh, path),
                 read_text(root / "stats.json"),
                 read_text(root / "meta.json"),
                 columns=columns,
@@ -173,45 +175,37 @@ def load_dataset_dir(data_dir: "str | Path") -> Dataset:
         raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
     except OSError as exc:
         raise unreadable(path, exc, DatasetError) from None
-    # Both hash the whole file; the lines are hashed only if they were parsed.
-    return replace(dataset, jsonl_digest=cached_digest or digest.hexdigest())
+    return replace(dataset, jsonl_digest=digest.hexdigest())
 
 
 _DIGEST_CHUNK = 1 << 20
 
 
-def _cached_columns(path: Path, jsonl) -> "tuple[dict | None, str | None]":
-    """The columns in the dataset.columns file at path, and the sha256 hex
-    of the open binary dataset.jsonl file, when the one is the other's
-    cache; (None, None) when there is no file at path, or, after a warning
-    naming it and why, when it cannot be used. jsonl is left at its start."""
+def _cached_columns(path: Path, jsonl_digest: str) -> "dict | None":
+    """The columns in the dataset.columns file at path when it is the cache
+    of the dataset.jsonl whose bytes have the sha256 hex jsonl_digest; None
+    when there is no file at path, or, after one warning naming it and why,
+    when it cannot be used."""
     from .scenario import read_columns
 
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            return read_columns(fh, jsonl_digest)
     except FileNotFoundError:
-        return None, None
+        return None
     except OSError as exc:
-        logger.warning("%s not used: cannot read it: %s", path, exc.strerror or exc)
-        return None, None
-    with fh:
-        digest = hashlib.sha256()
-        while chunk := jsonl.read(_DIGEST_CHUNK):
-            digest.update(chunk)
-        jsonl.seek(0)
-        try:
-            return read_columns(fh, digest.hexdigest()), digest.hexdigest()
-        except (OSError, ValueError) as exc:
-            logger.warning("%s not used: %s", path, exc)
-            return None, None
+        reason = f"cannot read it: {exc.strerror or exc}"
+    except (ValueError, DatasetError) as exc:
+        reason = exc
+    logger.warning("%s not used: %s", path, reason)
+    return None
 
 
-def _decoded(fh, path: Path, digest) -> Iterator[str]:
-    """The binary file fh's lines, decoded, each updating digest. Bytes that
-    are not UTF-8 raise DatasetError, naming the file and the offset in it."""
+def _decoded(fh, path: Path) -> Iterator[str]:
+    """The binary file fh's lines, decoded. Bytes that are not UTF-8 raise
+    DatasetError, naming the file and the offset in it."""
     offset = 0
     for raw in fh:
-        digest.update(raw)
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -355,14 +349,12 @@ def _keeping_hashes(
 
 def _dataset_digest_of(dataset: Dataset) -> str:
     """sha256 of the dataset's JSONL form: the file's, hashed at load, or for
-    a dataset built in memory, that of the bytes write_dataset writes."""
+    a dataset built in memory, the one write_dataset returns."""
     from .scenario import write_dataset
 
     if dataset.jsonl_digest is not None:
         return dataset.jsonl_digest
-    jsonl = io.BytesIO()
-    write_dataset(dataset, jsonl, io.BytesIO())
-    return hashlib.sha256(jsonl.getbuffer()).hexdigest()
+    return write_dataset(dataset, io.BytesIO(), io.BytesIO())
 
 
 def _file_label(run: RunConfig) -> str:

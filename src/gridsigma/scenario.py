@@ -421,21 +421,49 @@ def _floats_text(values) -> str:
     return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _check_rows(ds: Dataset) -> None:
-    """Refuse what the loader would reject: a non-finite feature or delta,
-    which standard JSON cannot hold."""
-    bad = ~np.isfinite(ds.features).all(axis=1)
-    bad_deltas = np.flatnonzero(~np.isfinite(ds.deltas))
-    bad[np.searchsorted(ds.ends, bad_deltas, side="right") - 1] = True
+def _check_columns(columns: dict, n_features: int) -> None:
+    """Refuse Dataset columns that the loader would not build from any
+    dataset.jsonl, raising DatasetError that names the first fault and the
+    first sample at fault. The writer, the cache reader and the parser all
+    check their columns here."""
+    features, anomalous = columns["features"], columns["anomalous"]
+    injected, deltas, ends = columns["injected"], columns["deltas"], columns["ends"]
+    n = len(features)
+    for name, expected in (("hours", n), ("anomalous", n), ("ends", n + 1)):
+        if len(columns[name]) != expected:
+            raise DatasetError(f"{name} holds {len(columns[name])} values, not {expected}")
+    if ends[0] != 0 or ends[-1] != len(injected):
+        raise DatasetError(f"ends run from {ends[0]} to {ends[-1]}, "
+                           f"not from 0 to {len(injected)}")
+    decrease = ends[1:] < ends[:-1]  # compared, not subtracted, so no overflow
+    if decrease.any():
+        raise DatasetError(f"sample {int(np.argmax(decrease))}: its offsets decrease")
+    if len(deltas) != len(injected):
+        raise DatasetError(f"deltas holds {len(deltas)} values, not {len(injected)}")
+    if features.shape[1] != n_features:
+        raise DatasetError(f"{features.shape[1]} features, layout has {n_features}")
+    bad = ~np.isfinite(features).all(axis=1)
+    bad[np.searchsorted(ends, np.flatnonzero(~np.isfinite(deltas)), side="right") - 1] = True
     if bad.any():
         raise DatasetError(f"sample {int(np.argmax(bad))}: non-finite feature or delta")
+    outside = (injected < 0) | (injected >= n_features)
+    if outside.any():
+        i = int(np.searchsorted(ends, np.argmax(outside), side="right")) - 1
+        raise DatasetError(f"sample {i}: injected {injected[ends[i]:ends[i + 1]].tolist()} "
+                           f"outside the {n_features} features")
+    wrong = anomalous != (np.diff(ends) > 0)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        label = ANOMALY if anomalous[i] else NORMAL
+        raise DatasetError(f"sample {i}: label {label!r} inconsistent with injected "
+                           f"{tuple(injected[ends[i]:ends[i + 1]].tolist())}")
 
 
 def write_dataset_files(ds: Dataset, jsonl_path: Path, csv_path: Path) -> str:
     """Write dataset.jsonl and features.csv (see write_dataset) and return
     the sha256 hex of the dataset.jsonl bytes. Every sample is checked
     before either file, or its directory, is made."""
-    _check_rows(ds)
+    _check_columns(vars(ds), len(ds.layout))
     jsonl_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with jsonl_path.open("w+b") as jsonl_file, csv_path.open("wb") as csv_file:
@@ -459,7 +487,7 @@ def write_dataset(ds: Dataset, jsonl_file, csv_file) -> str:
     offset and length kept for it. The JSONL is ASCII, so its characters
     and bytes count alike.
     """
-    _check_rows(ds)
+    _check_columns(vars(ds), len(ds.layout))
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(
         ["id", "hour", "label"] + ds.layout.names()
@@ -566,10 +594,11 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str,
     equal, exactly, compute_stats over the train split.
 
     The features go into one read-only (n, d) matrix, and the other fields
-    into the Dataset's flat columns. columns, when given, are those columns
-    as read_columns read them from dataset.jsonl's cache: they stand in for
-    parsing jsonl, which is then never read, unless their width is not the
-    layout's or an injected index lies outside it (a warning says which).
+    into the Dataset's flat columns, which must pass _check_columns. columns,
+    when given, are those columns as read_columns read and checked them from
+    dataset.jsonl's cache: they stand in for parsing jsonl, which is then
+    never read, unless their width is not the layout's; then jsonl is
+    parsed, and names any line whose feature count is wrong.
     """
     try:
         meta = json.loads(meta_text)
@@ -597,21 +626,16 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str,
                 f"stats.json: {name} must hold {len(layout)} finite values"
             )
 
-    if columns is not None:
-        width = columns["features"].shape[1]
-        injected = columns["injected"]
-        if width != len(layout) or not (
-                injected.size == 0 or 0 <= injected.min() <= injected.max() < width):
-            logger.warning("%s not used: its %d features or injected indices do "
-                           "not fit the %d-sensor layout", COLUMNS_FILE, width,
-                           len(layout))
-            columns = None
-    if columns is None:
+    if columns is None or columns["features"].shape[1] != len(layout):
         columns = _parse_jsonl(
             jsonl,
             len(layout),
             sum(map(len, splits.values())),  # the sample count of a generated file
         )
+        try:
+            _check_columns(columns, len(layout))
+        except DatasetError as exc:
+            raise DatasetError(f"dataset.jsonl: {exc}") from None
     try:
         splits = _split_arrays(splits, len(columns["features"]))
     except DatasetError as exc:
@@ -637,8 +661,11 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str,
 
 
 def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int) -> dict:
-    """The Dataset columns of dataset.jsonl's lines. The feature matrix is
-    allocated for the expected count of rows and grown past it when needed.
+    """The Dataset columns of dataset.jsonl's lines, each line checked for
+    what only it can show: its JSON, label, field types, id, feature count
+    and deltas length (_check_columns checks the rest). The feature matrix
+    is allocated for the expected count of rows and grown past it when
+    needed.
 
     Each line's features go straight into their matrix row, and its other
     fields into flat arrays, outside the Python object heap: objects kept
@@ -666,9 +693,6 @@ def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int) -> dict:
             shifts = tuple(float(d) for d in rec["deltas"])
             features = rec["features"]
             sample_id, hour = int(rec["id"]), int(rec["hour"])
-            if (label == ANOMALY) != bool(indices):
-                raise ValueError(
-                    f"label {label!r} inconsistent with injected {indices}")
             if len(shifts) != len(indices):
                 raise ValueError("deltas and injected lengths differ")
             if type(features) is not list:
@@ -684,20 +708,15 @@ def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int) -> dict:
                     f"dataset line {lineno}: {len(features)} features, "
                     f"layout has {n_features}"
                 )
-            if any(not 0 <= i < n_features for i in indices):
-                raise DatasetError(
-                    f"dataset line {lineno}: injected {list(indices)} "
-                    f"outside the {n_features} features"
-                )
             if n == len(matrix):
                 # No view of the matrix exists yet, so it may move.
                 matrix.resize((2 * n, n_features), refcheck=False)
             matrix[n] = features
             hours.append(hour)  # OverflowError beyond int64
+            injected.extend(indices)  # OverflowError beyond int32
         except MALFORMED_DOCUMENT as exc:
             raise DatasetError(f"dataset line {lineno}: {exc}") from None
         anomalous.append(label == ANOMALY)
-        injected.extend(indices)
         deltas.extend(shifts)
         ends.append(len(injected))
     matrix.resize((len(hours), n_features), refcheck=False)
@@ -762,10 +781,10 @@ def read_columns(fh, jsonl_digest: str) -> dict:
     The file is one JSON header line, {"format": 1, "dataset.jsonl": <sha256
     hex>, "payload": <sha256 hex of the records>}, then, in _COLUMNS order,
     each column as np.save writes it (npy format 1.0). A file that is not
-    so, or whose columns the loader would not build from any dataset.jsonl,
-    raises ValueError naming the first reason. A record is read into
-    an array of the size its header declares only if the file holds that
-    many bytes.
+    so raises ValueError naming the first reason, and columns that fail
+    _check_columns, at their own width, raise its DatasetError. A record is
+    read into an array of the size its header declares only if the file
+    holds that many bytes.
     """
     try:
         header = json.loads(fh.readline(_HEADER_BYTES))
@@ -806,18 +825,5 @@ def read_columns(fh, jsonl_digest: str) -> dict:
         raise ValueError("bytes follow the last record")
     if payload.hexdigest() != header.get("payload"):
         raise ValueError("its records do not have the payload digest")
-    n = len(columns["features"])
-    ends, injected = columns["ends"], columns["injected"]
-    lengths = (len(columns["hours"]), len(columns["anomalous"]), len(ends),
-               len(columns["deltas"]))
-    if lengths != (n, n, n + 1, len(injected)) or ends[0] != 0 or ends[-1] != len(injected):
-        raise ValueError("its column lengths disagree")
-    if not (np.isfinite(columns["features"]).all()
-            and np.isfinite(columns["deltas"]).all()):
-        raise ValueError("it holds a non-finite feature or delta")
-    counts = np.diff(ends)
-    if (counts < 0).any():
-        raise ValueError("its offsets decrease")
-    if not np.array_equal(columns["anomalous"], counts > 0):
-        raise ValueError("its labels disagree with the injected indices")
+    _check_columns(columns, columns["features"].shape[1])
     return columns

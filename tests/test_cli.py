@@ -96,16 +96,25 @@ class TestGenerate:
                                          np.nan, s.features)},
          "non-finite feature or delta"),
         (lambda s: {"deltas": (np.inf,) + s.deltas[1:]}, "non-finite feature or delta"),
-    ], ids=["nan-feature", "inf-delta"])
+        (lambda s: {"injected": (68,), "deltas": (0.5,)},
+         "injected [68] outside the 68 features"),
+        (lambda s: {"injected": (), "deltas": ()},
+         "label 'anomaly' inconsistent with injected ()"),
+        (lambda s: {"label": "normal", "injected": (5,), "deltas": (0.5,)},
+         "label 'normal' inconsistent with injected (5,)"),
+    ], ids=["nan-feature", "inf-delta", "injected-index", "anomaly-without-index",
+            "normal-with-index"])
     def test_refused_dataset_leaves_no_files(self, tmp_path, monkeypatch, capsys,
                                              changes, message):
         out = tmp_path / "d"
-        # The writers refuse the spoilt last sample before any file is made.
+        # The writers refuse the spoilt last sample, as the loader would,
+        # before any file is made.
         rc, _ = _generate_capturing(monkeypatch, out, "--samples", "640",
                                     edit=_spoil_last_sample(changes))
         assert rc == 1
-        assert f"sample 639: {message}" in capsys.readouterr().err
-        for name in ("dataset.jsonl", "features.csv", "stats.json", "meta.json"):
+        assert f"error: sample 639: {message}\n" in capsys.readouterr().err
+        for name in ("dataset.jsonl", "features.csv", "stats.json", "meta.json",
+                     "dataset.columns"):
             assert not (out / name).exists(), name
 
     def test_writes_expected_files(self, pipeline_dir, capsys):

@@ -730,14 +730,23 @@ class TestColumnsCache:
         assert all(m.startswith(f"{cache} not used: ") for m in messages)
 
     @pytest.mark.parametrize("name, change, reason", [
-        ("anomalous", lambda c: ~c, "its labels disagree with the injected indices"),
-        ("hours", lambda c: c[:-1], "its column lengths disagree"),
-        ("injected", lambda c: c[:-1], "its column lengths disagree"),
+        ("anomalous", lambda c: ~c,
+         "sample 0: label 'anomaly' inconsistent with injected ()"),
+        ("hours", lambda c: c[:-1], "hours holds 79 values, not 80"),
+        ("injected", lambda c: c[:-1], "ends run from 0 to 120, not from 0 to 119"),
+        ("deltas", lambda c: c[:-1], "deltas holds 119 values, not 120"),
         ("ends", lambda c: np.concatenate((c[:-2], c[-1:] + 1, c[-1:])),
-         "its offsets decrease"),
+         "sample 79: its offsets decrease"),
+        # Each step of np.diff wraps to a positive count; the offsets still fall.
+        ("ends", lambda c: np.concatenate(
+            (c[:41], [2**63 - 1, -2**63 + 5, -2**62, 0], c[45:])),
+         "sample 41: its offsets decrease"),
         ("features", lambda c: np.where(np.arange(c.size).reshape(c.shape) == 5,
                                         np.nan, c),
-         "it holds a non-finite feature or delta"),
+         "sample 0: non-finite feature or delta"),
+        # Sample 40 is the first anomaly, so its first index is the first.
+        ("injected", lambda c: np.where(np.arange(c.size) == 0, 68, c).astype("<i4"),
+         "sample 40: injected [68, 19, 59] outside the 68 features"),
         ("hours", lambda c: c.astype("<i4"),
          "hours is a <i4 record of shape (80,), not <i8 in 1 dimensions"),
         ("anomalous", lambda c: c.astype("u1"),
@@ -747,8 +756,9 @@ class TestColumnsCache:
         ("features", lambda c: {"descr": "<f8", "fortran_order": False,
                                 "shape": (1 << 40, 68)},
          "features runs past the end of the file"),
-    ], ids=["labels", "hours-short", "injected-short", "ends-decrease", "nan-feature",
-            "hours-int32", "anomalous-uint8", "features-flat", "features-huge"])
+    ], ids=["labels", "hours-short", "injected-short", "deltas-short", "ends-decrease",
+            "ends-wrap", "nan-feature", "injected-index", "hours-int32",
+            "anomalous-uint8", "features-flat", "features-huge"])
     def test_cache_of_other_columns_falls_back(self, generated, parsed42, tmp_path,
                                                caplog, name, change, reason):
         # Both digests hold; a dict stands for a bare npy header, with no data.

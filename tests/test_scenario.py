@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -420,7 +421,8 @@ class TestPersistence:
         first = json.loads(jsonl.splitlines()[0])
         first["label"] = ANOMALY  # but injected stays empty
         broken = json.dumps(first) + "\n" + "\n".join(jsonl.splitlines()[1:])
-        with pytest.raises(DatasetError, match="line 1"):
+        with pytest.raises(DatasetError, match=re.escape(
+                "dataset.jsonl: sample 0: label 'anomaly' inconsistent with injected ()")):
             from_texts(broken, stats_to_json(dataset42.stats), meta_to_json(dataset42))
 
     def test_stats_json_round_trip(self, dataset42):
@@ -679,6 +681,13 @@ class TestWriteDatasetFiles:
             replace(last, deltas=(np.inf,) + last.deltas[1:]),))
         out = tmp_path / "d"
         with pytest.raises(DatasetError, match="sample 1599: non-finite"):
+            scenario.write_dataset_files(ds, out / "dataset.jsonl", out / "features.csv")
+        assert not out.exists()
+
+    def test_layout_narrower_than_the_rows_refused(self, dataset42, tmp_path):
+        ds = replace(dataset42, layout=FeatureLayout(dataset42.layout.entries[:-1]))
+        out = tmp_path / "d"
+        with pytest.raises(DatasetError, match=re.escape("68 features, layout has 67")):
             scenario.write_dataset_files(ds, out / "dataset.jsonl", out / "features.csv")
         assert not out.exists()
 
