@@ -18,7 +18,7 @@ from pathlib import Path
 from . import agents, detectors, evalkit, grid, promptkit, scenario
 from .errors import (
     MALFORMED_DOCUMENT, AgentError, DatasetError, DetectorError, GridSigmaError,
-    writing,
+    read_text, writing,
 )
 
 logger = logging.getLogger(__name__)
@@ -142,7 +142,7 @@ def _cmd_generate(args) -> int:
     n_normal = sizes.total // 2
     if args.load_csv:
         profile = scenario.ingest_load_csv(
-            evalkit.read_text(Path(args.load_csv)), len(case.buses)
+            read_text(Path(args.load_csv)), len(case.buses)
         )
     else:
         profile = scenario.synth_load_profile(n_normal, len(case.buses), args.seed)
@@ -150,19 +150,8 @@ def _cmd_generate(args) -> int:
         case, profile, layout, sizes=sizes, seed=args.seed,
         k_inject=args.k_inject, magnitude=args.magnitude,
     )
-    out = Path(args.out)
-    jsonl_path, csv_path = out / "dataset.jsonl", out / "features.csv"
-    with writing(out):
-        jsonl_digest = scenario.write_dataset_files(ds, jsonl_path, csv_path)
-    print(f"wrote {jsonl_path}")
-    _write(out / "stats.json", scenario.stats_to_json(ds.stats))
-    _write(out / "meta.json", scenario.meta_to_json(ds))
-    print(f"wrote {csv_path}")
-    # The loader's columns, cached (see scenario.read_columns).
-    columns_path = out / scenario.COLUMNS_FILE
-    with writing(columns_path):
-        scenario.write_columns(ds, columns_path, jsonl_digest)
-    print(f"wrote {columns_path}")
+    for path in scenario.write_dataset_dir(ds, Path(args.out)):
+        print(f"wrote {path}")
     return 0
 
 
@@ -180,7 +169,7 @@ def _sizes_for(total: int) -> scenario.SplitSizes:
 
 
 def _cmd_render(args) -> int:
-    ds = evalkit.load_dataset_dir(args.data)
+    ds = scenario.load_dataset_dir(args.data)
     cfg = promptkit.PromptConfig(
         paradigm=_PARADIGM_CHOICES[args.paradigm],
         variant=args.variant,
@@ -213,7 +202,7 @@ def _cmd_run(args) -> int:
         k_examples=args.k, example_seed=args.seed,
     ))
     report, manifest = evalkit.run_experiment(
-        run, evalkit.load_dataset_dir(data),
+        run, scenario.load_dataset_dir(data),
         cache=agents.ResponseCache(data / "cache"), out_dir=data / "manifests",
     )
     _print_report(report, evalkit.PARADIGM_LABELS[run.prompt.paradigm], args.format)
@@ -225,12 +214,12 @@ def _load_model(data: Path) -> detectors.DetectorModel:
     path = data / "model.json"
     if not path.exists():
         raise GridSigmaError(f"no trained model at {path}; run train-dl first")
-    return detectors.model_from_json(evalkit.read_text(path, DetectorError))
+    return detectors.model_from_json(read_text(path, DetectorError))
 
 
 def _cmd_train_dl(args) -> int:
     data = Path(args.data)
-    ds = evalkit.load_dataset_dir(data)
+    ds = scenario.load_dataset_dir(data)
     hyper = detectors.Hyper(
         lr=args.lr, batch=args.batch, epochs=args.epochs, patience=args.patience
     )
@@ -256,7 +245,7 @@ def _cmd_hybrid(args) -> int:
     ))
     model = _load_model(data)
     report, manifest = evalkit.run_hybrid_experiment(
-        run, model, evalkit.load_dataset_dir(data),
+        run, model, scenario.load_dataset_dir(data),
         cache=agents.ResponseCache(data / "cache"), out_dir=data / "manifests",
         use_reference_selector=args.reference_topz,
     )
@@ -266,7 +255,7 @@ def _cmd_hybrid(args) -> int:
 
 
 def _cmd_export_finetune(args) -> int:
-    ds = evalkit.load_dataset_dir(args.data)
+    ds = scenario.load_dataset_dir(args.data)
     cfg = promptkit.PromptConfig(variant=args.variant)
     lines = agents.export_finetune_dataset(ds, cfg)
     # Records stream into a temporary file beside the output, which replaces
@@ -296,7 +285,7 @@ def _cmd_report(args) -> int:
     runs = []
     for path in sorted(manifest_dir.glob("*.json")):
         try:
-            runs.append(evalkit.manifest_run(json.loads(evalkit.read_text(path))))
+            runs.append(evalkit.manifest_run(json.loads(read_text(path))))
         except (*MALFORMED_DOCUMENT, AgentError) as exc:
             raise DatasetError(f"{path}: {type(exc).__name__}: {exc}") from None
     output = evalkit.build_report(runs, args.format)

@@ -48,6 +48,18 @@ def unreadable(path, exc: OSError, error=GridSigmaError) -> GridSigmaError:
     return error(f"cannot read {path}: {exc.strerror or exc}")
 
 
+def read_text(path, error=DatasetError) -> str:
+    """The file's UTF-8 text, newlines translated as Path.read_text does;
+    bytes that are not UTF-8, or a file that cannot be read, raise
+    ``error``, naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc, error) from None
+    except OSError as exc:
+        raise unreadable(path, exc, error) from None
+
+
 @contextmanager
 def writing(path):
     """Report an OSError raised while writing path as a GridSigmaError that

@@ -8,7 +8,6 @@ referee. Metrics keep exact integer counts and render undefined values as
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import logging
@@ -19,13 +18,12 @@ from urllib.parse import quote
 
 import numpy as np
 
-from .errors import (
-    AgentError, DatasetError, GridSigmaError, not_utf8, unreadable, writing,
-)
+from .errors import AgentError, DatasetError, GridSigmaError, writing
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
 from .ruleoracle import top_abs_z
-from .scenario import ANOMALY, NORMAL, Dataset, FeatureStats, zscores
+from .scenario import ANOMALY, NORMAL, Dataset, FeatureStats, write_dataset, zscores
+from .scenario import load_dataset_dir  # the name the benchmark worker loads by
 
 logger = logging.getLogger(__name__)
 
@@ -142,88 +140,6 @@ def agent_label(agent: agents.AgentKind) -> str:
     """The agent kind, plus the seed for a coin flip: it names manifests and
     report rows."""
     return f"{agent.kind}{agent.seed}" if agent.kind == agents.COIN_FLIP else agent.kind
-
-
-def load_dataset_dir(data_dir: "str | Path") -> Dataset:
-    """Load and check a dataset directory (see ``dataset_from_files``).
-
-    dataset.jsonl is first hashed, once, in 1 MiB chunks. The columns then
-    come from dataset.columns, the cache ``generate`` writes beside it, when
-    its header holds that sha256 and it passes ``scenario.read_columns``'s
-    checks. A cache that is there but cannot be used logs one warning naming
-    it and why. Without a usable cache, dataset.jsonl is streamed: read line
-    by line and parsed as each line arrives.
-    """
-    from .scenario import COLUMNS_FILE, dataset_from_files
-
-    root = Path(data_dir)
-    path = root / "dataset.jsonl"
-    try:
-        with path.open("rb") as fh:
-            digest = hashlib.sha256()
-            while chunk := fh.read(_DIGEST_CHUNK):
-                digest.update(chunk)
-            fh.seek(0)
-            columns = _cached_columns(root / COLUMNS_FILE, digest.hexdigest())
-            dataset = dataset_from_files(
-                _decoded(fh, path),
-                read_text(root / "stats.json"),
-                read_text(root / "meta.json"),
-                columns=columns,
-            )
-    except FileNotFoundError as exc:
-        raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
-    except OSError as exc:
-        raise unreadable(path, exc, DatasetError) from None
-    return replace(dataset, jsonl_digest=digest.hexdigest())
-
-
-_DIGEST_CHUNK = 1 << 20
-
-
-def _cached_columns(path: Path, jsonl_digest: str) -> "dict | None":
-    """The columns in the dataset.columns file at path when it is the cache
-    of the dataset.jsonl whose bytes have the sha256 hex jsonl_digest; None
-    when there is no file at path, or, after one warning naming it and why,
-    when it cannot be used."""
-    from .scenario import read_columns
-
-    try:
-        with open(path, "rb") as fh:
-            return read_columns(fh, jsonl_digest)
-    except FileNotFoundError:
-        return None
-    except OSError as exc:
-        reason = f"cannot read it: {exc.strerror or exc}"
-    except (ValueError, DatasetError) as exc:
-        reason = exc
-    logger.warning("%s not used: %s", path, reason)
-    return None
-
-
-def _decoded(fh, path: Path) -> Iterator[str]:
-    """The binary file fh's lines, decoded. Bytes that are not UTF-8 raise
-    DatasetError, naming the file and the offset in it."""
-    offset = 0
-    for raw in fh:
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path, exc, DatasetError, offset) from None
-        offset += len(raw)
-        yield line
-
-
-def read_text(path: Path, error: "type[GridSigmaError]" = DatasetError) -> str:
-    """The file's UTF-8 text, newlines translated as Path.read_text does;
-    bytes that are not UTF-8, or a file that cannot be read, raise
-    ``error``, naming the file."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc, error) from None
-    except OSError as exc:
-        raise unreadable(path, exc, error) from None
 
 
 def _config_doc(run: RunConfig) -> dict:
@@ -350,8 +266,6 @@ def _keeping_hashes(
 def _dataset_digest_of(dataset: Dataset) -> str:
     """sha256 of the dataset's JSONL form: the file's, hashed at load, or for
     a dataset built in memory, the one write_dataset returns."""
-    from .scenario import write_dataset
-
     if dataset.jsonl_digest is not None:
         return dataset.jsonl_digest
     return write_dataset(dataset, io.BytesIO(), io.BytesIO())

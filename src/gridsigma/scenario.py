@@ -3,6 +3,9 @@
 Every random draw flows from a master seed through numpy SeedSequence
 children keyed by (seed, purpose tag, index), so datasets are bit-identical
 across runs regardless of evaluation order.
+
+It alone knows the dataset directory's five files: write_dataset_dir writes
+them, and load_dataset_dir reads and checks them.
 """
 
 from __future__ import annotations
@@ -15,13 +18,15 @@ import logging
 import math
 import os
 from array import array
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MALFORMED_DOCUMENT, DatasetError
+from .errors import (
+    MALFORMED_DOCUMENT, DatasetError, not_utf8, read_text, unreadable, writing,
+)
 from .grid import FeatureLayout, GridCase, LayoutEntry, extract_features, solve_hours
 
 logger = logging.getLogger(__name__)
@@ -442,9 +447,11 @@ def _check_columns(columns: dict, n_features: int) -> None:
         raise DatasetError(f"deltas holds {len(deltas)} values, not {len(injected)}")
     if features.shape[1] != n_features:
         raise DatasetError(f"{features.shape[1]} features, layout has {n_features}")
-    bad = ~np.isfinite(features).all(axis=1)
-    bad[np.searchsorted(ends, np.flatnonzero(~np.isfinite(deltas)), side="right") - 1] = True
-    if bad.any():
+    # Finite min and max mean all values are, so no n x d mask is needed then.
+    if not all(not a.size or np.isfinite(a.min()) and np.isfinite(a.max())
+               for a in (features, deltas)):
+        bad = ~np.isfinite(features).all(axis=1)
+        bad[np.searchsorted(ends, np.flatnonzero(~np.isfinite(deltas)), side="right") - 1] = True
         raise DatasetError(f"sample {int(np.argmax(bad))}: non-finite feature or delta")
     outside = (injected < 0) | (injected >= n_features)
     if outside.any():
@@ -457,17 +464,6 @@ def _check_columns(columns: dict, n_features: int) -> None:
         label = ANOMALY if anomalous[i] else NORMAL
         raise DatasetError(f"sample {i}: label {label!r} inconsistent with injected "
                            f"{tuple(injected[ends[i]:ends[i + 1]].tolist())}")
-
-
-def write_dataset_files(ds: Dataset, jsonl_path: Path, csv_path: Path) -> str:
-    """Write dataset.jsonl and features.csv (see write_dataset) and return
-    the sha256 hex of the dataset.jsonl bytes. Every sample is checked
-    before either file, or its directory, is made."""
-    _check_columns(vars(ds), len(ds.layout))
-    jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with jsonl_path.open("w+b") as jsonl_file, csv_path.open("wb") as csv_file:
-        return write_dataset(ds, jsonl_file, csv_file)
 
 
 def write_dataset(ds: Dataset, jsonl_file, csv_file) -> str:
@@ -731,7 +727,8 @@ def _parse_jsonl(lines: Iterable[str], n_features: int, rows: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# dataset.columns: the loader's columns, cached beside dataset.jsonl
+# The dataset directory: dataset.columns caches the loader's columns beside
+# dataset.jsonl, and write_dataset_dir and load_dataset_dir own all five files
 
 COLUMNS_FILE = "dataset.columns"
 _COLUMNS_FORMAT = 1
@@ -745,6 +742,7 @@ _COLUMNS = (
     ("ends", np.dtype("<i8"), 1),
 )
 _HEADER_BYTES = 4096  # the header line is read up to this many bytes
+_DIGEST_CHUNK = 1 << 20  # bytes per read while dataset.jsonl is hashed
 
 
 def _raw(array: np.ndarray) -> memoryview:
@@ -827,3 +825,87 @@ def read_columns(fh, jsonl_digest: str) -> dict:
         raise ValueError("its records do not have the payload digest")
     _check_columns(columns, columns["features"].shape[1])
     return columns
+
+
+def write_dataset_dir(ds: Dataset, out: Path) -> list[Path]:
+    """Write ds's five files into the directory out (see write_dataset and
+    write_columns), once every sample is checked; an OSError names the file,
+    or out for dataset.jsonl and features.csv. Returns the five paths."""
+    _check_columns(vars(ds), len(ds.layout))
+    paths = [out / name for name in ("dataset.jsonl", "stats.json", "meta.json",
+                                     "features.csv", COLUMNS_FILE)]
+    jsonl_path, stats_path, meta_path, csv_path, columns_path = paths
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        with jsonl_path.open("w+b") as jsonl_file, csv_path.open("wb") as csv_file:
+            jsonl_digest = write_dataset(ds, jsonl_file, csv_file)
+    for path, text in ((stats_path, stats_to_json(ds.stats)),
+                       (meta_path, meta_to_json(ds))):
+        with writing(path):
+            path.write_text(text, encoding="utf-8")
+    with writing(columns_path):
+        write_columns(ds, columns_path, jsonl_digest)
+    return paths
+
+
+def load_dataset_dir(data_dir: "str | Path") -> Dataset:
+    """Load and check a dataset directory (see ``dataset_from_files``).
+
+    dataset.jsonl is first hashed, once, in 1 MiB chunks. The columns then
+    come from dataset.columns, the cache ``write_dataset_dir`` writes beside
+    it, when its header holds that sha256 and it passes ``read_columns``'s
+    checks. A cache that is there but cannot be used logs one warning naming
+    it and why. Without a usable cache, dataset.jsonl is streamed: read line
+    by line and parsed as each line arrives.
+    """
+    root = Path(data_dir)
+    path = root / "dataset.jsonl"
+    try:
+        with path.open("rb") as fh:
+            digest = hashlib.sha256()
+            while chunk := fh.read(_DIGEST_CHUNK):
+                digest.update(chunk)
+            fh.seek(0)
+            columns = _cached_columns(root / COLUMNS_FILE, digest.hexdigest())
+            dataset = dataset_from_files(
+                _decoded(fh, path),
+                read_text(root / "stats.json"),
+                read_text(root / "meta.json"),
+                columns=columns,
+            )
+    except FileNotFoundError as exc:
+        raise DatasetError(f"dataset not found under {root}: {exc.filename}") from None
+    except OSError as exc:
+        raise unreadable(path, exc, DatasetError) from None
+    return replace(dataset, jsonl_digest=digest.hexdigest())
+
+
+def _cached_columns(path: Path, jsonl_digest: str) -> "dict | None":
+    """The columns in the dataset.columns file at path when it is the cache
+    of the dataset.jsonl whose bytes have the sha256 hex jsonl_digest; None
+    when there is no file at path, or, after one warning naming it and why,
+    when it cannot be used."""
+    try:
+        with open(path, "rb") as fh:
+            return read_columns(fh, jsonl_digest)
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        reason = f"cannot read it: {exc.strerror or exc}"
+    except (ValueError, DatasetError) as exc:
+        reason = exc
+    logger.warning("%s not used: %s", path, reason)
+    return None
+
+
+def _decoded(fh, path: Path) -> Iterator[str]:
+    """The binary file fh's lines, decoded. Bytes that are not UTF-8 raise
+    DatasetError, naming the file and the offset in it."""
+    offset = 0
+    for raw in fh:
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc, DatasetError, offset) from None
+        offset += len(raw)
+        yield line

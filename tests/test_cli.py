@@ -89,7 +89,7 @@ class TestGenerate:
         digest = evalkit._dataset_digest_of(ds)
         assert digest == hashlib.sha256(
             legacy_formats.written(ds)[0].encode("utf-8")).hexdigest()
-        assert digest == evalkit.load_dataset_dir(tmp_path / "d").jsonl_digest
+        assert digest == scenario.load_dataset_dir(tmp_path / "d").jsonl_digest
 
     @pytest.mark.parametrize("changes, message", [
         (lambda s: {"features": np.where(np.arange(len(s.features)) == 4,
@@ -189,7 +189,7 @@ class TestRunAndReport:
         # dataset re-serialised in memory.
         jsonl = (pipeline_dir / "dataset.jsonl").read_bytes()
         digest = hashlib.sha256(jsonl).hexdigest()
-        loaded = evalkit.load_dataset_dir(pipeline_dir)
+        loaded = scenario.load_dataset_dir(pipeline_dir)
         assert legacy_formats.written(loaded)[0].encode("utf-8") == jsonl
         path = pipeline_dir / "manifests" / "zero_shot_z_only_reference_rule.json"
         assert json.loads(path.read_text())["dataset_digest"] == digest
@@ -494,7 +494,7 @@ class TestOtherCommands:
 
     def test_render_hybrid_prints_the_prompt_hybrid_sends(self, pipeline_dir, capsys,
                                                           monkeypatch):
-        ds = evalkit.load_dataset_dir(pipeline_dir)
+        ds = scenario.load_dataset_dir(pipeline_dir)
         model = detectors.model_from_json((pipeline_dir / "model.json").read_text())
         sent = []
         complete = agents.complete
@@ -534,7 +534,7 @@ class TestOtherCommands:
         assert main(["export-finetune", "--data", str(pipeline_dir),
                      "--out", str(out_file)]) == 0
         assert capsys.readouterr().out == f"wrote {out_file}\nrecords: 300\n"
-        ds = evalkit.load_dataset_dir(pipeline_dir)
+        ds = scenario.load_dataset_dir(pipeline_dir)
         assert out_file.read_text(encoding="utf-8") == "".join(
             agents.export_finetune_dataset(ds)
         )

@@ -496,7 +496,7 @@ class TestStreamedLoader:
         jsonl = jsonl.replace(b'{"id":1,', '{"note":"é€\U0001F600","id":1,'.encode(), 1)
         assert "€".encode() in jsonl
         data = _write_dataset(tmp_path / "d", jsonl, stats_text, meta_text)
-        loaded = evalkit.load_dataset_dir(data)
+        loaded = scenario.load_dataset_dir(data)
         _same_samples(loaded, ds)
         assert loaded.jsonl_digest == hashlib.sha256(jsonl).hexdigest()
 
@@ -510,7 +510,7 @@ class TestStreamedLoader:
         ds, jsonl, stats_text, meta_text = tiny_files
         jsonl = edit(jsonl)
         data = _write_dataset(tmp_path / "d", jsonl, stats_text, meta_text)
-        loaded = evalkit.load_dataset_dir(data)
+        loaded = scenario.load_dataset_dir(data)
         _same_samples(loaded, ds)
         assert loaded.jsonl_digest == hashlib.sha256(jsonl).hexdigest()
 
@@ -527,7 +527,7 @@ class TestStreamedLoader:
         with pytest.raises(DatasetError, match=re.escape(
                 f"{data / 'dataset.jsonl'}: not UTF-8 text "
                 f"(byte {at}: invalid start byte)")):
-            evalkit.load_dataset_dir(data)
+            scenario.load_dataset_dir(data)
 
     def test_truncated_character_at_end_gives_file_offset(self, tiny_files, tmp_path):
         _, jsonl, stats_text, meta_text = tiny_files
@@ -535,7 +535,7 @@ class TestStreamedLoader:
                               meta_text)
         with pytest.raises(DatasetError, match=re.escape(
                 f"not UTF-8 text (byte {len(jsonl)}: unexpected end of data)")):
-            evalkit.load_dataset_dir(data)
+            scenario.load_dataset_dir(data)
 
 
 def test_line_longer_than_any_read_buffer(tiny_files, tmp_path):
@@ -543,31 +543,33 @@ def test_line_longer_than_any_read_buffer(tiny_files, tmp_path):
     note = "€" * (1 << 20)  # 3 MiB of text on line 2
     jsonl = jsonl.replace(b'{"id":1,', f'{{"note":"{note}","id":1,'.encode(), 1)
     data = _write_dataset(tmp_path / "d", jsonl, stats_text, meta_text)
-    loaded = evalkit.load_dataset_dir(data)
+    loaded = scenario.load_dataset_dir(data)
     _same_samples(loaded, ds)
     assert loaded.jsonl_digest == hashlib.sha256(jsonl).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def dir42(dataset42, tmp_path_factory):
-    """The seed-42 dataset's files, as `generate` writes them."""
+    """The seed-42 dataset's files, as `generate` writes them, but without
+    the dataset.columns cache: each load parses dataset.jsonl."""
     data = tmp_path_factory.mktemp("d42")
-    scenario.write_dataset_files(dataset42, data / "dataset.jsonl",
-                                 data / "features.csv")
-    (data / "stats.json").write_text(stats_to_json(dataset42.stats), encoding="utf-8")
-    (data / "meta.json").write_text(meta_to_json(dataset42), encoding="utf-8")
+    scenario.write_dataset_dir(dataset42, data)
+    (data / scenario.COLUMNS_FILE).unlink()
     return data
 
 
 class TestLoadedDataset:
+    def test_evalkit_name_is_the_scenario_loader(self):
+        assert evalkit.load_dataset_dir is scenario.load_dataset_dir
+
     def test_digest_is_that_of_the_file(self, dir42):
         raw = (dir42 / "dataset.jsonl").read_bytes()
         assert len(raw) > 4 * io.DEFAULT_BUFFER_SIZE  # read in several buffers
-        loaded = evalkit.load_dataset_dir(dir42)
+        loaded = scenario.load_dataset_dir(dir42)
         assert loaded.jsonl_digest == hashlib.sha256(raw).hexdigest()
 
     def test_features_bit_equal_and_read_only(self, dir42, dataset42):
-        loaded = evalkit.load_dataset_dir(dir42)
+        loaded = scenario.load_dataset_dir(dir42)
         _same_samples(loaded, dataset42)
         for ds in (loaded, dataset42):
             first, last = ds.by_id(0).features, ds.by_id(len(ds.features) - 1).features
@@ -583,7 +585,7 @@ class TestLoadedDataset:
         size = (dir42 / "dataset.jsonl").stat().st_size
         tracemalloc.start()
         try:
-            evalkit.load_dataset_dir(dir42)
+            scenario.load_dataset_dir(dir42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -598,13 +600,12 @@ class TestLoadedDataset:
                            default_layout(case),
                            sizes=SplitSizes(train=3000, validation=500, test=500), seed=3)
         data = tmp_path / "d"
-        scenario.write_dataset_files(ds, data / "dataset.jsonl", data / "features.csv")
-        _write_dataset(data, (data / "dataset.jsonl").read_bytes(),
-                       stats_to_json(ds.stats), meta_to_json(ds))
+        scenario.write_dataset_dir(ds, data)
+        (data / scenario.COLUMNS_FILE).unlink()  # the parse is measured
         del ds
         tracemalloc.start()
         try:
-            loaded = evalkit.load_dataset_dir(data)
+            loaded = scenario.load_dataset_dir(data)
             kept, peak = tracemalloc.get_traced_memory()
             blocks = sum(stat.count for stat in
                          tracemalloc.take_snapshot().statistics("filename"))
@@ -647,7 +648,7 @@ def _copy(data, tmp_path, cache=True) -> Path:
 @pytest.fixture(scope="module")
 def parsed42(generated, tmp_path_factory):
     """The seed-42 directory loaded by parsing dataset.jsonl: no cache."""
-    return evalkit.load_dataset_dir(
+    return scenario.load_dataset_dir(
         _copy(generated[42], tmp_path_factory.mktemp("parsed42"), cache=False))
 
 
@@ -698,7 +699,7 @@ class TestColumnsCache:
 
         monkeypatch.setattr(scenario, "_parse_jsonl", no_parse)
         with caplog.at_level("WARNING", logger="gridsigma"):
-            loaded = evalkit.load_dataset_dir(generated[42])
+            loaded = scenario.load_dataset_dir(generated[42])
         _assert_same_load(loaded, parsed42)
         assert not caplog.records
 
@@ -723,7 +724,7 @@ class TestColumnsCache:
         cache = data / scenario.COLUMNS_FILE
         spoil(cache, generated[43] / scenario.COLUMNS_FILE)
         with caplog.at_level("WARNING", logger="gridsigma"):
-            loaded = evalkit.load_dataset_dir(data)
+            loaded = scenario.load_dataset_dir(data)
         _assert_same_load(loaded, parsed42)
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == warnings
@@ -776,7 +777,7 @@ class TestColumnsCache:
         cache = data / scenario.COLUMNS_FILE
         cache.write_bytes(json.dumps(header).encode() + b"\n" + records.getvalue())
         with caplog.at_level("WARNING", logger="gridsigma"):
-            loaded = evalkit.load_dataset_dir(data)
+            loaded = scenario.load_dataset_dir(data)
         _assert_same_load(loaded, parsed42)
         assert [r.getMessage() for r in caplog.records] == [f"{cache} not used: {reason}"]
 
@@ -796,10 +797,10 @@ class TestColumnsCache:
         data = _copy(generated[42], tmp_path)
         edit(data)
         with pytest.raises(DatasetError) as with_cache:
-            evalkit.load_dataset_dir(data)
+            scenario.load_dataset_dir(data)
         (data / scenario.COLUMNS_FILE).unlink()
         with pytest.raises(DatasetError) as without:
-            evalkit.load_dataset_dir(data)
+            scenario.load_dataset_dir(data)
         assert str(with_cache.value) == str(without.value)
 
     @settings(max_examples=60, deadline=None)
@@ -813,7 +814,19 @@ class TestColumnsCache:
         for where, value in edits:
             raw[int(where * len(raw))] = value
         cache.write_bytes(bytes(raw))
-        _assert_same_load(evalkit.load_dataset_dir(data), parsed42)
+        _assert_same_load(scenario.load_dataset_dir(data), parsed42)
+
+
+def test_empty_dataset_jsonl_is_a_dataset_error(generated, tmp_path, capsys):
+    # No sample is left, so meta.json's split ids name none: the empty
+    # feature matrix must reach that check without a numpy error on the way.
+    data = _copy(generated[42], tmp_path, cache=False)
+    (data / "dataset.jsonl").write_bytes(b"")
+    message = "meta.json: train split id 0 names no sample"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        scenario.load_dataset_dir(data)
+    assert cli.main(["run", "--data", str(data)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _flip(raw: bytes, where: float) -> bytes:

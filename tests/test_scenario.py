@@ -212,8 +212,8 @@ class TestStats:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
     def test_dataset_files_bytes_pinned(self, dataset42, tmp_path):
+        scenario.write_dataset_dir(dataset42, tmp_path)
         jsonl_path, csv_path = tmp_path / "dataset.jsonl", tmp_path / "features.csv"
-        scenario.write_dataset_files(dataset42, jsonl_path, csv_path)
         for path, sha256 in (
             (jsonl_path, "758ab1f14506825bd1e71b1027ceb2c408c03e11f9d7cd8be63f84d701c44ac8"),
             (csv_path, "2581f18924a5cbb35827ca7d5e419a72d14ebb0a843735cfdb5b803de31eae19"),
@@ -650,7 +650,7 @@ class TestDatasetBlocks:
 
 
 class TestWriteDatasetFiles:
-    """write_dataset_files reads each anomaly's base text back from the
+    """write_dataset_dir reads each anomaly's base text back from the
     dataset.jsonl it is writing; its files equal the legacy writers'."""
 
     @pytest.mark.parametrize("which", ["400", "1600", "82-sensors", "skipped-hours"])
@@ -670,25 +670,36 @@ class TestWriteDatasetFiles:
             assert {3, 130, 131}.isdisjoint(ds.hours.tolist())
         else:
             ds = dataset42 if which == "1600" else dataset82
-        jsonl_path, csv_path = tmp_path / "d" / "dataset.jsonl", tmp_path / "features.csv"
-        scenario.write_dataset_files(ds, jsonl_path, csv_path)
+        out = tmp_path / "d"
+        names = ["dataset.jsonl", "stats.json", "meta.json", "features.csv",
+                 scenario.COLUMNS_FILE]
+        assert scenario.write_dataset_dir(ds, out) == [out / name for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        jsonl_path, csv_path = out / "dataset.jsonl", out / "features.csv"
         assert jsonl_path.read_text(encoding="utf-8") == legacy_formats.dataset_to_jsonl(ds)
         assert csv_path.read_text(encoding="utf-8") == legacy_formats.features_to_csv(ds)
+        assert (out / "stats.json").read_text(encoding="utf-8") == stats_to_json(ds.stats)
+        assert (out / "meta.json").read_text(encoding="utf-8") == meta_to_json(ds)
 
     def test_refused_dataset_creates_neither_file(self, dataset42, tmp_path):
+        """None of the five files, and not the directory either."""
         last = dataset42.by_id(1599)
         ds = with_samples(dataset42, samples_of(dataset42)[:-1] + (
             replace(last, deltas=(np.inf,) + last.deltas[1:]),))
         out = tmp_path / "d"
         with pytest.raises(DatasetError, match="sample 1599: non-finite"):
-            scenario.write_dataset_files(ds, out / "dataset.jsonl", out / "features.csv")
+            scenario.write_dataset_dir(ds, out)
         assert not out.exists()
+        out.mkdir()
+        with pytest.raises(DatasetError, match="sample 1599: non-finite"):
+            scenario.write_dataset_dir(ds, out)
+        assert not any(out.iterdir())
 
     def test_layout_narrower_than_the_rows_refused(self, dataset42, tmp_path):
         ds = replace(dataset42, layout=FeatureLayout(dataset42.layout.entries[:-1]))
         out = tmp_path / "d"
         with pytest.raises(DatasetError, match=re.escape("68 features, layout has 67")):
-            scenario.write_dataset_files(ds, out / "dataset.jsonl", out / "features.csv")
+            scenario.write_dataset_dir(ds, out)
         assert not out.exists()
 
 
@@ -766,8 +777,11 @@ class TestLoaderChecks:
         lambda rec: rec.update(features=[rec["features"]]),
         lambda rec: rec.pop("hour"),
         lambda rec: rec["deltas"].append(0.5),
+        # numpy would store "1.5" as 1.5; the line's own check refuses it.
+        lambda rec: rec["features"].__setitem__(5, "1.5"),
     ], ids=["label-case", "label-null", "feature-nan", "feature-inf",
-            "feature-short", "feature-nested", "missing-key", "deltas-long"])
+            "feature-short", "feature-nested", "missing-key", "deltas-long",
+            "feature-str"])
     def test_bad_record_rejected(self, files42, edit):
         jsonl, stats_text, meta_text = files42
         lines = jsonl.splitlines()
