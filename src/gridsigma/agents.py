@@ -24,7 +24,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AgentError, not_utf8, unreadable
+from .errors import AgentError, GridSigmaError, read_text, replacing
 from . import promptkit, ruleoracle
 from .promptkit import ZERO_SHOT, AgentVerdict, PromptBundle, PromptConfig
 from .scenario import ANOMALY, NORMAL, Dataset
@@ -119,24 +119,13 @@ class ResponseCache:
         path = self._path(key)
         if not path.exists():
             return None
-        try:
-            return path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            # Not an AgentError: a corrupt entry stops the run instead of
-            # becoming an invalid verdict.
-            raise not_utf8(path, exc) from None
-        except OSError as exc:
-            raise unreadable(path, exc) from None
+        # Not an AgentError: a corrupt entry stops the run instead of
+        # becoming an invalid verdict.
+        return read_text(path, GridSigmaError)
 
     def put(self, key: str, text: str) -> None:
-        with self._write_lock:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Per process and thread, so writers that share the directory
-            # never move each other's partial file into place.
-            tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
+        with self._write_lock, replacing(self._path(key)) as fh:
+            fh.write(text)
 
 
 def _http_complete(prompt: PromptBundle, endpoint: EndpointConfig) -> str:
@@ -170,6 +159,10 @@ def _http_complete(prompt: PromptBundle, endpoint: EndpointConfig) -> str:
                 raise AgentError(f"malformed completion: {exc!r}") from None
             if not isinstance(content, str) or not content.strip():
                 raise _NoRetry("empty completion")
+            try:
+                content.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate, escaped in the JSON
+                raise _NoRetry(f"completion is not UTF-8 text: {exc}") from None
             return content
         except _NoRetry as exc:
             raise AgentError(str(exc)) from None

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
 from . import agents, detectors, evalkit, grid, promptkit, scenario
 from .errors import (
     MALFORMED_DOCUMENT, AgentError, DatasetError, DetectorError, GridSigmaError,
-    read_text, writing,
+    read_text, replacing,
 )
 
 logger = logging.getLogger(__name__)
@@ -110,15 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_WRITE_SLICE = 1 << 20  # characters per write, so no encoded copy of all of it
-
-
 def _write(path: Path, text: str) -> None:
-    with writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start : start + _WRITE_SLICE])
+    with replacing(path) as fh:
+        fh.write(text)
     print(f"wrote {path}")
 
 
@@ -258,21 +251,12 @@ def _cmd_export_finetune(args) -> int:
     ds = scenario.load_dataset_dir(args.data)
     cfg = promptkit.PromptConfig(variant=args.variant)
     lines = agents.export_finetune_dataset(ds, cfg)
-    # Records stream into a temporary file beside the output, which replaces
-    # the output only once every record is written.
     out = Path(args.out)
-    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
     records = 0
-    with writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line)
-                    records += 1
-            os.replace(tmp, out)
-        finally:
-            tmp.unlink(missing_ok=True)
+    with replacing(out) as fh:
+        for line in lines:
+            fh.write(line)
+            records += 1
     print(f"wrote {out}")
     print(f"records: {records}")
     return 0

@@ -1,6 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the reader and writer that raise them."""
 
+import os
+import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 # What json.loads and the int()/float()/numpy conversions of its fields raise
 # on a malformed document: a missing key, a value of the wrong type or out of
@@ -68,3 +71,23 @@ def writing(path):
         yield
     except OSError as exc:
         raise GridSigmaError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """The file opened in mode ("w" for UTF-8 text) as <name>.<pid>.<thread
+    id>.tmp beside path, in path's directory, made if need be, and moved over
+    path by os.replace once the block returns; the name keeps writers that
+    share the directory apart. On any exception the temporary file is
+    removed, and path keeps what it held. An OSError is reported as
+    ``writing`` reports it."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    with writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)

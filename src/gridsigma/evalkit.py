@@ -18,7 +18,7 @@ from urllib.parse import quote
 
 import numpy as np
 
-from .errors import AgentError, DatasetError, GridSigmaError, writing
+from .errors import AgentError, DatasetError, GridSigmaError, replacing
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
 from .ruleoracle import top_abs_z
@@ -290,12 +290,8 @@ def manifest_name(run: RunConfig) -> str:
 
 
 def write_manifest(manifest: dict, path: "str | Path") -> None:
-    path = Path(path)
-    with writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    with replacing(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def run_hybrid_experiment(

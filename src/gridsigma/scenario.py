@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    MALFORMED_DOCUMENT, DatasetError, not_utf8, read_text, unreadable, writing,
+    MALFORMED_DOCUMENT, DatasetError, not_utf8, read_text, replacing, unreadable, writing,
 )
 from .grid import FeatureLayout, GridCase, LayoutEntry, extract_features, solve_hours
 
@@ -585,9 +585,10 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str,
     io.StringIO yields them so).
 
     Line i of dataset.jsonl must hold sample id i with one finite feature per
-    layout sensor; every split id must name a sample and lie in one split
-    only; the stats must have one finite mean and std per layout sensor and
-    equal, exactly, compute_stats over the train split.
+    layout sensor, and the file at least as many samples as the splits name;
+    every split id must name a sample and lie in one split only; the stats
+    must have one finite mean and std per layout sensor and equal, exactly,
+    compute_stats over the train split.
 
     The features go into one read-only (n, d) matrix, and the other fields
     into the Dataset's flat columns, which must pass _check_columns. columns,
@@ -622,16 +623,16 @@ def dataset_from_files(jsonl: Iterable[str], stats_text: str, meta_text: str,
                 f"stats.json: {name} must hold {len(layout)} finite values"
             )
 
+    named = sum(map(len, splits.values()))  # the sample count of a generated file
     if columns is None or columns["features"].shape[1] != len(layout):
-        columns = _parse_jsonl(
-            jsonl,
-            len(layout),
-            sum(map(len, splits.values())),  # the sample count of a generated file
-        )
+        columns = _parse_jsonl(jsonl, len(layout), named)
         try:
             _check_columns(columns, len(layout))
         except DatasetError as exc:
             raise DatasetError(f"dataset.jsonl: {exc}") from None
+    if len(columns["features"]) < named:
+        raise DatasetError(f"dataset.jsonl: {len(columns['features'])} samples, "
+                           f"fewer than the {named} that meta.json's splits name")
     try:
         splits = _split_arrays(splits, len(columns["features"]))
     except DatasetError as exc:
@@ -750,10 +751,11 @@ def _raw(array: np.ndarray) -> memoryview:
     return memoryview(array.reshape(-1)).cast("B")
 
 
-def write_columns(ds: Dataset, path: Path, jsonl_digest: str) -> None:
-    """Write ds's columns to path as the cache of the dataset.jsonl whose
-    bytes have the sha256 hex jsonl_digest (see read_columns). Each column
-    is hashed and then written straight from the dataset, not copied."""
+def write_columns(ds: Dataset, fh, jsonl_digest: str) -> None:
+    """Write ds's columns into the open binary file fh as the cache of the
+    dataset.jsonl whose bytes have the sha256 hex jsonl_digest (see
+    read_columns). Each column is hashed and then written straight from the
+    dataset, not copied."""
     parts = []
     for name, dtype, _ in _COLUMNS:
         array = np.ascontiguousarray(getattr(ds, name), dtype=dtype)
@@ -766,9 +768,8 @@ def write_columns(ds: Dataset, path: Path, jsonl_digest: str) -> None:
         payload.update(part)
     header = {"format": _COLUMNS_FORMAT, "dataset.jsonl": jsonl_digest,
               "payload": payload.hexdigest()}
-    with path.open("wb") as fh:
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
-        fh.writelines(parts)
+    fh.write(json.dumps(header).encode("ascii") + b"\n")
+    fh.writelines(parts)
 
 
 def read_columns(fh, jsonl_digest: str) -> dict:
@@ -829,22 +830,24 @@ def read_columns(fh, jsonl_digest: str) -> dict:
 
 def write_dataset_dir(ds: Dataset, out: Path) -> list[Path]:
     """Write ds's five files into the directory out (see write_dataset and
-    write_columns), once every sample is checked; an OSError names the file,
-    or out for dataset.jsonl and features.csv. Returns the five paths."""
+    write_columns), once every sample is checked, each through
+    errors.replacing; an OSError names the file, or out when out cannot be
+    made a directory. Returns the five paths."""
     _check_columns(vars(ds), len(ds.layout))
     paths = [out / name for name in ("dataset.jsonl", "stats.json", "meta.json",
                                      "features.csv", COLUMNS_FILE)]
     jsonl_path, stats_path, meta_path, csv_path, columns_path = paths
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
-        with jsonl_path.open("w+b") as jsonl_file, csv_path.open("wb") as csv_file:
-            jsonl_digest = write_dataset(ds, jsonl_file, csv_file)
+    with (replacing(jsonl_path, "w+b") as jsonl_file,
+          replacing(csv_path, "wb") as csv_file):
+        jsonl_digest = write_dataset(ds, jsonl_file, csv_file)
     for path, text in ((stats_path, stats_to_json(ds.stats)),
                        (meta_path, meta_to_json(ds))):
-        with writing(path):
-            path.write_text(text, encoding="utf-8")
-    with writing(columns_path):
-        write_columns(ds, columns_path, jsonl_digest)
+        with replacing(path) as fh:
+            fh.write(text)
+    with replacing(columns_path, "wb") as fh:
+        write_columns(ds, fh, jsonl_digest)
     return paths
 
 

@@ -112,6 +112,17 @@ class TestCache:
         with pytest.raises(GridSigmaError, match=f"^cannot read {re.escape(str(entry))}: "):
             cache.get(key)
 
+    def test_file_at_the_shard_path_is_domain_error(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        key = cache_key("prompt", "model", 0.0)
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / key[:2]).write_text("kept\n")
+        entry = tmp_path / "cache" / key[:2] / f"{key}.txt"
+        with pytest.raises(GridSigmaError,
+                           match=f"^cannot write {re.escape(str(entry))}: File exists$"):
+            cache.put(key, "normal\n")
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [key[:2]]
+
     def test_key_depends_on_model_and_temperature(self):
         base = cache_key("p", "m", 0.0)
         assert cache_key("p", "m2", 0.0) != base
@@ -228,6 +239,21 @@ class TestHttpAgent:
             endpoint_for(stub_server, retries=0),
         )
         assert verdicts[0].label == promptkit.INVALID
+
+    def test_surrogate_completion_is_invalid_without_retry(self, stub_server, bundles,
+                                                           tmp_path):
+        # JSON escapes a lone surrogate, so resp.json() returns one, and UTF-8
+        # cannot encode it into a cache entry.
+        stub_server.behavior = lambda text, n: {"kind": "reply",
+                                                "text": "normal\n\ud800 odd"}
+        verdicts = run_batch(
+            bundles[:3], AgentKind(agents.HTTP_ENDPOINT),
+            endpoint_for(stub_server, retries=2), ResponseCache(tmp_path / "cache"),
+        )
+        assert [v.label for v in verdicts] == [promptkit.INVALID] * 3
+        assert "completion is not UTF-8 text" in verdicts[0].rationale
+        assert len(stub_server.requests) == 3
+        assert list(tmp_path.iterdir()) == []  # no entry and no *.tmp file
 
     def test_malformed_json_is_invalid(self, stub_server, bundles):
         stub_server.behavior = lambda text, n: {"kind": "raw", "body": "not json"}

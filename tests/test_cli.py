@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -847,6 +848,34 @@ class TestErrors:
         assert "not UTF-8 text (byte 0: invalid start byte)" in capsys.readouterr().err
         assert len(stub_server.requests) == sent
 
+    @pytest.mark.parametrize("case", ["surrogate-reply", "file-at-shard-path"])
+    def test_http_run_ends_without_traceback_or_temp_file(
+            self, pipeline_dir, tmp_path, capsys, stub_server, monkeypatch, case):
+        monkeypatch.setenv(agents.ENV_BASE_URL,
+                           f"http://127.0.0.1:{stub_server.server_address[1]}")
+        monkeypatch.setenv(agents.ENV_MODEL, "stub-model")
+        monkeypatch.delenv(agents.ENV_API_KEY, raising=False)
+        data = self._corrupted_copy(pipeline_dir, tmp_path, None, None)  # unmodified
+        if case == "surrogate-reply":
+            stub_server.behavior = lambda text, n: {"kind": "reply",
+                                                    "text": "normal\n\ud800 odd"}
+        else:  # a file at every shard path a cache entry can have
+            (data / "cache").mkdir()
+            for shard in range(256):
+                (data / "cache" / f"{shard:02x}").write_text("kept\n")
+        rc = main(["run", "--data", str(data), "--agent", "http"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert list(data.rglob("*.tmp")) == []
+        if case == "surrogate-reply":  # each prompt is an invalid verdict
+            assert rc == 0
+            assert "invalid verdicts: 50 (policy: as_wrong)" in captured.out
+            assert not (data / "cache").exists()
+        else:
+            assert rc == 1  # and one error line, which names the entry
+            assert re.fullmatch(r"error: cannot write .*/cache/(..)/\1[0-9a-f]{62}"
+                                r"\.txt: File exists\n", captured.err)
+
     @pytest.mark.parametrize("flags, message", [
         (["--batch", "0"], "batch must be >= 1, got 0"),
         (["--batch", "-5"], "batch must be >= 1, got -5"),
@@ -897,6 +926,98 @@ class TestErrors:
         _write_train_stats(data)
         assert main(["hybrid", "--data", str(data), "--reference-topz"]) == 1
         assert "trained on other stats (n=300)" in capsys.readouterr().err
+
+
+class _Broken(Exception):
+    """What a patched producer raises part-way through a write."""
+
+
+def _raise_on_call(n):
+    """Wrap a function so that its n-th call raises _Broken."""
+    def wrap(real):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == n:
+                raise _Broken
+            return real(*args, **kwargs)
+        return broken
+    return wrap
+
+
+def _unencodable(real):
+    """Wrap a text producer so that its text ends in a lone surrogate, which
+    UTF-8 cannot encode: the write of that text raises."""
+    return lambda *args, **kwargs: real(*args, **kwargs) + "\ud800"
+
+
+def _cli(*argv):
+    """Run the command argv, each argument formatted with data=<data dir>."""
+    return lambda data: main([arg.format(data=data) for arg in argv])
+
+
+def _cache_put(data):
+    """Put an agent's reply in the cache under the data directory."""
+    reply = agents.complete(None, agents.AgentKind(agents.ALWAYS_NORMAL))
+    agents.ResponseCache(data / "cache").put("ab01", reply)
+    return 0
+
+
+_GENERATE = _cli("generate", "--samples", "80", "--out", "{data}")
+# Each file the CLI writes, under the data directory: what writes it, the
+# function that produces its bytes, how that function is broken and what the
+# broken write raises.
+_WRITES = {
+    "model.json": (_cli("train-dl", "--data", "{data}", "--epochs", "2"),
+                   (detectors, "model_to_json"), _unencodable, UnicodeEncodeError),
+    "manifests/zero_shot_z_only_reference_rule.json": (
+        _cli("run", "--data", "{data}"), (evalkit, "_metrics_doc"),
+        lambda real: lambda report: {"f1": object()}, TypeError),
+    "reports/report.txt": (_cli("report", "--data", "{data}", "--out", "{data}/reports"),
+                           (evalkit, "build_report"), _unencodable, UnicodeEncodeError),
+    "finetune.jsonl": (_cli("export-finetune", "--data", "{data}",
+                            "--out", "{data}/finetune.jsonl"),
+                       (ruleoracle, "reference_agent"), _raise_on_call(5), _Broken),
+    "dataset.jsonl": (_GENERATE, (scenario, "_floats_text"), _raise_on_call(100),
+                      _Broken),
+    "features.csv": (_GENERATE, (scenario, "_floats_text"), _raise_on_call(100),
+                     _Broken),
+    "stats.json": (_GENERATE, (scenario, "stats_to_json"), _unencodable,
+                   UnicodeEncodeError),
+    "meta.json": (_GENERATE, (scenario, "meta_to_json"), _unencodable,
+                  UnicodeEncodeError),
+    scenario.COLUMNS_FILE: (_GENERATE, (scenario, "_raw"), _raise_on_call(4), _Broken),
+    "cache/ab/ab01.txt": (_cache_put, (agents, "_mock_complete"), _unencodable,
+                          UnicodeEncodeError),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", list(_WRITES))
+    def test_broken_write_keeps_the_old_file(self, pipeline_dir, tmp_path, monkeypatch,
+                                             name):
+        write, (owner, attr), breaking, error = _WRITES[name]
+        data = Path(shutil.copytree(pipeline_dir, tmp_path / "data"))
+        target = data / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(b"old\n")
+        monkeypatch.setattr(owner, attr, breaking(getattr(owner, attr)))
+        # 16-sample blocks, so that generate breaks with dataset.jsonl part-written.
+        monkeypatch.setattr(scenario, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())  # it takes any text
+        with pytest.raises(error):
+            write(data)
+        assert target.read_bytes() == b"old\n"
+        assert list(target.parent.glob("*.tmp")) == []
+
+        monkeypatch.undo()
+        plain = tmp_path / "plain"
+        plain.open("w").close()
+        target.unlink()
+        assert write(data) == 0
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert list(target.parent.glob("*.tmp")) == []
 
 
 class TestDeterminism:

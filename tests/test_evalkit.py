@@ -818,15 +818,26 @@ class TestColumnsCache:
 
 
 def test_empty_dataset_jsonl_is_a_dataset_error(generated, tmp_path, capsys):
-    # No sample is left, so meta.json's split ids name none: the empty
-    # feature matrix must reach that check without a numpy error on the way.
+    # No sample is left: the empty feature matrix must reach the sample-count
+    # check without a numpy error on the way, and dataset.jsonl is named, not
+    # the intact meta.json.
     data = _copy(generated[42], tmp_path, cache=False)
     (data / "dataset.jsonl").write_bytes(b"")
-    message = "meta.json: train split id 0 names no sample"
+    message = "dataset.jsonl: 0 samples, fewer than the 80 that meta.json's splits name"
     with pytest.raises(DatasetError, match=re.escape(message)):
         scenario.load_dataset_dir(data)
     assert cli.main(["run", "--data", str(data)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_truncated_dataset_jsonl_names_its_sample_count(generated, tmp_path, capsys):
+    data = _copy(generated[42], tmp_path, cache=False)
+    lines = (data / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+    (data / "dataset.jsonl").write_bytes(b"".join(lines[:-1]))
+    assert cli.main(["run", "--data", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset.jsonl: 79 samples, fewer than the 80 that meta.json's "
+        "splits name\n")
 
 
 def _flip(raw: bytes, where: float) -> bytes:
