@@ -21,7 +21,7 @@ import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import AgentError, GridSigmaError, read_text, replacing
@@ -45,7 +45,7 @@ COIN_FLIP = "coin_flip"
 class EndpointConfig:
     base_url: str
     model_name: str
-    api_key: str = ""
+    api_key: str = field(default="", repr=False)  # a secret; agent reprs show the rest
     temperature: float = 0.0
     max_tokens: int = 256
     timeout: float = 60.0
@@ -85,16 +85,26 @@ class EndpointConfig:
         )
 
 
+KINDS = (HTTP_ENDPOINT, REFERENCE_RULE, ALWAYS_NORMAL, COIN_FLIP)
+
+
 @dataclass(frozen=True)
 class AgentKind:
-    """One of http_endpoint, reference_rule, always_normal, coin_flip(seed)."""
+    """One of http_endpoint(endpoint), reference_rule, always_normal,
+    coin_flip(seed). An http_endpoint agent needs its endpoint; a mock agent
+    calls none and takes none."""
 
     kind: str
     seed: int = 0
+    endpoint: EndpointConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in (HTTP_ENDPOINT, REFERENCE_RULE, ALWAYS_NORMAL, COIN_FLIP):
+        if self.kind not in KINDS:
             raise AgentError(f"unknown agent kind {self.kind!r}")
+        if self.kind == HTTP_ENDPOINT and self.endpoint is None:
+            raise AgentError("http_endpoint agent needs an endpoint")
+        if self.kind != HTTP_ENDPOINT and self.endpoint is not None:
+            raise AgentError(f"{self.kind} agent calls no endpoint, but got one")
 
 
 def cache_key(prompt_text: str, model_name: str, temperature: float) -> str:
@@ -193,10 +203,7 @@ def _mock_complete(prompt: PromptBundle, agent: AgentKind) -> str:
 
 
 def complete(
-    prompt: PromptBundle,
-    agent: AgentKind,
-    endpoint: EndpointConfig | None = None,
-    cache: ResponseCache | None = None,
+    prompt: PromptBundle, agent: AgentKind, cache: ResponseCache | None = None
 ) -> str:
     """Produce one completion.
 
@@ -204,10 +211,9 @@ def complete(
     after; a mock agent's reply is computed every time and never touches
     the cache.
     """
-    if agent.kind != HTTP_ENDPOINT:
-        return _mock_complete(prompt, agent)
+    endpoint = agent.endpoint
     if endpoint is None:
-        raise AgentError("http_endpoint agent requires an endpoint config")
+        return _mock_complete(prompt, agent)
     key = cache_key(prompt.text, endpoint.model_name, endpoint.temperature)
     if cache is not None:
         hit = cache.get(key)
@@ -222,7 +228,6 @@ def complete(
 def complete_batch(
     prompts: Iterable[PromptBundle],
     agent: AgentKind,
-    endpoint: EndpointConfig | None,
     cache: ResponseCache | None,
 ) -> list[str | AgentError]:
     """One completion per prompt, in prompt order, with bounded concurrency.
@@ -235,16 +240,15 @@ def complete_batch(
     """
     def one(prompt: PromptBundle) -> str | AgentError:
         try:
-            return complete(prompt, agent, endpoint, cache)
+            return complete(prompt, agent, cache)
         except AgentError as exc:
             logger.warning("prompt %s failed: %s", prompt.content_hash[:12], exc)
             return exc
 
-    if agent.kind != HTTP_ENDPOINT:
+    endpoint = agent.endpoint
+    if endpoint is None:
         replies = [one(p) for p in prompts]
     else:
-        if endpoint is None:
-            raise AgentError("http_endpoint agent requires an endpoint config")
         replies = []
         window: deque[Future] = deque()
         with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
@@ -261,7 +265,6 @@ def complete_batch(
 def run_batch(
     prompts: Iterable[PromptBundle],
     agent: AgentKind,
-    endpoint: EndpointConfig | None = None,
     cache: ResponseCache | None = None,
 ) -> list[AgentVerdict]:
     """Parsed verdicts of ``complete_batch``; a failed prompt becomes an
@@ -270,7 +273,7 @@ def run_batch(
         AgentVerdict(label=promptkit.INVALID, rationale=str(reply), raw="",
                      parse_mode=promptkit.FAILED)
         if isinstance(reply, AgentError) else promptkit.parse_verdict(reply)
-        for reply in complete_batch(prompts, agent, endpoint, cache)
+        for reply in complete_batch(prompts, agent, cache)
     ]
 
 

@@ -73,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=-1)
     p.add_argument("--seed", type=int, default=7,
                    help="example selection / coin-flip seed")
-    p.add_argument("--invalid-policy", choices=list(evalkit.INVALID_POLICIES),
-                   default=evalkit.AS_WRONG)
     p.add_argument("--format", choices=["text", "md", "json"], default="text")
 
     p = sub.add_parser("train-dl", help="train and calibrate the detector")
@@ -92,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--reference-topz", action="store_true",
                    help="bypass the agent and select by |z| directly")
-    p.add_argument("--invalid-policy", choices=list(evalkit.INVALID_POLICIES),
-                   default=evalkit.AS_WRONG)
     p.add_argument("--format", choices=["text", "md", "json"], default="text")
 
     p = sub.add_parser("export-finetune", help="write the LoRA training JSONL")
@@ -119,13 +115,7 @@ def _print_report(report: evalkit.MetricsReport, label: str, fmt: str) -> None:
     print(evalkit.ablation_table([(label, report)], fmt=fmt), end="")
     if report.invalid_count:
         print(f"invalid verdicts: {report.invalid_count} "
-              f"(policy: {report.invalid_policy})")
-
-
-def _endpoint_for(agent_name: str) -> "agents.EndpointConfig | None":
-    if agent_name != "http":
-        return None
-    return agents.EndpointConfig.from_env()
+              f"(policy: {evalkit.AS_WRONG})")
 
 
 def _cmd_generate(args) -> int:
@@ -180,12 +170,11 @@ def _cmd_render(args) -> int:
 
 def _run_config(args, prompt: promptkit.PromptConfig) -> evalkit.RunConfig:
     # --seed seeds both the examples and a coin flip; every manifest records it.
-    return evalkit.RunConfig(
-        prompt=prompt,
-        agent=agents.AgentKind(_AGENT_CHOICES[args.agent], seed=args.seed),
-        invalid_policy=args.invalid_policy,
-        endpoint=_endpoint_for(args.agent),
-    )
+    kind = _AGENT_CHOICES[args.agent]
+    endpoint = (agents.EndpointConfig.from_env() if kind == agents.HTTP_ENDPOINT
+                else None)
+    return evalkit.RunConfig(prompt=prompt,
+                             agent=agents.AgentKind(kind, args.seed, endpoint))
 
 
 def _cmd_run(args) -> int:

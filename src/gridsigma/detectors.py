@@ -364,6 +364,12 @@ def hybrid_scores(model: DetectorModel, features: np.ndarray, selections) -> np.
     return np.where(mask, residuals, 0.0).sum(axis=1) / mask.sum(axis=1)
 
 
+def reference_selections(features, stats: FeatureStats, m: int) -> np.ndarray:
+    """Per row of an (n, d) feature matrix, the indices of its m largest |z|
+    under stats, descending (see ``top_abs_z``): the reference selection."""
+    return top_abs_z(np.abs(zscores(features, stats)), m)
+
+
 def calibrate_hybrid_threshold(
     model: DetectorModel,
     features: np.ndarray,
@@ -375,7 +381,7 @@ def calibrate_hybrid_threshold(
     calibrate_threshold), each row scored over its m largest |z| (the
     reference selection)."""
     anomalous = _check_both_labels(anomalous)
-    selections = top_abs_z(np.abs(zscores(features, stats)), m)
+    selections = reference_selections(features, stats, m)
     return _best_f1_threshold(hybrid_scores(model, features, selections), anomalous)
 
 

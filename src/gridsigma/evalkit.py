@@ -21,8 +21,7 @@ import numpy as np
 from .errors import AgentError, DatasetError, GridSigmaError, replacing
 from . import agents, detectors, promptkit
 from .promptkit import PromptConfig
-from .ruleoracle import top_abs_z
-from .scenario import ANOMALY, NORMAL, Dataset, FeatureStats, write_dataset, zscores
+from .scenario import ANOMALY, NORMAL, Dataset, FeatureStats, write_dataset
 from .scenario import load_dataset_dir  # the name the benchmark worker loads by
 
 logger = logging.getLogger(__name__)
@@ -57,7 +56,6 @@ class MetricsReport:
     f1: float | None
     counts: ConfusionCounts
     invalid_count: int = 0
-    invalid_policy: str = AS_WRONG
 
 
 def confusion(
@@ -90,9 +88,7 @@ def confusion(
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn), invalid
 
 
-def metrics(
-    counts: ConfusionCounts, invalid_count: int = 0, invalid_policy: str = AS_WRONG
-) -> MetricsReport:
+def metrics(counts: ConfusionCounts, invalid_count: int = 0) -> MetricsReport:
     """Accuracy, recall, precision, F1; zero denominators yield None."""
     c = counts
     accuracy = (c.tp + c.tn) / c.total if c.total else None
@@ -106,7 +102,6 @@ def metrics(
         f1=f1,
         counts=c,
         invalid_count=invalid_count,
-        invalid_policy=invalid_policy,
     )
 
 
@@ -132,14 +127,14 @@ class RunConfig:
 
     prompt: PromptConfig = PromptConfig()
     agent: agents.AgentKind = agents.AgentKind(agents.REFERENCE_RULE)
-    invalid_policy: str = AS_WRONG
-    endpoint: "agents.EndpointConfig | None" = None
 
 
-def agent_label(agent: agents.AgentKind) -> str:
+def agent_label(kind: str, seed: int) -> str:
     """The agent kind, plus the seed for a coin flip: it names manifests and
-    report rows."""
-    return f"{agent.kind}{agent.seed}" if agent.kind == agents.COIN_FLIP else agent.kind
+    report rows. An unknown kind raises AgentError."""
+    if kind not in agents.KINDS:
+        raise AgentError(f"unknown agent kind {kind!r}")
+    return f"{kind}{seed}" if kind == agents.COIN_FLIP else kind
 
 
 def _config_doc(run: RunConfig) -> dict:
@@ -150,11 +145,10 @@ def _config_doc(run: RunConfig) -> dict:
         "agent": run.agent.kind,
         "example_seed": prompt.example_seed,
         "coin_seed": run.agent.seed,
-        "invalid_policy": run.invalid_policy,
         "k_examples": prompt.k_examples,
         "m_select": prompt.m_select,
         "decimals": prompt.decimals,
-        "model": run.endpoint.model_name if run.endpoint else None,
+        "model": run.agent.endpoint.model_name if run.agent.endpoint else None,
     }
 
 
@@ -196,7 +190,7 @@ def _score_and_persist(
     reports = {}
     for policy in policies:
         counts, invalid = confusion(preds, truths, policy)
-        reports[policy] = metrics(counts, invalid, policy)
+        reports[policy] = metrics(counts, invalid)
     manifest = {
         "config": config,
         "dataset_digest": _dataset_digest_of(dataset),
@@ -222,16 +216,17 @@ def run_experiment(
 ) -> tuple[MetricsReport, dict]:
     """Render prompts for the test split, execute the agent, score, persist.
 
-    Returns the metrics report under the configured invalid policy plus the
-    run manifest (also written to out_dir when given). Examples come from
-    the train split only, which shares no sample with the test split.
+    Returns the metrics report under as_wrong plus the run manifest, which
+    holds the metrics under each invalid policy (also written to out_dir
+    when given). Examples come from the train split only, which shares no
+    sample with the test split.
     """
     examples = promptkit.select_examples(dataset, run.prompt)
     targets, _ = _test_split(dataset)
     hashes: list[str] = []
     bundles = promptkit.render_prompts(dataset, targets, run.prompt, examples)
     verdicts = agents.run_batch(
-        _keeping_hashes(bundles, hashes), run.agent, run.endpoint, cache
+        _keeping_hashes(bundles, hashes), run.agent, cache
     )
     preds = [v.label for v in verdicts]
     if all(p == promptkit.INVALID for p in preds):
@@ -250,7 +245,7 @@ def run_experiment(
         manifest_name(run),
         example_ids=sorted(examples),
     )
-    return reports[run.invalid_policy], manifest
+    return reports[AS_WRONG], manifest
 
 
 def _keeping_hashes(
@@ -274,9 +269,9 @@ def _dataset_digest_of(dataset: Dataset) -> str:
 def _file_label(run: RunConfig) -> str:
     """The agent label, and for an http agent its model, escaped for a file
     name, so runs against two models keep two manifests."""
-    label = agent_label(run.agent)
-    if run.agent.kind == agents.HTTP_ENDPOINT:
-        label += "_" + quote(run.endpoint.model_name, safe="")
+    label = agent_label(run.agent.kind, run.agent.seed)
+    if run.agent.endpoint is not None:
+        label += "_" + quote(run.agent.endpoint.model_name, safe="")
     return label
 
 
@@ -332,12 +327,13 @@ def run_hybrid_experiment(
     targets, features = _test_split(dataset)
     if use_reference_selector:
         selector = file_label = SOURCE_REFERENCE
-        selections = top_abs_z(np.abs(zscores(features, dataset.stats)), m).tolist()
+        selections = detectors.reference_selections(features, dataset.stats, m).tolist()
         sources = [SOURCE_REFERENCE] * len(targets)
     else:
-        selector, file_label = agent_label(run.agent), _file_label(run)
+        selector = agent_label(run.agent.kind, run.agent.seed)
+        file_label = _file_label(run)
         bundles = promptkit.render_prompts(dataset, targets, run.prompt)
-        replies = agents.complete_batch(bundles, run.agent, run.endpoint, cache)
+        replies = agents.complete_batch(bundles, run.agent, cache)
         selections = []
         for i, reply in zip(targets.tolist(), replies):
             failed = isinstance(reply, AgentError)
@@ -359,11 +355,11 @@ def run_hybrid_experiment(
             {"selection": list(ranked), "selection_source": source}
             for ranked, source in zip(selections, sources)
         ],
-        (run.invalid_policy,),
+        (AS_WRONG,),
         out_dir,
         f"hybrid_{file_label}.json",
     )
-    return reports[run.invalid_policy], manifest
+    return reports[AS_WRONG], manifest
 
 
 def _stats_difference(trained: FeatureStats, dataset: Dataset) -> str | None:
@@ -539,14 +535,12 @@ class ReportRun:
 
 
 def manifest_run(doc: dict) -> ReportRun:
-    """A run manifest's rows, from its config, and its metrics under as_wrong,
-    else under the first policy it holds.
+    """A run manifest's rows, from its config, and its metrics under as_wrong.
 
     A malformed document raises one of errors.MALFORMED_DOCUMENT, or
     AgentError for an unknown agent kind.
     """
-    by_policy = dict(doc["metrics"])
-    m = by_policy.get(AS_WRONG) or by_policy[next(iter(by_policy), AS_WRONG)]
+    m = dict(doc["metrics"])[AS_WRONG]
     report = MetricsReport(
         **{key: m[key] for key in _METRICS}, counts=ConfusionCounts(**m["counts"]),
         invalid_count=m.get("invalid_count", 0),
@@ -562,9 +556,7 @@ def manifest_run(doc: dict) -> ReportRun:
         labels[_PARADIGMS] = PARADIGM_LABELS[paradigm]
     if paradigm == promptkit.HYBRID_SELECT:
         labels[_VERSUS] = _HYBRID_ROW
-    agent = str(cfg.get("selector") or agent_label(
-        agents.AgentKind(cfg["agent"], cfg["coin_seed"])
-    ))
+    agent = str(cfg.get("selector") or agent_label(cfg["agent"], cfg["coin_seed"]))
     model = f"model {cfg['model']}" if cfg["model"] else ""
     return ReportRun(labels, (variant, agent, model, f"k={cfg['k_examples']}"), report)
 

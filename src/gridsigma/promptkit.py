@@ -384,9 +384,11 @@ def select_examples(dataset: Dataset, config: PromptConfig) -> tuple[int, ...]:
     chosen = rng.choice(len(normals), size=n_normal, replace=False)
     picked_normal = normals[chosen].tolist()
 
-    # Rank anomalies by max |z|, ties by id, and spread picks across four
-    # strength bins.
+    # Rank anomalies by max |z| at the prompt's decimals, ties by id, and
+    # spread picks across four strength bins. Rounded, a near tie that the
+    # BLAS kernel can reorder (|z| moves by ~1e-12) is a tie the id breaks.
     strength = np.abs(zscores(dataset.features[anomalies], dataset.stats)).max(axis=1)
+    strength = strength.round(config.decimals)
     bins = np.array_split(np.lexsort((anomalies, strength)), 4)
     per_bin = [n_anomalous // 4 + (i < n_anomalous % 4) for i in range(4)]
     picked_anomalous: list[int] = []

@@ -484,6 +484,11 @@ def write_dataset(ds: Dataset, jsonl_file, csv_file) -> str:
     and bytes count alike.
     """
     _check_columns(vars(ds), len(ds.layout))
+    return _write_blocks(ds, jsonl_file, csv_file)
+
+
+def _write_blocks(ds: Dataset, jsonl_file, csv_file) -> str:
+    """write_dataset's work on a dataset whose columns are checked."""
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(
         ["id", "hour", "label"] + ds.layout.names()
@@ -841,7 +846,7 @@ def write_dataset_dir(ds: Dataset, out: Path) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
     with (replacing(jsonl_path, "w+b") as jsonl_file,
           replacing(csv_path, "wb") as csv_file):
-        jsonl_digest = write_dataset(ds, jsonl_file, csv_file)
+        jsonl_digest = _write_blocks(ds, jsonl_file, csv_file)
     for path, text in ((stats_path, stats_to_json(ds.stats)),
                        (meta_path, meta_to_json(ds))):
         with replacing(path) as fh:

@@ -10,7 +10,7 @@ import json
 import time
 from http.server import BaseHTTPRequestHandler
 
-from gridsigma.agents import EndpointConfig
+from gridsigma.agents import HTTP_ENDPOINT, AgentKind, EndpointConfig
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -53,7 +53,9 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-def endpoint_for(server, **overrides) -> EndpointConfig:
+def http_agent(server, **overrides) -> AgentKind:
+    """An http_endpoint agent for the stub server, its endpoint settings
+    overridden by keyword."""
     opts = dict(
         base_url=f"http://127.0.0.1:{server.server_address[1]}",
         model_name="stub-model",
@@ -64,4 +66,4 @@ def endpoint_for(server, **overrides) -> EndpointConfig:
         max_in_flight=4,
     )
     opts.update(overrides)
-    return EndpointConfig(**opts)
+    return AgentKind(HTTP_ENDPOINT, endpoint=EndpointConfig(**opts))

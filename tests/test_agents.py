@@ -24,7 +24,7 @@ from gridsigma.errors import AgentError, GridSigmaError
 from gridsigma.promptkit import PromptConfig
 from gridsigma.scenario import ANOMALY, NORMAL
 
-from http_stub import endpoint_for
+from http_stub import http_agent
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,14 @@ class TestMocks:
     def test_unknown_kind_rejected(self):
         with pytest.raises(AgentError):
             AgentKind("telepathy")
+
+    @pytest.mark.parametrize("kind", [agents.REFERENCE_RULE, agents.ALWAYS_NORMAL,
+                                      agents.COIN_FLIP])
+    def test_endpoint_refused(self, kind):
+        # A mock agent calls no model, so none can be recorded for its run.
+        endpoint = EndpointConfig(base_url="http://example.test", model_name="m1")
+        with pytest.raises(AgentError, match=f"{kind} agent calls no endpoint"):
+            AgentKind(kind, endpoint=endpoint)
 
 
 class TestCache:
@@ -131,12 +139,11 @@ class TestCache:
 
     def test_rerun_batch_hits_cache_no_network(self, stub_server, bundles, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
-        endpoint = endpoint_for(stub_server)
-        agent = AgentKind(agents.HTTP_ENDPOINT)
-        first = run_batch(bundles, agent, endpoint, cache)
+        agent = http_agent(stub_server)
+        first = run_batch(bundles, agent, cache)
         n_after_first = len(stub_server.requests)
         assert n_after_first == len(bundles)
-        second = run_batch(bundles, agent, endpoint, cache)
+        second = run_batch(bundles, agent, cache)
         assert len(stub_server.requests) == n_after_first  # zero new calls
         assert [v.raw for v in first] == [v.raw for v in second]
 
@@ -169,8 +176,7 @@ class TestHttpAgent:
             return {"kind": "reply", "text": replies[text]}
 
         stub_server.behavior = behavior
-        endpoint = endpoint_for(stub_server)
-        verdicts = run_batch(bundles, AgentKind(agents.HTTP_ENDPOINT), endpoint)
+        verdicts = run_batch(bundles, http_agent(stub_server))
         assert len(verdicts) == len(bundles)
         for bundle, verdict in zip(bundles, verdicts):
             assert verdict.raw == replies[bundle.text]
@@ -186,17 +192,13 @@ class TestHttpAgent:
             return {"kind": "reply", "text": "anomaly\nSecond try."}
 
         stub_server.behavior = behavior
-        raw = complete(bundles[0], AgentKind(agents.HTTP_ENDPOINT),
-                       endpoint_for(stub_server))
+        raw = complete(bundles[0], http_agent(stub_server))
         assert raw == "anomaly\nSecond try."
         assert len(stub_server.requests) == 2
 
     def test_persistent_500_becomes_invalid_verdict(self, stub_server, bundles):
         stub_server.behavior = lambda text, n: {"kind": "status", "code": 500}
-        verdicts = run_batch(
-            bundles[:3], AgentKind(agents.HTTP_ENDPOINT),
-            endpoint_for(stub_server, retries=1),
-        )
+        verdicts = run_batch(bundles[:3], http_agent(stub_server, retries=1))
         assert all(v.label == promptkit.INVALID for v in verdicts)
         assert all(v.parse_mode == promptkit.FAILED for v in verdicts)
 
@@ -209,8 +211,8 @@ class TestHttpAgent:
             return {"kind": "reply", "text": "normal\nFast."}
 
         stub_server.behavior = behavior
-        endpoint = endpoint_for(stub_server, timeout=0.3, retries=0)
-        verdicts = run_batch(bundles[:4], AgentKind(agents.HTTP_ENDPOINT), endpoint)
+        agent = http_agent(stub_server, timeout=0.3, retries=0)
+        verdicts = run_batch(bundles[:4], agent)
         assert verdicts[1].label == promptkit.INVALID
         others = [v.label for i, v in enumerate(verdicts) if i != 1]
         assert all(lbl == NORMAL for lbl in others)
@@ -224,20 +226,14 @@ class TestHttpAgent:
             return {"kind": "reply", "text": "Pf_7"}
 
         stub_server.behavior = behavior
-        replies = complete_batch(
-            bundles[:4], AgentKind(agents.HTTP_ENDPOINT),
-            endpoint_for(stub_server, retries=0), None,
-        )
+        replies = complete_batch(bundles[:4], http_agent(stub_server, retries=0), None)
         assert isinstance(replies[2], AgentError)
         assert "HTTP 400" in str(replies[2])
         assert [r for i, r in enumerate(replies) if i != 2] == ["Pf_7"] * 3
 
     def test_empty_completion_is_invalid(self, stub_server, bundles):
         stub_server.behavior = lambda text, n: {"kind": "reply", "text": "  "}
-        verdicts = run_batch(
-            bundles[:1], AgentKind(agents.HTTP_ENDPOINT),
-            endpoint_for(stub_server, retries=0),
-        )
+        verdicts = run_batch(bundles[:1], http_agent(stub_server, retries=0))
         assert verdicts[0].label == promptkit.INVALID
 
     def test_surrogate_completion_is_invalid_without_retry(self, stub_server, bundles,
@@ -247,8 +243,8 @@ class TestHttpAgent:
         stub_server.behavior = lambda text, n: {"kind": "reply",
                                                 "text": "normal\n\ud800 odd"}
         verdicts = run_batch(
-            bundles[:3], AgentKind(agents.HTTP_ENDPOINT),
-            endpoint_for(stub_server, retries=2), ResponseCache(tmp_path / "cache"),
+            bundles[:3], http_agent(stub_server, retries=2),
+            ResponseCache(tmp_path / "cache"),
         )
         assert [v.label for v in verdicts] == [promptkit.INVALID] * 3
         assert "completion is not UTF-8 text" in verdicts[0].rationale
@@ -257,10 +253,7 @@ class TestHttpAgent:
 
     def test_malformed_json_is_invalid(self, stub_server, bundles):
         stub_server.behavior = lambda text, n: {"kind": "raw", "body": "not json"}
-        verdicts = run_batch(
-            bundles[:1], AgentKind(agents.HTTP_ENDPOINT),
-            endpoint_for(stub_server, retries=0),
-        )
+        verdicts = run_batch(bundles[:1], http_agent(stub_server, retries=0))
         assert verdicts[0].label == promptkit.INVALID
 
     @pytest.mark.parametrize("body", [
@@ -271,17 +264,19 @@ class TestHttpAgent:
     def test_wrong_shape_reply_is_retried_then_fails(self, stub_server, bundles,
                                                      body):
         stub_server.behavior = lambda text, n: {"kind": "raw", "body": body}
-        replies = complete_batch(
-            bundles[:1], AgentKind(agents.HTTP_ENDPOINT),
-            endpoint_for(stub_server, retries=1), None,
-        )
+        replies = complete_batch(bundles[:1], http_agent(stub_server, retries=1), None)
         assert isinstance(replies[0], AgentError)
         assert "malformed completion" in str(replies[0])
         assert len(stub_server.requests) == 2
 
     def test_missing_endpoint_config(self, bundles):
-        with pytest.raises(AgentError):
+        with pytest.raises(AgentError, match="http_endpoint agent needs an endpoint"):
             complete(bundles[0], AgentKind(agents.HTTP_ENDPOINT))
+
+    def test_agent_repr_hides_the_api_key(self):
+        endpoint = EndpointConfig(base_url="http://example.test", model_name="m1",
+                                  api_key="secret")
+        assert "secret" not in repr(AgentKind(agents.HTTP_ENDPOINT, endpoint=endpoint))
 
     def test_endpoint_from_env(self, monkeypatch):
         monkeypatch.setenv(agents.ENV_BASE_URL, "http://example.test")
@@ -319,8 +314,8 @@ class TestHttpAgent:
                            **setting)
 
     def test_longest_timeout_accepted(self, stub_server, bundles):
-        endpoint = endpoint_for(stub_server, timeout=threading.TIMEOUT_MAX)
-        raw = complete(bundles[0], AgentKind(agents.HTTP_ENDPOINT), endpoint)
+        agent = http_agent(stub_server, timeout=threading.TIMEOUT_MAX)
+        raw = complete(bundles[0], agent)
         assert raw == "normal\nStub reply."
 
     def test_empty_batch_rejected(self):
@@ -374,7 +369,7 @@ class TestStreaming:
     def test_mock_batch_pulls_one_prompt_per_reply(self, bundles, answered):
         prompts = CountingPrompts(bundles, answered)
         agent = AgentKind(agents.REFERENCE_RULE)
-        replies = complete_batch(prompts, agent, None, None)
+        replies = complete_batch(prompts, agent, None)
         assert prompts.unanswered == [1] * len(bundles)
         assert replies == [ruleoracle.reference_agent(b).raw for b in bundles]
 
@@ -394,8 +389,7 @@ class TestStreaming:
         stub_server.behavior = behavior
         prompts = CountingPrompts(bundles, answered)
         replies = complete_batch(
-            prompts, AgentKind(agents.HTTP_ENDPOINT),
-            endpoint_for(stub_server, retries=0, max_in_flight=3), None,
+            prompts, http_agent(stub_server, retries=0, max_in_flight=3), None,
         )
         assert prompts.pulled == len(bundles)
         assert max(prompts.unanswered) == 3
@@ -406,8 +400,10 @@ class TestStreaming:
 
     @pytest.mark.parametrize("kind", [agents.REFERENCE_RULE, agents.HTTP_ENDPOINT])
     def test_empty_iterable_rejected(self, stub_server, kind):
+        agent = (http_agent(stub_server) if kind == agents.HTTP_ENDPOINT
+                 else AgentKind(kind))
         with pytest.raises(AgentError, match="empty prompt batch"):
-            complete_batch(iter([]), AgentKind(kind), endpoint_for(stub_server), None)
+            complete_batch(iter([]), agent, None)
         assert stub_server.requests == []
 
     def test_export_yields_records_as_pulled(self, dataset42, monkeypatch):

@@ -183,6 +183,9 @@ class TestRunAndReport:
         assert path.exists()
         doc = json.loads(path.read_text())
         assert doc["config"]["paradigm"] == "zero_shot"
+        assert doc["config"]["model"] is None  # a mock agent calls no model
+        assert "invalid_policy" not in doc["config"]
+        assert set(doc["metrics"]) == {"as_wrong", "excluded"}
         assert len(doc["samples"]) == 50
 
     def test_manifest_digest_is_dataset_file_sha256(self, pipeline_dir):
@@ -224,16 +227,6 @@ class TestRunAndReport:
             (pipeline_dir / "manifests" / "hybrid_coin_flip3.json").read_text()
         )
         assert all(s["selection_source"] == "full" for s in doc["samples"])
-
-    def test_run_invalid_policy_flag(self, pipeline_dir, capsys):
-        assert main(["run", "--data", str(pipeline_dir), "--paradigm", "zero-shot",
-                     "--variant", "value", "--agent", "reference",
-                     "--invalid-policy", "excluded"]) == 0
-        doc = json.loads(
-            (pipeline_dir / "manifests"
-             / "zero_shot_value_reference_rule.json").read_text()
-        )
-        assert doc["config"]["invalid_policy"] == "excluded"
 
     def test_include_voltage_layout_flows_through(self, tmp_path, capsys):
         data = tmp_path / "dv"
@@ -287,7 +280,7 @@ def _write_paper_manifests(data):
     for paradigm, variant, (accuracy, recall, precision, f1) in _PAPER_ROWS:
         name = f"{paradigm}_{variant}_reference_rule.json"
         config = {"paradigm": paradigm, "variant": variant, "agent": "reference_rule",
-                  "coin_seed": 7, "example_seed": 7, "invalid_policy": "as_wrong",
+                  "coin_seed": 7, "example_seed": 7,
                   "k_examples": {"few_shot": 2, "icl": 10}.get(paradigm, 0),
                   "m_select": 8, "decimals": 4, "model": None}
         if paradigm == "hybrid_select":
@@ -614,6 +607,14 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--data", str(pipeline_dir), "--paradigm", "frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "hybrid"])
+    def test_invalid_policy_flag_is_usage_error(self, pipeline_dir, capsys, command):
+        # Every run manifest holds both policies' metrics; the flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(pipeline_dir), "--invalid-policy", "excluded"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --invalid-policy" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

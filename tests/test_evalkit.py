@@ -45,7 +45,7 @@ from gridsigma.scenario import (
 from gridsigma.ruleoracle import three_sigma_label
 
 import legacy_formats
-from http_stub import endpoint_for
+from http_stub import http_agent
 
 INVALID = promptkit.INVALID
 
@@ -273,11 +273,11 @@ class TestRunIdentity:
         assert evalkit.manifest_name(RunConfig(prompt=prompt, agent=agent)) == name
 
 
-def _hybrid_records(dataset, model, n, agent=agents.REFERENCE_RULE, endpoint=None):
+def _hybrid_records(dataset, model, n, agent=agents.AgentKind(agents.REFERENCE_RULE)):
     """Targets and manifest records of a hybrid run on the first n test samples."""
     head = replace(dataset, splits={**dataset.splits, "test": dataset.splits["test"][:n]})
     run = RunConfig(prompt=promptkit.PromptConfig(paradigm=promptkit.HYBRID_SELECT),
-                    agent=agents.AgentKind(agent), endpoint=endpoint)
+                    agent=agent)
     _, manifest = run_hybrid_experiment(run, model, dataset=head)
     return head.split_samples("test"), manifest["samples"]
 
@@ -313,7 +313,7 @@ class TestHybridSelection:
             assert record["selection_source"] == SOURCE_LLM
 
     def test_misspelled_sensor_dropped(self, dataset42, model42, monkeypatch):
-        def fake_complete(prompt, agent, endpoint=None, cache=None):
+        def fake_complete(prompt, agent, cache=None):
             return "Pf_7\nNot_A_Sensor\nQ_3\n"
 
         monkeypatch.setattr(agents, "complete", fake_complete)
@@ -329,7 +329,7 @@ class TestHybridSelection:
             retries=0,
         )
         _, records = _hybrid_records(
-            dataset42, model42, 1, agents.HTTP_ENDPOINT, endpoint
+            dataset42, model42, 1, agents.AgentKind(agents.HTTP_ENDPOINT, endpoint=endpoint)
         )
         assert records[0]["selection_source"] == SOURCE_FULL
         assert records[0]["selection"] == []
@@ -354,10 +354,8 @@ class TestHybridSelection:
             return {"kind": "reply", "text": "Pf_7\nQ_3"}
 
         stub_server.behavior = behavior
-        endpoint = endpoint_for(stub_server, timeout=0.3, retries=0)
-        _, records = _hybrid_records(
-            dataset42, model42, 4, agents.HTTP_ENDPOINT, endpoint
-        )
+        agent = http_agent(stub_server, timeout=0.3, retries=0)
+        _, records = _hybrid_records(dataset42, model42, 4, agent)
         assert [r["selection_source"] for r in records] == [
             SOURCE_LLM, SOURCE_FULL, SOURCE_LLM, SOURCE_LLM
         ]

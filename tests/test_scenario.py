@@ -681,6 +681,14 @@ class TestWriteDatasetFiles:
         assert (out / "stats.json").read_text(encoding="utf-8") == stats_to_json(ds.stats)
         assert (out / "meta.json").read_text(encoding="utf-8") == meta_to_json(ds)
 
+    def test_columns_checked_once(self, dataset42, tmp_path, monkeypatch):
+        checks = []
+        check = scenario._check_columns
+        monkeypatch.setattr(scenario, "_check_columns",
+                            lambda *args: checks.append(1) or check(*args))
+        scenario.write_dataset_dir(dataset42, tmp_path / "d")
+        assert len(checks) == 1
+
     def test_refused_dataset_creates_neither_file(self, dataset42, tmp_path):
         """None of the five files, and not the directory either."""
         last = dataset42.by_id(1599)
